@@ -17,7 +17,7 @@ Numbers accept scientific notation and the SI suffixes k, m, u, n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,9 @@ class Netlist:
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "piezo", dict(self.piezo))
-        _validate_structure(self.branches, self.piezo)
+        fault = _validate_structure(self.branches, self.piezo)
+        if fault is not None:
+            raise ParameterError(fault[1])
 
     @property
     def nodes(self):
@@ -74,34 +76,41 @@ class Netlist:
 
 
 def _validate_structure(branches, piezo):
-    """Shared invariant checks (no line attribution; the parser adds that)."""
+    """First violated structural invariant as (subject, message), or None.
+
+    `subject` names the item at fault: ("branch", position), ("piezo", index),
+    ("node", name) or None.  `Netlist` raises the message; the parser also
+    attaches the line that declared the subject.
+    """
     if not branches:
-        raise ParameterError("netlist needs at least one branch")
+        return None, "netlist needs at least one branch"
     names = set()
     nodes = set()
-    for br in branches:
+    for j, br in enumerate(branches):
+        subject = ("branch", j)
         if br.name in names:
-            raise ParameterError(f"duplicate branch name {br.name!r}")
+            return subject, f"duplicate branch name {br.name!r}"
         names.add(br.name)
         if br.node_a == br.node_b:
-            raise ParameterError(f"self-loop branch {br.name!r} ({br.node_a})")
+            return subject, f"self-loop branch {br.name!r} ({br.node_a})"
         if br.l <= 0:
-            raise ParameterError(f"branch {br.name!r} needs positive inductance, got {br.l}")
+            return subject, f"branch {br.name!r} needs positive inductance, got {br.l}"
         if br.r < 0:
-            raise ParameterError(f"branch {br.name!r} needs nonnegative resistance, got {br.r}")
+            return subject, f"branch {br.name!r} needs nonnegative resistance, got {br.r}"
         nodes.update(n for n in (br.node_a, br.node_b) if n != GROUND)
     if not piezo:
-        raise ParameterError("netlist needs at least one piezo attachment")
+        return None, "netlist needs at least one piezo attachment"
     for idx, node in piezo.items():
+        subject = ("piezo", idx)
         if idx < 1:
-            raise ParameterError(f"piezo index must be positive, got {idx}")
+            return subject, f"piezo index must be positive, got {idx}"
         if node == GROUND:
-            raise ParameterError(f"piezo {idx} attached to ground")
+            return subject, f"piezo {idx} attached to ground"
         if node not in nodes:
-            raise ParameterError(f"piezo {idx} attached to unknown node {node!r}")
-    attached = set(piezo.values())
-    for node in sorted(nodes - attached):
-        raise ParameterError(f"node {node!r} has no piezo attachment")
+            return subject, f"piezo {idx} attached to unknown node {node!r}"
+    for node in sorted(nodes - set(piezo.values())):
+        return ("node", node), f"node {node!r} has no piezo attachment"
+    return None
 
 
 def build_single_shunt(n, r, lind):
@@ -160,9 +169,7 @@ def parse_netlist(text):
     """Parse the netlist dialect, rejecting invariant violations with line numbers."""
     branches = []
     piezo = {}
-    branch_lines = {}
-    piezo_lines = {}
-    node_first_line = {}
+    lines = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,14 +183,10 @@ def parse_netlist(text):
                 idx = int(tokens[1])
             except ValueError:
                 raise NetlistError(line_no, f"malformed piezo index {tokens[1]!r}") from None
-            if idx < 1:
-                raise NetlistError(line_no, f"piezo index must be positive, got {idx}")
             if idx in piezo:
                 raise NetlistError(line_no, f"duplicate piezo attachment for patch {idx}")
-            if tokens[2] == GROUND:
-                raise NetlistError(line_no, f"piezo {idx} attached to ground")
             piezo[idx] = tokens[2]
-            piezo_lines[idx] = line_no
+            lines[("piezo", idx)] = line_no
         elif tokens[0] == "branch":
             if len(tokens) != 6 or not tokens[4].startswith("R=") or not tokens[5].startswith("L="):
                 raise NetlistError(
@@ -195,34 +198,16 @@ def parse_netlist(text):
                 l = parse_si(tokens[5][2:])
             except ValueError as exc:
                 raise NetlistError(line_no, str(exc)) from None
-            if name in branch_lines:
-                raise NetlistError(line_no, f"duplicate branch name {name!r}")
-            if node_a == node_b:
-                raise NetlistError(line_no, f"self-loop branch {name!r} ({node_a})")
-            if l <= 0:
-                raise NetlistError(line_no, f"branch {name!r} needs positive inductance, got {l}")
-            if r < 0:
-                raise NetlistError(line_no, f"branch {name!r} needs nonnegative resistance, got {r}")
+            lines[("branch", len(branches))] = line_no
             branches.append(Branch(name, node_a, node_b, r, l))
-            branch_lines[name] = line_no
             for node in (node_a, node_b):
-                if node != GROUND:
-                    node_first_line.setdefault(node, line_no)
+                lines.setdefault(("node", node), line_no)
         else:
             raise NetlistError(line_no, f"unknown directive {tokens[0]!r}")
 
-    if not branches:
-        raise NetlistError(0, "netlist contains no branches")
-    if not piezo:
-        raise NetlistError(0, "netlist contains no piezo attachments")
-    for idx, node in sorted(piezo.items()):
-        if node not in node_first_line:
-            raise NetlistError(piezo_lines[idx], f"piezo {idx} attached to unknown node {node!r}")
-    attached = set(piezo.values())
-    for node in sorted(node_first_line):
-        if node not in attached:
-            raise NetlistError(node_first_line[node], f"node {node!r} has no piezo attachment")
-
+    fault = _validate_structure(branches, piezo)
+    if fault is not None:
+        raise NetlistError(lines.get(fault[0], 0), fault[1])
     return Netlist(branches=tuple(branches), piezo=piezo)
 
 

@@ -147,11 +147,11 @@ def _cmd_simulate(cfg, outdir):
     x0 = _initial_state(sys_, cfg.initial)
     traj = timesim.integrate(sys_, x0, None, dt, t_final)
     tip = traj.states @ sys_.output_map
-    h, _ = timesim.energy_history(sys_, traj)
+    h, p_diss = timesim.energy_history(sys_, traj)
     rows = list(zip(traj.times, tip, h))
     _write_csv(os.path.join(outdir, "trajectory.csv"),
                ["t_s", "tip_m", "energy_J"], rows)
-    resid = timesim.energy_residual(sys_, traj)
+    resid = timesim._energy_residual(h, p_diss, traj.dt)
     print(f"wrote {len(rows)} samples to {os.path.join(outdir, 'trajectory.csv')}")
     print(f"energy_residual = {_fmt(resid)}")
     return 0
@@ -168,11 +168,7 @@ def _compare_row(cfg, topology):
 
     tr_hinf = reduction.tune(rm, "hinf", target_mode=cfg.target_mode, bounds=bounds)
     scaled = sys_.rescaled(tr_hinf.r, tr_hinf.l)
-    omega_t = rm.omega_m
-    grid = np.linspace(reduction.HINF_GRID_FACTORS[0] * omega_t,
-                       reduction.HINF_GRID_FACTORS[1] * omega_t,
-                       reduction.HINF_GRID_POINTS)
-    peak = float(np.max(coupled.frf(scaled, grid).magnitude))
+    peak = float(np.max(coupled.frf(scaled, reduction.hinf_grid(rm.omega_m)).magnitude))
 
     warn = []
     if not tr.converged:

@@ -41,7 +41,7 @@ key in [network] points at a netlist file and overrides `topology`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .beam import BeamSpec
 from .circuits import parse_si

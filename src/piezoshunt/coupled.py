@@ -17,7 +17,7 @@ they satisfy dH/dt = eta'^T f - P_diss, P_diss = sum 2 zeta w eta'^2 + i^T R i >
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,13 +30,15 @@ from .patches import coupling_matrix
 ZERO_MODE_RTOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoupledSystem:
     """Assembled beam + patch array + RL network model.
 
-    The system is immutable after assembly; `rescaled` returns a copy with
-    branch parameters R_b = rbar * s_shape, L_b = lbar * s_shape, where
-    s_shape is the branch inductance pattern normalized by the first branch.
+    The dataclass is frozen and caches nothing, so derived quantities such as
+    `state_matrix` always follow its fields, also after `dataclasses.replace`.
+    `rescaled` returns a copy with branch parameters R_b = rbar * s_shape,
+    L_b = lbar * s_shape, where s_shape is the branch inductance pattern
+    normalized by the first branch.
     """
 
     basis: object
@@ -48,7 +50,6 @@ class CoupledSystem:
     cap: np.ndarray          # P node capacitances
     x_force: float
     x_out: float
-    _a: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_states(self):
@@ -85,24 +86,7 @@ class CoupledSystem:
         l_b = np.broadcast_to(np.asarray(l_b, dtype=float), (self.nm.n_branches,)).copy()
         if np.any(l_b <= 0) or np.any(r_b < 0):
             raise ParameterError("branch rescaling needs L > 0 and R >= 0")
-        nm = type(self.nm)(
-            node_names=self.nm.node_names,
-            branch_names=self.nm.branch_names,
-            b_inc=self.nm.b_inc,
-            r_b=r_b,
-            l_b=l_b,
-        )
-        return CoupledSystem(
-            basis=self.basis,
-            patches=self.patches,
-            net=self.net,
-            nm=nm,
-            theta=self.theta,
-            theta_tilde=self.theta_tilde,
-            cap=self.cap,
-            x_force=self.x_force,
-            x_out=self.x_out,
-        )
+        return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
 
 
 def assemble(basis, patches, net, x_force=None, x_out=None):
@@ -135,8 +119,6 @@ def assemble(basis, patches, net, x_force=None, x_out=None):
 
 def state_matrix(sys):
     """First-order state matrix A of x' = A x + b u."""
-    if sys._a is not None:
-        return sys._a
     m, p, bn = sys.basis.m, sys.nm.n_nodes, sys.nm.n_branches
     n = 2 * m + p + bn
     a = np.zeros((n, n))
@@ -153,7 +135,6 @@ def state_matrix(sys):
     a[sl_v, sl_i] = -sys.nm.b_inc / sys.cap[:, None]
     a[sl_i, sl_v] = sys.nm.b_inc.T / sys.nm.l_b[:, None]
     a[sl_i, sl_i] = -np.diag(sys.nm.r_b / sys.nm.l_b)
-    sys._a = a
     return a
 
 
@@ -179,7 +160,6 @@ def eigen(sys):
             f"(1-norm {np.linalg.norm(a, 1):.3e})"
         ) from exc
 
-    values = _enforce_conjugate_pairs(values)
     order = np.lexsort((values.real, -values.imag, np.abs(values)))
     values = values[order]
     vectors = vectors[:, order]
@@ -203,38 +183,6 @@ def eigen(sys):
         tags.append("mechanical" if mech > elec else "electrical")
 
     return EigenSolution(values=values, vectors=vectors, freq=freq, zeta=zeta, tags=tuple(tags))
-
-
-def _enforce_conjugate_pairs(values, rtol=1e-8):
-    """Symmetrize eigenvalues into exact conjugate pairs (matched within rtol)."""
-    vals = values.copy()
-    scale = max(np.max(np.abs(vals)), 1e-300)
-    tol = rtol * scale
-    used = np.zeros(len(vals), dtype=bool)
-    order = np.lexsort((vals.imag, vals.real, np.abs(vals)))
-    for i in order:
-        if used[i]:
-            continue
-        used[i] = True
-        if abs(vals[i].imag) <= tol:
-            vals[i] = complex(vals[i].real, vals[i].imag)
-            continue
-        target = np.conj(vals[i])
-        best, best_dist = -1, np.inf
-        for j in range(len(vals)):
-            if used[j] or vals[j].imag * vals[i].imag >= 0:
-                continue
-            dist = abs(vals[j] - target)
-            if dist < best_dist:
-                best, best_dist = j, dist
-        if best >= 0 and best_dist <= tol:
-            used[best] = True
-            re = 0.5 * (vals[i].real + vals[best].real)
-            im = 0.5 * (abs(vals[i].imag) + abs(vals[best].imag))
-            sign = 1.0 if vals[i].imag > 0 else -1.0
-            vals[i] = complex(re, sign * im)
-            vals[best] = complex(re, -sign * im)
-    return vals
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,13 @@ placement) or the negated FRF peak (hinf), via multi-start Nelder-Mead in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .beam import eval_mode
-from .coupled import ZERO_MODE_RTOL, _frf_values, eigen, state_matrix
+from .coupled import ZERO_MODE_RTOL, CoupledSystem, _frf_values, eigen, state_matrix
 from .errors import NumericalError, ParameterError
 
 #: Default tuning band around the target mode for the pole-placement objective.
@@ -151,15 +151,7 @@ def reduce(sys, target_mode=1, rule="max-coupling"):
 
     theta_row = sys.theta_tilde[target_mode - 1]
     # group degenerate eigenvalues so the selection is basis independent
-    groups = []
-    current = [nonzero[0]]
-    for j in nonzero[1:]:
-        if ems.mu[j] - ems.mu[current[-1]] <= 1e-9 * mu_max:
-            current.append(j)
-        else:
-            groups.append(current)
-            current = [j]
-    groups.append(current)
+    groups = np.split(nonzero, np.nonzero(np.diff(ems.mu[nonzero]) > 1e-9 * mu_max)[0] + 1)
 
     best = None
     for group in groups:
@@ -305,45 +297,27 @@ def _min_damping(values, band):
     return float(np.min(-values[keep].real / freq[keep]))
 
 
-def _make_evaluator(model, objective, target_mode):
-    """Return (evaluate(r, l), omega_target) for a reduced or full model."""
-    from .coupled import CoupledSystem  # local to avoid import cycle in docs
+def hinf_grid(omega_t):
+    """Frequency samples of the hinf objective around the target frequency omega_t."""
+    return np.linspace(HINF_GRID_FACTORS[0] * omega_t, HINF_GRID_FACTORS[1] * omega_t,
+                       HINF_GRID_POINTS)
 
-    if isinstance(model, ReducedModel):
-        rm = model
-        omega_t = rm.omega_m
-        if objective == "min-damping-ratio":
-            def evaluate(r, l):
-                return _min_damping(np.linalg.eigvals(rm.a_matrix(r, l)), band=None)
-        else:
-            grid = np.linspace(HINF_GRID_FACTORS[0] * omega_t, HINF_GRID_FACTORS[1] * omega_t,
-                               HINF_GRID_POINTS)
-            def evaluate(r, l):
-                g, _ = _frf_values(rm.a_matrix(r, l), rm.force_map, rm.output_map, grid)
-                peak = np.max(np.abs(g))
-                return -float(peak) if np.isfinite(peak) else -np.inf
-        return evaluate, omega_t
 
-    if isinstance(model, CoupledSystem):
-        sys = model
-        omega_t = float(sys.basis.omega[target_mode - 1])
-        band = (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
-        if objective == "min-damping-ratio":
-            def evaluate(r, l):
-                a = state_matrix(sys.rescaled(r, l))
-                return _min_damping(np.linalg.eigvals(a), band=band)
-        else:
-            grid = np.linspace(HINF_GRID_FACTORS[0] * omega_t, HINF_GRID_FACTORS[1] * omega_t,
-                               HINF_GRID_POINTS)
-            def evaluate(r, l):
-                scaled = sys.rescaled(r, l)
-                g, _ = _frf_values(state_matrix(scaled), scaled.force_map,
-                                   scaled.output_map, grid)
-                peak = np.max(np.abs(g))
-                return -float(peak) if np.isfinite(peak) else -np.inf
-        return evaluate, omega_t
+def _band(omega_t):
+    """Pole-placement band of the complete model around the target frequency."""
+    return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
-    raise ParameterError(f"cannot tune a {type(model).__name__}")
+
+def _objective_value(objective, a, b, c, omega_t, band):
+    """Objective of the state-space model (a, b, c); larger is better.
+
+    "min-damping-ratio" is the smallest damping ratio inside `band` (None
+    for all poles); "hinf" is the negated largest |G| on `hinf_grid(omega_t)`.
+    """
+    if objective == "min-damping-ratio":
+        return _min_damping(np.linalg.eigvals(a), band=band)
+    g, _ = _frf_values(a, b, c, hinf_grid(omega_t))  # poles are stored as inf
+    return -float(np.max(np.abs(g)))
 
 
 def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
@@ -355,144 +329,91 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
     reduction).  The nine starts are the closed-form seed scaled by the 3x3
     factor grid {1/10, 1, 10}^2; the best final objective wins, ties broken
     by lexicographic (rbar, lbar).
+
+    With `per_branch` the same loop runs over all 2B log branch values of a
+    CoupledSystem, starting from the seed scales times the branch shape; each
+    start then reports the geometric means of its branch values.
     """
     if objective not in ("min-damping-ratio", "hinf"):
         raise ParameterError(f"unknown objective {objective!r}")
-    from .coupled import CoupledSystem
 
-    if per_branch:
-        if not isinstance(model, CoupledSystem):
-            raise ParameterError("per-branch tuning needs the full coupled system")
-        return _tune_per_branch(model, objective, target_mode, seed, bounds)
+    if isinstance(model, ReducedModel) and not per_branch:
+        omega_t, band = model.omega_m, None
+        a_matrix = model.a_matrix
+    elif isinstance(model, CoupledSystem):
+        omega_t = float(model.basis.omega[target_mode - 1])
+        band = _band(omega_t)
+        branch_values = model.with_branch_values if per_branch else model.rescaled
 
-    evaluate, _ = _make_evaluator(model, objective, target_mode)
+        def a_matrix(r, l):
+            return state_matrix(branch_values(r, l))
+    elif per_branch:
+        raise ParameterError("per-branch tuning needs the full coupled system")
+    else:
+        raise ParameterError(f"cannot tune a {type(model).__name__}")
+    # the input and output maps do not depend on the branch values
+    b, c = (model.force_map, model.output_map) if objective == "hinf" else (None, None)
+
+    def evaluate(r, l):
+        return _objective_value(objective, a_matrix(r, l), b, c, omega_t, band)
 
     if seed is None:
-        if isinstance(model, ReducedModel):
-            rm = model
-        else:
-            rm = reduce(model, target_mode)
+        rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
         seed = closed_form_seed(rm)
     r0, l0 = float(seed[0]), float(seed[1])
     if r0 <= 0 or l0 <= 0:
         raise ParameterError("tuning seed must have positive R and L scales")
 
+    shape = model.s_shape if per_branch else 1.0
+    n = np.size(shape)
+
+    def decode(z):
+        if per_branch:
+            return 10.0 ** z[:n], 10.0 ** z[n:]
+        # scalar powers: the vectorized power may differ in the last ulp,
+        # which moves the simplex path
+        return 10.0 ** z[0], 10.0 ** z[1]
+
     if bounds is None:
-        bounds = (
-            (BOUNDS_FACTORS_R[0] * r0, BOUNDS_FACTORS_R[1] * r0),
-            (BOUNDS_FACTORS_L[0] * l0, BOUNDS_FACTORS_L[1] * l0),
-        )
+        bounds = (np.multiply(BOUNDS_FACTORS_R, r0), np.multiply(BOUNDS_FACTORS_L, l0))
     (r_lo, r_hi), (l_lo, l_hi) = bounds
-    lo = np.log10([r_lo, l_lo])
-    hi = np.log10([r_hi, l_hi])
+    lo = np.repeat(np.log10([r_lo * np.min(shape), l_lo * np.min(shape)]), n)
+    hi = np.repeat(np.log10([r_hi * np.max(shape), l_hi * np.max(shape)]), n)
 
     def cost(z):
         if np.any(z < lo) or np.any(z > hi):
             return np.inf
-        value = evaluate(10.0 ** z[0], 10.0 ** z[1])
+        value = evaluate(*decode(z))
         return -value if np.isfinite(value) else np.inf
 
-    seed_objective = evaluate(r0, l0)
-    records = []
-    best = None
+    seed_objective = evaluate(r0 * shape, l0 * shape)
+    runs = []
     for fr in (0.1, 1.0, 10.0):
         for fl in (0.1, 1.0, 10.0):
-            z_start = np.log10([r0 * fr, l0 * fl])
-            start_obj = evaluate(10.0 ** z_start[0], 10.0 ** z_start[1])
+            z_start = np.log10(np.hstack([r0 * fr * shape, l0 * fl * shape]))
+            start_obj = evaluate(*decode(z_start))
             z_opt, f_opt, iterations, converged = _nelder_mead(cost, z_start)
-            obj = -f_opt
+            if per_branch:
+                r_start, l_start = r0 * fr, l0 * fl
+                r_opt, l_opt = (float(np.exp(np.mean(np.log(v)))) for v in decode(z_opt))
+            else:
+                (r_start, l_start), (r_opt, l_opt) = decode(z_start), decode(z_opt)
             rec = StartRecord(
-                r0=10.0 ** z_start[0], l0=10.0 ** z_start[1],
-                r_opt=10.0 ** z_opt[0], l_opt=10.0 ** z_opt[1],
-                objective=obj, seed_objective=start_obj,
+                r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
+                objective=-f_opt, seed_objective=start_obj,
                 iterations=iterations, converged=converged,
             )
-            records.append(rec)
-            key = (-obj, rec.r_opt, rec.l_opt)
-            if best is None or key < best[0]:
-                best = (key, rec)
+            runs.append((rec, z_opt))
 
-    winner = best[1]
+    winner, z_opt = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt, run[0].l_opt))
+    records = tuple(rec for rec, _ in runs)
+    r_branches, l_branches = decode(z_opt) if per_branch else (None, None)
     improving = winner.objective > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(
         r=winner.r_opt, l=winner.l_opt, objective=winner.objective,
         kind=objective, converged=any(r.converged for r in records),
-        improving=improving, seed=(r0, l0), starts=tuple(records),
-    )
-
-
-def _tune_per_branch(sys, objective, target_mode, seed, bounds):
-    """Independent (R_i, L_i) optimization over all branches (2B parameters)."""
-    evaluate_uniform, _ = _make_evaluator(sys, objective, target_mode)
-    if seed is None:
-        seed = closed_form_seed(reduce(sys, target_mode))
-    r0, l0 = float(seed[0]), float(seed[1])
-    bn = sys.nm.n_branches
-    shape = sys.s_shape
-
-    if bounds is None:
-        bounds = (
-            (BOUNDS_FACTORS_R[0] * r0, BOUNDS_FACTORS_R[1] * r0),
-            (BOUNDS_FACTORS_L[0] * l0, BOUNDS_FACTORS_L[1] * l0),
-        )
-    (r_lo, r_hi), (l_lo, l_hi) = bounds
-    lo = np.concatenate([np.full(bn, np.log10(r_lo * shape.min())),
-                         np.full(bn, np.log10(l_lo * shape.min()))])
-    hi = np.concatenate([np.full(bn, np.log10(r_hi * shape.max())),
-                         np.full(bn, np.log10(l_hi * shape.max()))])
-
-    eval_cache = {}
-
-    def evaluate_vec(r_b, l_b):
-        from .coupled import state_matrix as smat
-        scaled = sys.with_branch_values(r_b, l_b)
-        if objective == "min-damping-ratio":
-            omega_t = float(sys.basis.omega[target_mode - 1])
-            band = (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
-            return _min_damping(np.linalg.eigvals(smat(scaled)), band=band)
-        omega_t = float(sys.basis.omega[target_mode - 1])
-        grid = np.linspace(HINF_GRID_FACTORS[0] * omega_t, HINF_GRID_FACTORS[1] * omega_t,
-                           HINF_GRID_POINTS)
-        g, _ = _frf_values(smat(scaled), scaled.force_map, scaled.output_map, grid)
-        peak = np.max(np.abs(g))
-        return -float(peak) if np.isfinite(peak) else -np.inf
-
-    def cost(z):
-        if np.any(z < lo) or np.any(z > hi):
-            return np.inf
-        value = evaluate_vec(10.0 ** z[:bn], 10.0 ** z[bn:])
-        return -value if np.isfinite(value) else np.inf
-
-    seed_objective = evaluate_vec(r0 * shape, l0 * shape)
-    records = []
-    best = None
-    for fr in (0.1, 1.0, 10.0):
-        for fl in (0.1, 1.0, 10.0):
-            z_start = np.concatenate([np.log10(r0 * fr * shape), np.log10(l0 * fl * shape)])
-            start_obj = -cost(z_start) if np.isfinite(cost(z_start)) else -np.inf
-            z_opt, f_opt, iterations, converged = _nelder_mead(cost, z_start)
-            obj = -f_opt
-            r_vec, l_vec = 10.0 ** z_opt[:bn], 10.0 ** z_opt[bn:]
-            rec = StartRecord(
-                r0=r0 * fr, l0=l0 * fl,
-                r_opt=float(np.exp(np.mean(np.log(r_vec)))),
-                l_opt=float(np.exp(np.mean(np.log(l_vec)))),
-                objective=obj, seed_objective=start_obj,
-                iterations=iterations, converged=converged,
-            )
-            records.append((rec, r_vec, l_vec))
-            key = (-obj, rec.r_opt, rec.l_opt)
-            if best is None or key < best[0]:
-                best = (key, rec, r_vec, l_vec)
-
-    _, winner, r_vec, l_vec = best
-    improving = winner.objective > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
-    return TuningResult(
-        r=winner.r_opt, l=winner.l_opt, objective=winner.objective,
-        kind=objective, converged=any(r.converged for r, _, _ in records),
-        improving=improving, seed=(r0, l0),
-        starts=tuple(r for r, _, _ in records),
-        r_branches=r_vec, l_branches=l_vec,
+        improving=improving, seed=(r0, l0), starts=records,
+        r_branches=r_branches, l_branches=l_branches,
     )
 
 
@@ -518,23 +439,14 @@ def validate_reduction(sys, rm, tr):
 
     red_vals = np.linalg.eigvals(rm.a_matrix(r, l))
     red_pairs = red_vals[red_vals.imag > 1e-12 * np.max(np.abs(red_vals))]
-    pole_error = 0.0
-    for lam in red_pairs:
-        dist = np.min(np.abs(sol.values - lam))
-        pole_error = max(pole_error, float(dist / abs(lam)))
+    pole_error = max((float(np.min(np.abs(sol.values - lam)) / abs(lam)) for lam in red_pairs),
+                     default=0.0)
 
     omega_t = rm.omega_m
-    if tr.kind == "min-damping-ratio":
-        reduced_objective = _min_damping(red_vals, band=None)
-        band = (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
-        full_objective = _min_damping(sol.values, band=band)
-    else:
-        grid = np.linspace(HINF_GRID_FACTORS[0] * omega_t, HINF_GRID_FACTORS[1] * omega_t,
-                           HINF_GRID_POINTS)
-        g_red, _ = _frf_values(rm.a_matrix(r, l), rm.force_map, rm.output_map, grid)
-        reduced_objective = -float(np.max(np.abs(g_red)))
-        g_full, _ = _frf_values(state_matrix(full), full.force_map, full.output_map, grid)
-        full_objective = -float(np.max(np.abs(g_full)))
+    reduced_objective = _objective_value(tr.kind, rm.a_matrix(r, l), rm.force_map,
+                                         rm.output_map, omega_t, None)
+    full_objective = _objective_value(tr.kind, state_matrix(full), full.force_map,
+                                      full.output_map, omega_t, _band(omega_t))
 
     retuned = tune(sys, tr.kind, target_mode=rm.target_mode, seed=(r, l))
     denom = max(abs(retuned.objective), 1e-300)

@@ -102,10 +102,14 @@ def energy_residual(sys, traj):
     Uses centered differences; zero for an exact passive integration of an
     unforced trajectory, small for a sufficiently resolved one.
     """
-    if traj.n_samples < 3:
+    return _energy_residual(*energy_history(sys, traj), traj.dt)
+
+
+def _energy_residual(h, p, dt):
+    """`energy_residual` from sampled (H, P_diss) histories at step dt."""
+    if h.size < 3:
         raise ParameterError("energy residual needs at least 3 samples")
-    h, p = energy_history(sys, traj)
-    dh = (h[2:] - h[:-2]) / (2.0 * traj.dt)
+    dh = (h[2:] - h[:-2]) / (2.0 * dt)
     resid = np.abs(dh + p[1:-1])
     return float(np.max(resid) / max(h[0], 1e-300))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import piezoshunt as ps
+from piezoshunt import timesim
 from piezoshunt.cli import run_command
 from piezoshunt.config import load_config
 from piezoshunt.errors import ConfigError
@@ -172,3 +173,14 @@ def test_nine_significant_digit_serialization(tmp_path):
         for cell in row.split(",")[1:]:
             mantissa = cell.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 9
+
+
+def test_simulate_computes_energy_history_once(tmp_path, monkeypatch):
+    calls = []
+    history = timesim.energy_history
+    monkeypatch.setattr(timesim, "energy_history",
+                        lambda *args: calls.append(1) or history(*args))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[simulate]\nT = 5\n")
+    assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1

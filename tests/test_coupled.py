@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,10 +99,24 @@ def test_lossless_eigenvalues_purely_imaginary(bench_m5):
     assert np.max(np.abs(sol.values.real)) <= 1e-9 * np.max(sol.freq)
 
 
-def test_conjugate_closure(bench_m5):
-    sol = eigen(bench_m5.rescaled(120.0, 1.5e5))
-    paired = np.sort_complex(np.conj(sol.values))
-    assert np.allclose(np.sort_complex(sol.values), paired, atol=1e-8 * np.max(sol.freq))
+@pytest.mark.parametrize(
+    "build", [ps.build_single_shunt, ps.build_multi_shunt, ps.build_transmission_line],
+    ids=["single_shunt", "multi_shunt", "transmission_line"],
+)
+def test_conjugate_closure(build, basis5, patches5):
+    sol = eigen(ps.assemble(basis5, patches5, build(5, 120.0, 1.5e5)))
+    assert np.array_equal(np.sort_complex(sol.values), np.sort_complex(np.conj(sol.values)))
+
+
+def test_state_matrix_follows_replaced_fields(bench_m5):
+    sys_ = bench_m5.rescaled(120.0, 1.5e5)
+    a = state_matrix(sys_)
+    doubled = dataclasses.replace(sys_, cap=2.0 * sys_.cap)
+    rows_v = slice(2 * sys_.basis.m, 2 * sys_.basis.m + sys_.nm.n_nodes)
+    assert np.array_equal(state_matrix(doubled)[rows_v], a[rows_v] / 2.0)
+    assert match_spectra(eigen(doubled).values, np.linalg.eigvals(state_matrix(doubled))) < 1e-12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sys_.cap = 2.0 * sys_.cap
 
 
 def test_char_poly_cross_check(unit_beam):

@@ -10,6 +10,7 @@ from piezoshunt.reduction import (
     _min_damping,
     closed_form_seed,
     electrical_modes,
+    reduce,
     tune,
     validate_reduction,
 )
@@ -205,3 +206,14 @@ def test_unknown_objective_rejected(bench_m1):
         ps.reduce(bench_m1, 1, rule="first")
     with pytest.raises(ParameterError):
         ps.reduce(bench_m1, 2)
+
+
+def test_per_branch_start_objective_ignores_bounds(bench_m1):
+    # starts outside the search box are still evaluated, as in uniform tuning
+    r0, l0 = closed_form_seed(reduce(bench_m1))
+    bounds = ((0.5 * r0, 20.0 * r0), (0.5 * l0, 20.0 * l0))
+    per_branch = tune(bench_m1, per_branch=True, bounds=bounds)
+    uniform = tune(bench_m1, bounds=bounds)
+    for pb, un in zip(per_branch.starts, uniform.starts):
+        assert np.isfinite(pb.seed_objective)
+        assert pb.seed_objective == pytest.approx(un.seed_objective, rel=1e-9)
