@@ -129,12 +129,12 @@ def build_multi_shunt(n, r, lind):
     """One grounded RL branch per piezo; scalars broadcast over the N loops."""
     if n < 1:
         raise ParameterError(f"need at least one patch, got {n}")
+    for name, value in (("resistance", r), ("inductance", lind)):
+        if np.shape(value) not in ((), (n,)):
+            raise ParameterError(f"{name} must be a scalar or a list of length {n}, "
+                                 f"got shape {np.shape(value)}")
     r_list = np.broadcast_to(np.asarray(r, dtype=float), (n,))
     l_list = np.broadcast_to(np.asarray(lind, dtype=float), (n,))
-    if np.asarray(r).ndim == 1 and len(np.asarray(r)) != n:
-        raise ParameterError(f"resistance list length {len(np.asarray(r))} != {n}")
-    if np.asarray(lind).ndim == 1 and len(np.asarray(lind)) != n:
-        raise ParameterError(f"inductance list length {len(np.asarray(lind))} != {n}")
     branches = tuple(
         Branch(f"b{i}", f"n{i}", GROUND, float(r_list[i - 1]), float(l_list[i - 1]))
         for i in range(1, n + 1)

@@ -401,7 +401,9 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
             rec = StartRecord(
                 r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
                 objective=-f_opt, seed_objective=start_obj,
-                iterations=iterations, converged=converged,
+                iterations=iterations,
+                # a simplex that shrank outside the box found no feasible point
+                converged=converged and bool(np.isfinite(f_opt)),
             )
             runs.append((rec, z_opt))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import state_matrix, total_energy
+from .coupled import _energies, state_matrix
 from .errors import NumericalError, ParameterError
 
 #: The time step must resolve the fastest mode: dt <= DT_FRACTION * 2 pi / max|lambda|.
@@ -88,12 +88,12 @@ def integrate(sys, x0, forcing, dt, t_final):
 
 
 def energy_history(sys, traj):
-    """(H, P_diss) sampled along the trajectory."""
-    h = np.empty(traj.n_samples)
-    p = np.empty(traj.n_samples)
-    for m in range(traj.n_samples):
-        h[m], p[m] = total_energy(sys, traj.states[m])
-    return h, p
+    """(H, P_diss) sampled along the trajectory, each as `total_energy` gives it."""
+    states = np.asarray(traj.states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != sys.n_states:
+        raise ParameterError(
+            f"trajectory states must have {sys.n_states} columns, got shape {states.shape}")
+    return _energies(sys, states)
 
 
 def energy_residual(sys, traj):

@@ -61,3 +61,41 @@ def grid_search(objective, r_values, l_values):
             if val > best[0]:
                 best = (val, r, l)
     return best
+
+
+def frf_pointwise(a, b, c, omega):
+    """c^T (j w I - a)^-1 b by one dense solve per grid point; poles as inf.
+
+    A point whose solve raises (exactly singular) or gives a non-finite value
+    is stored as inf and flagged in the returned boolean array.
+    """
+    n = a.shape[0]
+    eye = np.eye(n)
+    g = np.empty(len(omega), dtype=complex)
+    pole = np.zeros(len(omega), dtype=bool)
+    for idx, w in enumerate(omega):
+        try:
+            x = np.linalg.solve(1j * w * eye - a, b)
+            val = c @ x
+        except np.linalg.LinAlgError:
+            val = complex(np.inf, 0.0)
+        if not np.isfinite(val.real) or not np.isfinite(val.imag):
+            pole[idx] = True
+            val = complex(np.inf, 0.0)
+        g[idx] = val
+    return g, pole
+
+
+def energy_pointwise(sys, states):
+    """(H, P_diss) per state from the defining sums, one state at a time."""
+    m, p = sys.basis.m, sys.nm.n_nodes
+    h = np.empty(len(states))
+    p_diss = np.empty(len(states))
+    for k, x in enumerate(states):
+        eta, vel = x[:m], x[m:2 * m]
+        v, cur = x[2 * m:2 * m + p], x[2 * m + p:]
+        h[k] = 0.5 * (np.sum(vel**2) + np.sum(sys.basis.omega**2 * eta**2)
+                      + np.sum(sys.cap * v**2) + np.sum(sys.nm.l_b * cur**2))
+        p_diss[k] = (np.sum(2.0 * sys.basis.zeta * sys.basis.omega * vel**2)
+                     + np.sum(sys.nm.r_b * cur**2))
+    return h, p_diss

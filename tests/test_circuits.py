@@ -42,6 +42,13 @@ def test_multi_shunt_broadcast_and_lists():
         ps.build_multi_shunt(3, [1.0, 2.0], 0.1)
 
 
+@pytest.mark.parametrize("r, lind", [([1.0, 2.0], 0.1), (1.0, [0.1, 0.2, 0.3, 0.4]),
+                                     (np.ones(2), np.ones(3)), ([[1.0, 2.0, 3.0]], 0.1)])
+def test_multi_shunt_list_length_mismatch_is_parameter_error(r, lind):
+    with pytest.raises(ParameterError, match="list of length 3"):
+        ps.build_multi_shunt(3, r, lind)
+
+
 def test_single_and_multi_degenerate_to_same_loop():
     a = ps.network_matrices(ps.build_single_shunt(1, 5.0, 0.7), 1)
     b = ps.network_matrices(ps.build_multi_shunt(1, 5.0, 0.7), 1)

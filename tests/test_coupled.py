@@ -2,13 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import piezoshunt as ps
 from piezoshunt.beam import tip_compliance
-from piezoshunt.coupled import eigen, frf, state_matrix, total_energy
+from piezoshunt.coupled import _frf_values, eigen, frf, state_matrix, total_energy
 from piezoshunt.errors import ParameterError
+from piezoshunt.reduction import ReducedModel
 
-from _oracles import char_poly_roots, match_spectra
+from _oracles import char_poly_roots, frf_pointwise, match_spectra
 
 
 def _mechanical_poles(basis):
@@ -223,3 +226,77 @@ def test_tuned_peak_below_open_circuit(bench_m5):
 def test_frf_rejects_nonpositive_grid(bench_m5):
     with pytest.raises(ParameterError):
         frf(bench_m5, np.array([0.0, 1.0]))
+
+
+def _reduced_model(omega_m, zeta_m, alpha, mu_star):
+    return ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m, u_star=np.ones(1),
+                        mu_star=mu_star, alpha=alpha, kappa=alpha / omega_m,
+                        in_gain=1.3, out_gain=-0.7)
+
+
+_decades = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _reduced_systems(draw):
+    """(a, b, c, omega_1) of a two-DOF absorber model, damped or not."""
+    omega_m = 10.0 ** draw(st.floats(-1.0, 3.0))
+    zeta_m = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    kappa = draw(st.floats(0.0, 0.5))
+    rm = _reduced_model(omega_m, zeta_m, kappa * omega_m, mu_star=1.0)
+    lbar = 10.0 ** draw(_decades) / omega_m**2
+    rbar = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(_decades) * lbar * omega_m
+    return rm.a_matrix(rbar, lbar), rm.force_map, rm.output_map, omega_m
+
+
+@st.composite
+def _full_systems(draw):
+    """(a, b, c, omega_1) of an assembled beam, patch array and RL network."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 5))
+    beam = ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=1.0,
+                       zeta=draw(st.sampled_from([0.0, 0.01])))
+    r = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(0.0, 4.0))
+    lind = 10.0 ** draw(_decades)
+    net = draw(st.sampled_from([
+        ps.build_single_shunt(n, r, lind),
+        ps.build_multi_shunt(n, r, lind),
+        ps.build_transmission_line(n, r, lind, "both_ends"),
+        ps.build_transmission_line(n, r, lind),
+    ]))
+    basis = ps.modal_basis(beam, m)
+    patches = ps.uniform_layout(beam, n, coverage=0.9, cp=100e-9,
+                                gamma=draw(st.sampled_from([-1e-3, 1e-4, 1e-3])))
+    sys_ = ps.assemble(basis, patches, net)
+    return state_matrix(sys_), sys_.force_map, sys_.output_map, float(basis.omega[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.one_of(_reduced_systems(), _full_systems()),
+       points=st.integers(1, 300).filter(lambda k: k % 64 != 0),
+       span=st.tuples(st.floats(0.05, 1.0), st.floats(1.0, 40.0)))
+def test_frf_kernel_matches_pointwise_oracle(system, points, span):
+    a, b, c, omega_1 = system
+    omega = np.linspace(span[0] * omega_1, span[1] * omega_1, points)
+    g, pole = _frf_values(a, b, c, omega)
+    g_ref, pole_ref = frf_pointwise(a, b, c, omega)
+    np.testing.assert_array_equal(pole, pole_ref)
+    assert np.all(g[pole] == np.inf)
+    np.testing.assert_allclose(g[~pole], g_ref[~pole], rtol=1e-12, atol=0.0)
+
+
+def test_frf_kernel_flags_only_the_exact_pole_of_a_chunk():
+    # undamped, uncoupled absorber: j*2 is an exact eigenvalue, so that point's
+    # matrix is exactly singular and its whole chunk takes the per-point path
+    rm = _reduced_model(omega_m=2.0, zeta_m=0.0, alpha=0.0, mu_star=1.0)
+    a, b, c = rm.a_matrix(0.1, 0.5), rm.force_map, rm.output_map
+    omega = np.linspace(0.5, 3.5, 150)
+    omega[70] = 2.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(2j * np.eye(4) - a, b)
+    g, pole = _frf_values(a, b, c, omega)
+    g_ref, pole_ref = frf_pointwise(a, b, c, omega)
+    assert np.flatnonzero(pole).tolist() == [70]
+    np.testing.assert_array_equal(pole, pole_ref)
+    assert g[70] == np.inf and np.all(np.isfinite(g[~pole]))
+    np.testing.assert_allclose(g[~pole], g_ref[~pole], rtol=1e-12, atol=0.0)

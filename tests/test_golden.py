@@ -17,6 +17,7 @@ EXACT_COLUMNS = ("start", "converged")
 
 CASES = {
     "mdr": ("optimize_trace_mdr.csv", ""),
+    "hinf": ("optimize_trace_hinf.csv", "[optimize]\nobjective = hinf\n"),
     "per_branch_multi_shunt": ("optimize_trace_per_branch_multi_shunt.csv",
                                "[network]\ntopology = multi_shunt\n[optimize]\nper_branch = true\n"),
 }

@@ -217,3 +217,22 @@ def test_per_branch_start_objective_ignores_bounds(bench_m1):
     for pb, un in zip(per_branch.starts, uniform.starts):
         assert np.isfinite(pb.seed_objective)
         assert pb.seed_objective == pytest.approx(un.seed_objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("per_branch", [False, True], ids=["uniform", "per_branch"])
+def test_infeasible_starts_are_not_converged(bench_m1, per_branch):
+    # the 0.1 x seed starts lie outside the box: every vertex costs inf and
+    # the simplex shrinks in place, which is no convergence
+    r0, l0 = closed_form_seed(reduce(bench_m1))
+    bounds = ((0.5 * r0, 20.0 * r0), (0.5 * l0, 20.0 * l0))
+    tr = tune(bench_m1, per_branch=per_branch, bounds=bounds)
+    infeasible = [s for s in tr.starts if not np.isfinite(s.objective)]
+    assert infeasible and not any(s.converged for s in infeasible)
+    assert all(s.converged for s in tr.starts if np.isfinite(s.objective))
+    assert tr.converged and np.isfinite(tr.objective)
+
+    # a box that holds none of the nine starts leaves every start infeasible
+    boxed = tune(bench_m1, per_branch=per_branch,
+                 bounds=((2.0 * r0, 5.0 * r0), (2.0 * l0, 5.0 * l0)))
+    assert not any(np.isfinite(s.objective) for s in boxed.starts)
+    assert not boxed.converged

@@ -13,6 +13,8 @@ from piezoshunt.timesim import (
     max_eigen_magnitude,
 )
 
+from _oracles import energy_pointwise
+
 
 @pytest.fixture(scope="module")
 def lossless_m1(unit_beam):
@@ -108,6 +110,22 @@ def test_energy_never_increases_with_damping(bench_m5):
     h, _ = energy_history(sys_, traj)
     tol = 1e-9 * h[0]
     assert np.all(np.diff(h) <= tol)
+
+
+@pytest.mark.parametrize("build", [ps.build_single_shunt, ps.build_multi_shunt,
+                                   ps.build_transmission_line])
+def test_energy_history_equals_pointwise_sums(build, basis5, patches5):
+    sys_ = ps.assemble(basis5, patches5, build(5, 30.0, 0.5)).rescaled(2e4, 3e5)
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal(sys_.n_states)
+    dt = 0.5 * 0.05 * 2 * np.pi / max_eigen_magnitude(sys_)
+    traj = integrate(sys_, x0, lambda t: np.sin(40.0 * t), dt, 300 * dt)
+    h, p_diss = energy_history(sys_, traj)
+    h_ref, p_ref = energy_pointwise(sys_, traj.states)
+    np.testing.assert_array_equal(h, h_ref)
+    np.testing.assert_array_equal(p_diss, p_ref)
+    with pytest.raises(ParameterError):
+        energy_history(sys_, ps.Trajectory(dt, traj.times, traj.states[:, 1:]))
 
 
 def test_decay_rate_matches_dominant_eigenvalue(bench_m5):
