@@ -29,17 +29,15 @@ _SI_SUFFIXES = {"k": 1e3, "m": 1e-3, "u": 1e-6, "n": 1e-9}
 
 
 def parse_si(token):
-    """Parse a number with optional SI suffix: '100n' -> 1e-7, '10k' -> 1e4."""
+    """Parse a finite number with optional SI suffix: '100n' -> 1e-7, '10k' -> 1e4."""
+    suffix = token[-1:] in _SI_SUFFIXES  # of float literals only "nan" ends in one
     try:
-        return float(token)
+        value = float(token[:-1]) * _SI_SUFFIXES[token[-1]] if suffix else float(token)
     except ValueError:
-        pass
-    if token and token[-1] in _SI_SUFFIXES:
-        try:
-            return float(token[:-1]) * _SI_SUFFIXES[token[-1]]
-        except ValueError:
-            pass
-    raise ValueError(f"malformed number {token!r}")
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError(f"malformed number {token!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,10 @@ def _validate_structure(branches, piezo):
         names.add(br.name)
         if br.node_a == br.node_b:
             return subject, f"self-loop branch {br.name!r} ({br.node_a})"
-        if br.l <= 0:
-            return subject, f"branch {br.name!r} needs positive inductance, got {br.l}"
-        if br.r < 0:
-            return subject, f"branch {br.name!r} needs nonnegative resistance, got {br.r}"
+        if not 0 < br.l < np.inf:  # also rejects nan
+            return subject, f"branch {br.name!r} needs finite positive inductance, got {br.l}"
+        if not 0 <= br.r < np.inf:
+            return subject, f"branch {br.name!r} needs finite nonnegative resistance, got {br.r}"
         nodes.update(n for n in (br.node_a, br.node_b) if n != GROUND)
     if not piezo:
         return None, "netlist needs at least one piezo attachment"

@@ -47,13 +47,10 @@ class CoupledSystem:
 
     basis: object
     patches: object
-    net: object
     nm: object
     theta: np.ndarray        # M x N patch coupling
     theta_tilde: np.ndarray  # M x P node-accumulated coupling
     cap: np.ndarray          # P node capacitances
-    x_force: float
-    x_out: float
 
     @property
     def n_states(self):
@@ -67,22 +64,24 @@ class CoupledSystem:
     @property
     def force_map(self):
         """Input vector b: tip force enters the modal acceleration rows."""
-        m, p, bcount = self.basis.m, self.nm.n_nodes, self.nm.n_branches
-        b = np.zeros(2 * m + p + bcount)
-        b[m:2 * m] = modal_force_vector(self.basis, self.x_force)
+        b = np.zeros(self.n_states)
+        b[self.basis.m:2 * self.basis.m] = modal_force_vector(self.basis)
         return b
 
     @property
     def output_map(self):
-        """Output vector c: transverse displacement at the observation point."""
-        m, p, bcount = self.basis.m, self.nm.n_nodes, self.nm.n_branches
-        c = np.zeros(2 * m + p + bcount)
-        c[:m] = modal_force_vector(self.basis, self.x_out)
+        """Output vector c: transverse displacement at the tip."""
+        c = np.zeros(self.n_states)
+        c[:self.basis.m] = modal_force_vector(self.basis)
         return c
 
     def rescaled(self, rbar, lbar):
-        """Copy of the system with R_b = rbar*s_shape, L_b = lbar*s_shape."""
+        """Copy with R_b = rbar*s_shape, L_b = lbar*s_shape; scalar or per-branch scales."""
         return self.with_branch_values(rbar * self.s_shape, lbar * self.s_shape)
+
+    def a_matrix(self, rbar, lbar):
+        """State matrix at branch scales (rbar, lbar), as `ReducedModel.a_matrix`."""
+        return state_matrix(self.rescaled(rbar, lbar))
 
     def with_branch_values(self, r_b, l_b):
         """Copy of the system with explicit per-branch (R, L) vectors."""
@@ -93,7 +92,7 @@ class CoupledSystem:
         return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
 
 
-def assemble(basis, patches, net, x_force=None, x_out=None):
+def assemble(basis, patches, net):
     """Assemble the coupled model from a modal basis, patch array and netlist."""
     n = patches.n
     nm = network_matrices(net, n)
@@ -106,19 +105,8 @@ def assemble(basis, patches, net, x_force=None, x_out=None):
         p = node_index[node]
         theta_tilde[:, p] += theta[:, idx - 1]
         cap[p] += patches.cp[idx - 1]
-
-    length = basis.beam.length
-    return CoupledSystem(
-        basis=basis,
-        patches=patches,
-        net=net,
-        nm=nm,
-        theta=theta,
-        theta_tilde=theta_tilde,
-        cap=cap,
-        x_force=length if x_force is None else float(x_force),
-        x_out=length if x_out is None else float(x_out),
-    )
+    return CoupledSystem(basis=basis, patches=patches, nm=nm, theta=theta,
+                         theta_tilde=theta_tilde, cap=cap)
 
 
 def state_matrix(sys):

@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from .beam import eval_mode
-from .coupled import ZERO_MODE_RTOL, CoupledSystem, _frf_values, eigen, state_matrix
+from .coupled import ZERO_MODE_RTOL, CoupledSystem, _frf_values, eigen
+from .coupled import state_matrix  # noqa: F401  bench/tests/test_bench.py patches it here
 from .errors import NumericalError, ParameterError
 
 #: Default tuning band around the target mode for the pole-placement objective.
@@ -50,7 +51,6 @@ class ElectricalModeSet:
 
     mu: np.ndarray      # generalized eigenvalues, ascending, >= 0
     shapes: np.ndarray  # P x K, column j normalized to u^T C u = 1
-    cap: np.ndarray     # node capacitances used for normalization
 
 
 def electrical_modes(nm, cap):
@@ -77,7 +77,7 @@ def electrical_modes(nm, cap):
         pivot = np.argmax(np.abs(shapes[:, j]))
         if shapes[pivot, j] < 0:
             shapes[:, j] = -shapes[:, j]
-    return ElectricalModeSet(mu=mu, shapes=shapes, cap=cap)
+    return ElectricalModeSet(mu=mu, shapes=shapes)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,14 @@ class ReducedModel:
         return np.array([self.out_gain, 0.0, 0.0, 0.0])
 
 
-def reduce(sys, target_mode=1, rule="max-coupling"):
+def _target_omega(sys, target_mode):
+    """Natural frequency of beam mode `target_mode`, checked to lie in [1, M]."""
+    if not 1 <= target_mode <= sys.basis.m:
+        raise ParameterError(f"target mode must lie in [1, {sys.basis.m}], got {target_mode}")
+    return float(sys.basis.omega[target_mode - 1])
+
+
+def reduce(sys, target_mode=1):
     """Project the coupled system onto mode `target_mode` and one network mode.
 
     The electrical shape is chosen to maximize the modal coupling
@@ -133,11 +140,7 @@ def reduce(sys, target_mode=1, rule="max-coupling"):
     optimum.  For a single retained mode the correction vanishes and the
     reduction is exact.
     """
-    if rule != "max-coupling":
-        raise ParameterError(f"unknown mode-selection rule {rule!r}")
-    if not 1 <= target_mode <= sys.basis.m:
-        raise ParameterError(f"target mode must lie in [1, {sys.basis.m}], got {target_mode}")
-
+    omega_m = _target_omega(sys, target_mode)
     c_eff = np.diag(sys.cap).copy()
     for j in range(sys.basis.m):
         if j != target_mode - 1:
@@ -167,8 +170,7 @@ def reduce(sys, target_mode=1, rule="max-coupling"):
             best = (strength, mu_g, u)
 
     alpha, mu_star, u_star = best
-    omega_m = float(sys.basis.omega[target_mode - 1])
-    length = sys.basis.beam.length
+    tip_gain = eval_mode(sys.basis, target_mode, sys.basis.beam.length)
     return ReducedModel(
         target_mode=target_mode,
         omega_m=omega_m,
@@ -177,8 +179,8 @@ def reduce(sys, target_mode=1, rule="max-coupling"):
         mu_star=mu_star,
         alpha=alpha,
         kappa=alpha / omega_m,
-        in_gain=eval_mode(sys.basis, target_mode, min(sys.x_force, length)),
-        out_gain=eval_mode(sys.basis, target_mode, min(sys.x_out, length)),
+        in_gain=tip_gain,
+        out_gain=tip_gain,
     )
 
 
@@ -308,21 +310,24 @@ def _band(omega_t):
     return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
 
-def _objective_value(objective, a, b, c, omega_t, band):
-    """Objective of the state-space model (a, b, c); larger is better.
+def _objective_value(objective, model, r, l, omega_t, band, maps=None):
+    """Objective of a ReducedModel or CoupledSystem at scales (r, l); larger is better.
 
     "min-damping-ratio" is the smallest damping ratio inside `band` (None
     for all poles); "hinf" is the negated largest |G| on `hinf_grid(omega_t)`.
+    `maps` is the model's (force_map, output_map) when the caller built it.
     """
+    a = model.a_matrix(r, l)
     if objective == "min-damping-ratio":
         return _min_damping(np.linalg.eigvals(a), band=band)
+    b, c = maps or (model.force_map, model.output_map)
     g, _ = _frf_values(a, b, c, hinf_grid(omega_t))  # poles are stored as inf
     return -float(np.max(np.abs(g)))
 
 
 def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
          bounds=None, per_branch=False):
-    """Optimize (rbar, lbar) by multi-start simplex descent in log space.
+    """Optimize branch scales (rbar, lbar) by multi-start simplex descent in log space.
 
     `model` is a ReducedModel or a CoupledSystem (for the latter the target
     mode fixes the evaluation band and the seed comes from its own
@@ -330,32 +335,28 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
     factor grid {1/10, 1, 10}^2; the best final objective wins, ties broken
     by lexicographic (rbar, lbar).
 
-    With `per_branch` the same loop runs over all 2B log branch values of a
-    CoupledSystem, starting from the seed scales times the branch shape; each
-    start then reports the geometric means of its branch values.
+    With `per_branch` each branch b of a CoupledSystem gets its own scales,
+    R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
+    box from the same starts; each start reports the geometric means of its
+    scales, and the result also holds the branch values.
     """
     if objective not in ("min-damping-ratio", "hinf"):
         raise ParameterError(f"unknown objective {objective!r}")
-
-    if isinstance(model, ReducedModel) and not per_branch:
-        omega_t, band = model.omega_m, None
-        a_matrix = model.a_matrix
-    elif isinstance(model, CoupledSystem):
-        omega_t = float(model.basis.omega[target_mode - 1])
+    if isinstance(model, CoupledSystem):
+        omega_t = _target_omega(model, target_mode)
         band = _band(omega_t)
-        branch_values = model.with_branch_values if per_branch else model.rescaled
-
-        def a_matrix(r, l):
-            return state_matrix(branch_values(r, l))
+        n = model.nm.n_branches if per_branch else 1
     elif per_branch:
         raise ParameterError("per-branch tuning needs the full coupled system")
+    elif isinstance(model, ReducedModel):
+        omega_t, band, n = model.omega_m, None, 1
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")
-    # the input and output maps do not depend on the branch values
-    b, c = (model.force_map, model.output_map) if objective == "hinf" else (None, None)
+    # built once: the input and output maps do not depend on the branch values
+    maps = (model.force_map, model.output_map) if objective == "hinf" else None
 
     def evaluate(r, l):
-        return _objective_value(objective, a_matrix(r, l), b, c, omega_t, band)
+        return _objective_value(objective, model, r, l, omega_t, band, maps)
 
     if seed is None:
         rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
@@ -364,9 +365,6 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
     if r0 <= 0 or l0 <= 0:
         raise ParameterError("tuning seed must have positive R and L scales")
 
-    shape = model.s_shape if per_branch else 1.0
-    n = np.size(shape)
-
     def decode(z):
         if per_branch:
             return 10.0 ** z[:n], 10.0 ** z[n:]
@@ -374,11 +372,16 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
         # which moves the simplex path
         return 10.0 ** z[0], 10.0 ** z[1]
 
+    def summary(z):  # the (rbar, lbar) a start reports
+        if per_branch:
+            return tuple(float(np.exp(np.mean(np.log(v)))) for v in decode(z))
+        return decode(z)
+
     if bounds is None:
         bounds = (np.multiply(BOUNDS_FACTORS_R, r0), np.multiply(BOUNDS_FACTORS_L, l0))
     (r_lo, r_hi), (l_lo, l_hi) = bounds
-    lo = np.repeat(np.log10([r_lo * np.min(shape), l_lo * np.min(shape)]), n)
-    hi = np.repeat(np.log10([r_hi * np.max(shape), l_hi * np.max(shape)]), n)
+    lo = np.repeat(np.log10([r_lo, l_lo]), n)
+    hi = np.repeat(np.log10([r_hi, l_hi]), n)
 
     def cost(z):
         if np.any(z < lo) or np.any(z > hi):
@@ -386,18 +389,14 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
         value = evaluate(*decode(z))
         return -value if np.isfinite(value) else np.inf
 
-    seed_objective = evaluate(r0 * shape, l0 * shape)
+    seed_objective = evaluate(r0, l0)
     runs = []
     for fr in (0.1, 1.0, 10.0):
         for fl in (0.1, 1.0, 10.0):
-            z_start = np.log10(np.hstack([r0 * fr * shape, l0 * fl * shape]))
+            z_start = np.log10(np.repeat([r0 * fr, l0 * fl], n))
             start_obj = evaluate(*decode(z_start))
             z_opt, f_opt, iterations, converged = _nelder_mead(cost, z_start)
-            if per_branch:
-                r_start, l_start = r0 * fr, l0 * fl
-                r_opt, l_opt = (float(np.exp(np.mean(np.log(v)))) for v in decode(z_opt))
-            else:
-                (r_start, l_start), (r_opt, l_opt) = decode(z_start), decode(z_opt)
+            (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
             rec = StartRecord(
                 r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
                 objective=-f_opt, seed_objective=start_obj,
@@ -409,7 +408,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
 
     winner, z_opt = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt, run[0].l_opt))
     records = tuple(rec for rec, _ in runs)
-    r_branches, l_branches = decode(z_opt) if per_branch else (None, None)
+    r_branches, l_branches = ((v * model.s_shape for v in decode(z_opt)) if per_branch
+                              else (None, None))
     improving = winner.objective > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(
         r=winner.r_opt, l=winner.l_opt, objective=winner.objective,
@@ -436,8 +436,7 @@ class ValidationReport:
 def validate_reduction(sys, rm, tr):
     """Apply the reduced-model tuning to the complete model and compare."""
     r, l = tr.r, tr.l
-    full = sys.rescaled(r, l)
-    sol = eigen(full)
+    sol = eigen(sys.rescaled(r, l))
 
     red_vals = np.linalg.eigvals(rm.a_matrix(r, l))
     red_pairs = red_vals[red_vals.imag > 1e-12 * np.max(np.abs(red_vals))]
@@ -445,10 +444,8 @@ def validate_reduction(sys, rm, tr):
                      default=0.0)
 
     omega_t = rm.omega_m
-    reduced_objective = _objective_value(tr.kind, rm.a_matrix(r, l), rm.force_map,
-                                         rm.output_map, omega_t, None)
-    full_objective = _objective_value(tr.kind, state_matrix(full), full.force_map,
-                                      full.output_map, omega_t, _band(omega_t))
+    reduced_objective = _objective_value(tr.kind, rm, r, l, omega_t, None)
+    full_objective = _objective_value(tr.kind, sys, r, l, omega_t, _band(omega_t))
 
     retuned = tune(sys, tr.kind, target_mode=rm.target_mode, seed=(r, l))
     denom = max(abs(retuned.objective), 1e-300)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import piezoshunt as ps
-from piezoshunt.circuits import parse_si
+from piezoshunt.circuits import Branch, Netlist, parse_si
 from piezoshunt.errors import NetlistError, ParameterError
 
 
@@ -168,6 +168,30 @@ def test_parse_malformed_number_and_directive():
         ps.parse_netlist("piezo 1 n1\nbranch b1 n1 gnd R=abc L=1")
     with pytest.raises(NetlistError, match="unknown directive"):
         ps.parse_netlist("resistor r1 n1 gnd 5")
+
+
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_parse_non_finite_number_reports_line(token):
+    with pytest.raises(NetlistError, match="line 3.*malformed number"):
+        ps.parse_netlist(f"piezo 1 n1\n\nbranch b1 n1 gnd R=10 L={token}")
+    with pytest.raises(NetlistError, match="line 1.*malformed number"):
+        ps.parse_netlist(f"branch b1 n1 gnd R={token} L=1\npiezo 1 n1")
+    with pytest.raises(ValueError, match="malformed number"):
+        parse_si(token + "k")
+
+
+@pytest.mark.parametrize("field", ["r", "l"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_netlist_rejects_non_finite_branch_values(field, value):
+    # nan passes a plain `< 0` or `<= 0` check
+    values = {"r": 1.0, "l": 1.0, field: value}
+    with pytest.raises(ParameterError, match="finite"):
+        Netlist(branches=(Branch("b1", "n1", "gnd", **values),), piezo={1: "n1"})
+    with pytest.raises(ParameterError, match="finite"):
+        ps.build_multi_shunt(1, values["r"], values["l"])
 
 
 def test_network_matrices_patch_mismatch():

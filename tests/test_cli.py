@@ -59,6 +59,37 @@ def test_config_rejects_malformed_number():
         load_config("[beam]\nL = fast\n")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("section, key", [("beam", "zeta"), ("patches", "Cp"),
+                                          ("patches", "gamma"), ("network", "L")])
+def test_config_rejects_non_finite_number_with_location(section, key, token):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] line 3: malformed number"):
+        load_config(f"[{section}]\n\n{key} = {token}\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("optimize", "[patches]\ngamma = nan\n"),
+    ("eig", "[patches]\nCp = inf\n"),
+])
+def test_non_finite_config_is_validation_error(tmp_path, capsys, command, text):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "line 2: malformed number" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_non_finite_netlist_is_validation_error(tmp_path, capsys):
+    netlist = tmp_path / "net.lst"
+    netlist.write_text("piezo 1 n1\nbranch b1 n1 gnd R=1 L=nan\n")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[patches]\nN = 1\n")
+    rc = run_command(["simulate", "--config", str(cfg), "--netlist", str(netlist),
+                      "--out", str(tmp_path)])
+    assert rc == 1
+    assert "line 2: malformed number" in capsys.readouterr().err
+
+
 def test_config_rejects_key_outside_section():
     with pytest.raises(ConfigError, match="outside any section"):
         load_config("L = 1\n")

@@ -1,8 +1,9 @@
 """Default-scenario CLI outputs compared with the files in tests/golden/.
 
-Float columns must agree to rtol 1e-6; the start index and the converged flag
-must match exactly.  A golden file is regenerated only for an intended change
-of results, by running `piezoshunt optimize` with the config given below.
+Float columns must agree to rtol 1e-6; the start index, the converged flags
+and the string columns must match exactly.  A golden file is regenerated only
+for an intended change of results, by running the subcommand with the config
+given below (the default scenario for modes, eig, frf and compare).
 """
 
 import os
@@ -13,7 +14,8 @@ import pytest
 from piezoshunt.cli import run_command
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-EXACT_COLUMNS = ("start", "converged")
+EXACT_COLUMNS = ("start", "converged", "mindr_converged", "hinf_converged",
+                 "tag", "topology")
 
 CASES = {
     "mdr": ("optimize_trace_mdr.csv", ""),
@@ -27,7 +29,19 @@ def _read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    return header, np.array(rows, dtype=float)
+    return header, np.array(rows, dtype=str)
+
+
+def _assert_matches_golden(path, golden):
+    header, want = _read_csv(os.path.join(GOLDEN, golden))
+    got_header, got = _read_csv(path)
+    assert got_header == header
+    assert got.shape == want.shape
+    exact = [j for j, name in enumerate(header) if name in EXACT_COLUMNS]
+    close = [j for j in range(len(header)) if j not in exact]
+    np.testing.assert_array_equal(got[:, exact], want[:, exact])
+    np.testing.assert_allclose(got[:, close].astype(float), want[:, close].astype(float),
+                               rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("golden, config", CASES.values(), ids=list(CASES))
@@ -35,11 +49,10 @@ def test_optimize_trace_matches_golden(tmp_path, golden, config):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(config)
     assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    header, want = _read_csv(os.path.join(GOLDEN, golden))
-    got_header, got = _read_csv(tmp_path / "optimize_trace.csv")
-    assert got_header == header
-    assert got.shape == want.shape
-    exact = [header.index(name) for name in EXACT_COLUMNS]
-    close = [j for j in range(len(header)) if j not in exact]
-    np.testing.assert_array_equal(got[:, exact], want[:, exact])
-    np.testing.assert_allclose(got[:, close], want[:, close], rtol=1e-6, atol=0.0)
+    _assert_matches_golden(tmp_path / "optimize_trace.csv", golden)
+
+
+@pytest.mark.parametrize("command", ["modes", "eig", "frf", "compare"])
+def test_default_scenario_matches_golden(tmp_path, command):
+    assert run_command([command, "--out", str(tmp_path)]) == 0
+    _assert_matches_golden(tmp_path / f"{command}.csv", f"{command}.csv")

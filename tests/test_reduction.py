@@ -7,6 +7,7 @@ import piezoshunt as ps
 from piezoshunt.coupled import state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (
+    _band,
     _min_damping,
     closed_form_seed,
     electrical_modes,
@@ -199,11 +200,33 @@ def test_per_branch_tuning_not_worse_than_uniform(unit_beam):
     assert per_branch.objective >= 0.95 * uniform.objective
 
 
+def test_per_branch_scales_share_units_with_uniform_tuning(unit_beam):
+    # unequal branch inductances give s_shape = [1, 4]
+    basis = ps.modal_basis(unit_beam, 2)
+    arr = ps.uniform_layout(unit_beam, 2, coverage=0.9, cp=100e-9, gamma=2e-4)
+    sys_ = ps.assemble(basis, arr, ps.build_multi_shunt(2, [5e4, 9e4], [1e5, 4e5]))
+    tr = tune(sys_, "min-damping-ratio", per_branch=True)
+
+    def geomean(v):
+        return float(np.exp(np.mean(np.log(v))))
+
+    assert tr.r == pytest.approx(geomean(tr.r_branches / sys_.s_shape), rel=1e-12)
+    assert tr.l == pytest.approx(geomean(tr.l_branches / sys_.s_shape), rel=1e-12)
+    tuned = sys_.with_branch_values(tr.r_branches, tr.l_branches)
+    band = _band(float(basis.omega[0]))
+    assert _min_damping(np.linalg.eigvals(state_matrix(tuned)), band=band) == tr.objective
+
+
+@pytest.mark.parametrize("seed", [None, (1e5, 1e5)], ids=["own_seed", "given_seed"])
+@pytest.mark.parametrize("target_mode", [0, -1, 2])
+def test_tune_rejects_target_mode_out_of_range(bench_m1, target_mode, seed):
+    with pytest.raises(ParameterError, match="target mode"):
+        tune(bench_m1, target_mode=target_mode, seed=seed)
+
+
 def test_unknown_objective_rejected(bench_m1):
     with pytest.raises(ParameterError):
         tune(ps.reduce(bench_m1, 1), "h2")
-    with pytest.raises(ParameterError):
-        ps.reduce(bench_m1, 1, rule="first")
     with pytest.raises(ParameterError):
         ps.reduce(bench_m1, 2)
 
