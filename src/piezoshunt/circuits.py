@@ -73,6 +73,16 @@ class Netlist:
         return sorted(names)
 
 
+def branch_fault(r, l):
+    """Why (r, l) is no passive branch (finite R >= 0, finite L > 0), or None.
+    Chained scalar comparisons also reject nan and are cheap enough per evaluation."""
+    if not 0 < l < np.inf:
+        return f"needs finite positive inductance, got {l}"
+    if not 0 <= r < np.inf:
+        return f"needs finite nonnegative resistance, got {r}"
+    return None
+
+
 def _validate_structure(branches, piezo):
     """First violated structural invariant as (subject, message), or None.
 
@@ -91,10 +101,8 @@ def _validate_structure(branches, piezo):
         names.add(br.name)
         if br.node_a == br.node_b:
             return subject, f"self-loop branch {br.name!r} ({br.node_a})"
-        if not 0 < br.l < np.inf:  # also rejects nan
-            return subject, f"branch {br.name!r} needs finite positive inductance, got {br.l}"
-        if not 0 <= br.r < np.inf:
-            return subject, f"branch {br.name!r} needs finite nonnegative resistance, got {br.r}"
+        if fault := branch_fault(br.r, br.l):
+            return subject, f"branch {br.name!r} {fault}"
         nodes.update(n for n in (br.node_a, br.node_b) if n != GROUND)
     if not piezo:
         return None, "netlist needs at least one piezo attachment"
@@ -115,8 +123,6 @@ def build_single_shunt(n, r, lind):
     """All N piezos parallel on one bus node, shunted to ground by one RL branch."""
     if n < 1:
         raise ParameterError(f"need at least one patch, got {n}")
-    if lind <= 0:
-        raise ParameterError(f"shunt inductance must be positive, got {lind}")
     return Netlist(
         branches=(Branch("b1", "bus", GROUND, float(r), float(lind)),),
         piezo={i: "bus" for i in range(1, n + 1)},
@@ -149,8 +155,6 @@ def build_transmission_line(n, r, lind, termination="none"):
     """
     if n < 2:
         raise ParameterError(f"transmission line needs at least 2 patches, got {n}")
-    if lind <= 0:
-        raise ParameterError(f"line inductance must be positive, got {lind}")
     if termination not in ("none", "both_ends"):
         raise ParameterError(f"unknown termination {termination!r}")
     branches = [
@@ -228,6 +232,11 @@ class NetworkMatrices:
     @property
     def n_nodes(self):
         return len(self.node_names)
+
+    @property
+    def s_shape(self):
+        """Branch inductance pattern with the first branch normalized to 1."""
+        return self.l_b / self.l_b[0]
 
     @property
     def n_branches(self):

@@ -29,33 +29,24 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
-def _build_netlist(cfg, n):
+def _build_netlist(cfg):
     if cfg.netlist_path is not None:
         with open(cfg.netlist_path) as fh:
             return circuits.parse_netlist(fh.read())
     try:
         if cfg.topology == "single_shunt":
-            return circuits.build_single_shunt(n, cfg.r, cfg.l)
+            return circuits.build_single_shunt(cfg.n_patches, cfg.r, cfg.l)
         if cfg.topology == "multi_shunt":
-            return circuits.build_multi_shunt(n, cfg.r, cfg.l)
-        return circuits.build_transmission_line(n, cfg.r, cfg.l, cfg.termination)
+            return circuits.build_multi_shunt(cfg.n_patches, cfg.r, cfg.l)
+        return circuits.build_transmission_line(cfg.n_patches, cfg.r, cfg.l, cfg.termination)
     except ParameterError as exc:
         raise ParameterError(f"[network] topology = {cfg.topology}: {exc}") from exc
 
 
-def _build_system(cfg, netlist=None):
+def _build_system(cfg):
     basis = modal_basis(cfg.beam_spec(), cfg.n_modes)
     patches = uniform_layout(cfg.beam_spec(), cfg.n_patches, cfg.coverage, cfg.cp, cfg.gamma)
-    net = netlist if netlist is not None else _build_netlist(cfg, cfg.n_patches)
-    return coupled.assemble(basis, patches, net)
-
-
-def _bounds(cfg):
-    if cfg.r_bounds is None and cfg.l_bounds is None:
-        return None
-    if cfg.r_bounds is None or cfg.l_bounds is None:
-        raise ParameterError("[optimize] give both R and L bounds or neither")
-    return (cfg.r_bounds, cfg.l_bounds)
+    return coupled.assemble(basis, patches, _build_netlist(cfg))
 
 
 def _initial_state(sys, kind):
@@ -117,7 +108,7 @@ def _cmd_optimize(cfg, outdir):
         rm if not cfg.per_branch else sys_,
         cfg.objective,
         target_mode=cfg.target_mode,
-        bounds=_bounds(cfg),
+        bounds=cfg.bounds,
         per_branch=cfg.per_branch,
     )
     rows = [
@@ -161,12 +152,11 @@ def _compare_row(cfg, topology):
     sub = ScenarioConfig(**{**cfg.__dict__, "topology": topology, "netlist_path": None})
     sys_ = _build_system(sub)
     rm = reduction.reduce(sys_, cfg.target_mode)
-    bounds = _bounds(cfg)
 
-    tr = reduction.tune(rm, "min-damping-ratio", target_mode=cfg.target_mode, bounds=bounds)
+    tr = reduction.tune(rm, "min-damping-ratio", target_mode=cfg.target_mode, bounds=cfg.bounds)
     report = reduction.validate_reduction(sys_, rm, tr)
 
-    tr_hinf = reduction.tune(rm, "hinf", target_mode=cfg.target_mode, bounds=bounds)
+    tr_hinf = reduction.tune(rm, "hinf", target_mode=cfg.target_mode, bounds=cfg.bounds)
     scaled = sys_.rescaled(tr_hinf.r, tr_hinf.l)
     peak = float(np.max(coupled.frf(scaled, reduction.hinf_grid(rm.omega_m)).magnitude))
 
@@ -263,3 +253,7 @@ def run_command(argv):
 
 def console_main():
     raise SystemExit(run_command(_sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -74,8 +74,7 @@ class ScenarioConfig:
     # optimize
     objective: str = "min-damping-ratio"
     target_mode: int = 1
-    r_bounds: tuple[float, float] | None = None
-    l_bounds: tuple[float, float] | None = None
+    bounds: tuple[tuple[float, float], tuple[float, float]] | None = None  # (R, L) search box
     per_branch: bool = False
     # simulate
     dt: float | None = None      # None = auto from the spectral bound
@@ -203,14 +202,11 @@ def load_config(text):
         else:
             setattr(cfg, attr, parsed)
 
-    if "_r_min" in extras or "_r_max" in extras:
-        if not ("_r_min" in extras and "_r_max" in extras):
-            raise ConfigError("R_min and R_max must be given together", "optimize")
-        cfg.r_bounds = (extras["_r_min"], extras["_r_max"])
-    if "_l_min" in extras or "_l_max" in extras:
-        if not ("_l_min" in extras and "_l_max" in extras):
-            raise ConfigError("L_min and L_max must be given together", "optimize")
-        cfg.l_bounds = (extras["_l_min"], extras["_l_max"])
+    if extras:  # the search-box keys, the only underscored ones
+        if len(extras) < 4:
+            raise ConfigError("R_min and R_max, L_min and L_max go together: give all four "
+                              f"or none, got only {sorted(k[1:] for k in extras)}", "optimize")
+        cfg.bounds = ((extras["_r_min"], extras["_r_max"]), (extras["_l_min"], extras["_l_max"]))
 
     _validate(cfg)
     return cfg
@@ -235,7 +231,6 @@ def _validate(cfg):
     for ok, section, message in checks:
         if not ok:
             raise ConfigError(message, section)
-    if cfg.r_bounds is not None and not 0 < cfg.r_bounds[0] < cfg.r_bounds[1]:
-        raise ConfigError("R bounds must satisfy 0 < R_min < R_max", "optimize")
-    if cfg.l_bounds is not None and not 0 < cfg.l_bounds[0] < cfg.l_bounds[1]:
-        raise ConfigError("L bounds must satisfy 0 < L_min < L_max", "optimize")
+    for x, (lo, hi) in zip("RL", cfg.bounds or ()):
+        if not 0 < lo < hi:
+            raise ConfigError(f"{x} bounds must satisfy 0 < {x}_min < {x}_max", "optimize")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beam import modal_force_vector
-from .circuits import network_matrices
+from .circuits import branch_fault, network_matrices
 from .errors import NumericalError, ParameterError
 from .patches import coupling_matrix
 
@@ -58,8 +58,8 @@ class CoupledSystem:
 
     @property
     def s_shape(self):
-        """Branch inductance pattern with the first branch normalized to 1."""
-        return self.nm.l_b / self.nm.l_b[0]
+        """The network's branch inductance pattern, `NetworkMatrices.s_shape`."""
+        return self.nm.s_shape
 
     @property
     def force_map(self):
@@ -87,8 +87,9 @@ class CoupledSystem:
         """Copy of the system with explicit per-branch (R, L) vectors."""
         r_b = np.broadcast_to(np.asarray(r_b, dtype=float), (self.nm.n_branches,)).copy()
         l_b = np.broadcast_to(np.asarray(l_b, dtype=float), (self.nm.n_branches,)).copy()
-        if np.any(l_b <= 0) or np.any(r_b < 0):
-            raise ParameterError("branch rescaling needs L > 0 and R >= 0")
+        # each rule is an interval, and min/max propagate nan: no per-branch loop
+        if fault := branch_fault(r_b.min(), l_b.min()) or branch_fault(r_b.max(), l_b.max()):
+            raise ParameterError(f"branch rescaling: each branch {fault}")
         return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
 
 
@@ -161,20 +162,12 @@ def eigen(sys):
     with np.errstate(invalid="ignore", divide="ignore"):
         zeta = np.where(freq > 0, -values.real / np.where(freq > 0, freq, 1.0), 0.0)
 
-    m, p = sys.basis.m, sys.nm.n_nodes
-    tags = []
-    for j, lam in enumerate(values):
-        if freq[j] < ZERO_MODE_RTOL * scale:
-            tags.append("zero")
-            continue
-        w = vectors[:, j]
-        eta, vel = w[:m], w[m:2 * m]
-        v, cur = w[2 * m:2 * m + p], w[2 * m + p:]
-        mech = 0.5 * (np.sum(np.abs(vel) ** 2) + np.sum(sys.basis.omega**2 * np.abs(eta) ** 2))
-        elec = 0.5 * (np.sum(sys.cap * np.abs(v) ** 2) + np.sum(sys.nm.l_b * np.abs(cur) ** 2))
-        tags.append("mechanical" if mech > elec else "electrical")
-
-    return EigenSolution(values=values, vectors=vectors, freq=freq, zeta=zeta, tags=tuple(tags))
+    # a C-ordered copy: row sums of the transposed view may differ in the last ulp
+    kin, strain, cap, ind, _ = _energy_terms(sys, np.abs(vectors).T.copy())
+    tags = np.where(freq < ZERO_MODE_RTOL * scale, "zero",
+                    np.where(0.5 * (kin + strain) > 0.5 * (cap + ind), "mechanical", "electrical"))
+    return EigenSolution(values=values, vectors=vectors, freq=freq, zeta=zeta,
+                         tags=tuple(tags.tolist()))
 
 
 @dataclass(frozen=True)
@@ -253,15 +246,17 @@ def total_energy(sys, x):
 
 def _energies(sys, states):
     """(H, P_diss) of every row of the (k, n_states) array `states`."""
+    kin, strain, cap, ind, p_diss = _energy_terms(sys, states)
+    return 0.5 * (kin + strain + cap + ind), p_diss
+
+
+def _energy_terms(sys, states):
+    """Row sums of the (k, n_states) array `states`: twice the kinetic, modal
+    strain, capacitive and inductive energies, then the dissipated power."""
     m, p = sys.basis.m, sys.nm.n_nodes
     eta, vel = states[:, :m], states[:, m:2 * m]
     v, cur = states[:, 2 * m:2 * m + p], states[:, 2 * m + p:]
-    h = 0.5 * (
-        np.sum(vel**2, axis=1)
-        + np.sum(sys.basis.omega**2 * eta**2, axis=1)
-        + np.sum(sys.cap * v**2, axis=1)
-        + np.sum(sys.nm.l_b * cur**2, axis=1)
-    )
-    p_diss = (np.sum(2.0 * sys.basis.zeta * sys.basis.omega * vel**2, axis=1)
-              + np.sum(sys.nm.r_b * cur**2, axis=1))
-    return h, p_diss
+    return (np.sum(vel**2, axis=1), np.sum(sys.basis.omega**2 * eta**2, axis=1),
+            np.sum(sys.cap * v**2, axis=1), np.sum(sys.nm.l_b * cur**2, axis=1),
+            np.sum(2.0 * sys.basis.zeta * sys.basis.omega * vel**2, axis=1)
+            + np.sum(sys.nm.r_b * cur**2, axis=1))

@@ -29,12 +29,16 @@ import numpy as np
 import scipy.linalg
 
 from .beam import eval_mode
+from .circuits import branch_fault
 from .coupled import ZERO_MODE_RTOL, CoupledSystem, _frf_values, eigen
 from .coupled import state_matrix  # noqa: F401  bench/tests/test_bench.py patches it here
 from .errors import NumericalError, ParameterError
 
 #: Default tuning band around the target mode for the pole-placement objective.
 BAND_FACTORS = (0.5, 2.0)
+
+#: Nelder-Mead initial step (log10 units), iteration cap and relative size tolerance.
+NM_STEP, NM_MAX_ITER, NM_REL_TOL = 0.05, 500, 1e-6
 
 #: Default hinf grid: linear samples over [0.5, 1.6] * target frequency.
 HINF_GRID_FACTORS = (0.5, 1.6)
@@ -63,8 +67,7 @@ def electrical_modes(nm, cap):
     c_mat = np.diag(cap) if cap.ndim == 1 else cap
     if np.any(np.linalg.eigvalsh(c_mat) <= 0):
         raise ParameterError("node capacitances must be positive definite")
-    s_shape = nm.l_b / nm.l_b[0]
-    k_e = nm.b_inc @ np.diag(1.0 / s_shape) @ nm.b_inc.T
+    k_e = nm.b_inc @ np.diag(1.0 / nm.s_shape) @ nm.b_inc.T
     try:
         mu, shapes = scipy.linalg.eigh(k_e, c_mat)
     except scipy.linalg.LinAlgError as exc:
@@ -72,11 +75,9 @@ def electrical_modes(nm, cap):
     mu = np.where(np.abs(mu) < 1e-12 * max(np.max(np.abs(mu)), 1e-300), 0.0, mu)
     if np.any(mu < 0):
         raise NumericalError(f"negative electrical eigenvalue {mu.min():.3e}")
-    # canonical sign: largest-magnitude component positive
-    for j in range(shapes.shape[1]):
-        pivot = np.argmax(np.abs(shapes[:, j]))
-        if shapes[pivot, j] < 0:
-            shapes[:, j] = -shapes[:, j]
+    # canonical sign: largest-magnitude component positive (in place, exact)
+    pivot = shapes[np.argmax(np.abs(shapes), axis=0), np.arange(shapes.shape[1])]
+    shapes *= np.where(pivot < 0, -1.0, 1.0)
     return ElectricalModeSet(mu=mu, shapes=shapes)
 
 
@@ -96,17 +97,14 @@ class ReducedModel:
 
     def a_matrix(self, rbar, lbar):
         """State matrix of (eta, eta', vbar, ibar) at branch scales (rbar, lbar)."""
-        if lbar <= 0:
-            raise ParameterError(f"inductance scale must be positive, got {lbar}")
+        if fault := branch_fault(rbar, lbar):
+            raise ParameterError(f"reduced-model branch {fault}")
         w, z, al = self.omega_m, self.zeta_m, self.alpha
-        return np.array(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [-w * w, -2.0 * z * w, al, 0.0],
-                [0.0, -al, 0.0, -1.0],
-                [0.0, 0.0, self.mu_star / lbar, -rbar / lbar],
-            ]
-        )
+        # built from one flat list: a third cheaper than nested rows, same entries
+        return np.array([0.0, 1.0, 0.0, 0.0,
+                         -w * w, -2.0 * z * w, al, 0.0,
+                         0.0, -al, 0.0, -1.0,
+                         0.0, 0.0, self.mu_star / lbar, -rbar / lbar]).reshape(4, 4)
 
     @property
     def force_map(self):
@@ -227,31 +225,31 @@ class TuningResult:
     l_branches: np.ndarray | None = None
 
 
-def _nelder_mead(f, z0, step=0.05, max_iter=500, rel_tol=1e-6):
+def _nelder_mead(f, z0):
     """Minimize f over R^d with a plain Nelder-Mead simplex.
 
-    Converges when the simplex diameter drops below rel_tol relative to the
-    vertex magnitude, or after max_iter iterations.  Returns
+    Converges when the simplex diameter drops below NM_REL_TOL relative to the
+    vertex magnitude, or after NM_MAX_ITER iterations.  Returns
     (z_best, f_best, iterations, converged).
     """
     d = len(z0)
     simplex = [np.asarray(z0, dtype=float)]
     for j in range(d):
         vertex = simplex[0].copy()
-        vertex[j] += step
+        vertex[j] += NM_STEP
         simplex.append(vertex)
     values = [f(v) for v in simplex]
 
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < NM_MAX_ITER:
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
 
         diameter = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
         scale = 1.0 + max(np.max(np.abs(v)) for v in simplex)
-        if diameter < rel_tol * scale:
+        if diameter < NM_REL_TOL * scale:
             converged = True
             break
 
@@ -362,8 +360,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
         rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
         seed = closed_form_seed(rm)
     r0, l0 = float(seed[0]), float(seed[1])
-    if r0 <= 0 or l0 <= 0:
-        raise ParameterError("tuning seed must have positive R and L scales")
+    if not (0 < r0 < np.inf and 0 < l0 < np.inf):  # the search runs in log10 space
+        raise ParameterError(f"tuning seed must be finite and positive, got ({r0}, {l0})")
 
     def decode(z):
         if per_branch:
@@ -380,6 +378,9 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
     if bounds is None:
         bounds = (np.multiply(BOUNDS_FACTORS_R, r0), np.multiply(BOUNDS_FACTORS_L, l0))
     (r_lo, r_hi), (l_lo, l_hi) = bounds
+    if not (0 < r_lo < r_hi < np.inf and 0 < l_lo < l_hi < np.inf):
+        raise ParameterError(f"tuning box must satisfy 0 < lo < hi < inf for R and L, "
+                             f"got R [{r_lo}, {r_hi}], L [{l_lo}, {l_hi}]")
     lo = np.repeat(np.log10([r_lo, l_lo]), n)
     hi = np.repeat(np.log10([r_hi, l_hi]), n)
 

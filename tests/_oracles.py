@@ -99,3 +99,26 @@ def energy_pointwise(sys, states):
         p_diss[k] = (np.sum(2.0 * sys.basis.zeta * sys.basis.omega * vel**2)
                      + np.sum(sys.nm.r_b * cur**2))
     return h, p_diss
+
+
+def tags_pointwise(sys, values, vectors, zero_rtol=1e-9):
+    """Dominance tag per eigenpair, one eigenvector at a time.
+
+    "zero" below `zero_rtol` times the largest |lambda|; otherwise
+    "mechanical" if the modal kinetic plus strain energy of |w| exceeds the
+    capacitive plus inductive energy, else "electrical".
+    """
+    m, p = sys.basis.m, sys.nm.n_nodes
+    scale = np.max(np.abs(values))
+    tags = []
+    for j, lam in enumerate(values):
+        if abs(lam) < zero_rtol * scale:
+            tags.append("zero")
+            continue
+        w = vectors[:, j]
+        eta, vel = w[:m], w[m:2 * m]
+        v, cur = w[2 * m:2 * m + p], w[2 * m + p:]
+        mech = 0.5 * (np.sum(np.abs(vel) ** 2) + np.sum(sys.basis.omega**2 * np.abs(eta) ** 2))
+        elec = 0.5 * (np.sum(sys.cap * np.abs(v) ** 2) + np.sum(sys.nm.l_b * np.abs(cur) ** 2))
+        tags.append("mechanical" if mech > elec else "electrical")
+    return tuple(tags)

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +101,41 @@ def test_config_rejects_key_outside_section():
 def test_config_bounds_must_pair():
     with pytest.raises(ConfigError, match="R_min and R_max"):
         load_config("[optimize]\nR_min = 1\n")
+
+
+@pytest.mark.parametrize("keys", ["R_min = 1\nR_max = 10\n", "L_min = 1\nL_max = 10\n"],
+                         ids=["R_only", "L_only"])
+def test_config_search_box_needs_all_four_keys(tmp_path, capsys, keys):
+    text = "[optimize]\n" + keys
+    with pytest.raises(ConfigError, match=r"\[optimize\].*R_min and R_max") as info:
+        load_config(text)
+    assert info.value.section == "optimize"
+    # every subcommand loads the config, so the half box fails before any work
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert run_command(["eig", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "[optimize]" in capsys.readouterr().err
+    assert not (tmp_path / "eig.csv").exists()
+
+
+def test_config_search_box_is_one_field():
+    cfg = load_config("[optimize]\nR_min = 1\nR_max = 10k\nL_min = 2\nL_max = 20k\n")
+    assert cfg.bounds == ((1.0, 1e4), (2.0, 2e4))
+    assert load_config("").bounds is None
+    with pytest.raises(ConfigError, match=r"\[optimize\] R bounds must satisfy 0 < R_min < R_max"):
+        load_config("[optimize]\nR_min = 10\nR_max = 1\nL_min = 1\nL_max = 10\n")
+    with pytest.raises(ConfigError, match=r"\[optimize\] L bounds must satisfy 0 < L_min < L_max"):
+        load_config("[optimize]\nR_min = 1\nR_max = 10\nL_min = 0\nL_max = 10\n")
+
+
+def test_module_entry_point_runs_a_subcommand(tmp_path):
+    src = str(Path(ps.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "piezoshunt.cli", "modes", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "modes.csv").read_text().startswith("mode,betaL,")
 
 
 def test_modes_command_writes_csv(tmp_path):

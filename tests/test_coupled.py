@@ -11,7 +11,7 @@ from piezoshunt.coupled import _frf_values, eigen, frf, state_matrix, total_ener
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import ReducedModel
 
-from _oracles import char_poly_roots, frf_pointwise, match_spectra
+from _oracles import char_poly_roots, frf_pointwise, match_spectra, tags_pointwise
 
 
 def _mechanical_poles(basis):
@@ -122,6 +122,36 @@ def test_state_matrix_follows_replaced_fields(bench_m5):
         sys_.cap = 2.0 * sys_.cap
 
 
+@pytest.mark.parametrize("r, l, value", [(np.nan, 1e5, "nan"), (np.inf, 1e5, "inf"),
+                                         (100.0, np.nan, "nan"), (100.0, np.inf, "inf")],
+                         ids=["R_nan", "R_inf", "L_nan", "L_inf"])
+def test_rescaled_rejects_non_finite_branch_values(basis5, patches5, r, l, value):
+    sys_ = ps.assemble(basis5, patches5, ps.build_multi_shunt(5, 100.0, 1e5))
+    quantity = "inductance" if np.isfinite(r) else "resistance"
+    with pytest.raises(ParameterError, match=f"{quantity}, got {value}"):
+        sys_.rescaled(r, l)
+    # one bad branch among good ones
+    r_b, l_b = np.full(5, 100.0), np.full(5, 1e5)
+    r_b[2], l_b[2] = r, l
+    with pytest.raises(ParameterError, match=f"{quantity}, got {value}"):
+        sys_.with_branch_values(r_b, l_b)
+
+
+@pytest.mark.parametrize("r, l, fault", [(1.0, np.nan, "inductance, got nan"),
+                                         (1.0, np.inf, "inductance, got inf"),
+                                         (-5.0, 1.0, "resistance, got -5.0"),
+                                         (np.nan, 1.0, "resistance, got nan")],
+                         ids=["L_nan", "L_inf", "R_negative", "R_nan"])
+def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r, l, fault):
+    # the reduced and the complete model share one tuning interface and one branch rule
+    rm = ps.reduce(bench_m5, 1)
+    for model in (rm, bench_m5):
+        with pytest.raises(ParameterError, match=fault):
+            model.a_matrix(r, l)
+    assert np.all(np.isfinite(rm.a_matrix(0.0, 1.0)))
+    assert np.all(np.isfinite(bench_m5.a_matrix(0.0, 1.0)))
+
+
 def test_char_poly_cross_check(unit_beam):
     basis = ps.modal_basis(unit_beam, 2)
     arr = ps.uniform_layout(unit_beam, 2, coverage=0.8, cp=100e-9, gamma=2e-4)
@@ -136,6 +166,20 @@ def test_floating_line_zero_mode_count(basis5, patches5):
     sol_t = eigen(ps.assemble(basis5, patches5,
                               ps.build_transmission_line(5, 100.0, 1e5, "both_ends")))
     assert sol_t.tags.count("zero") == 0
+
+
+@pytest.mark.parametrize(
+    "build", [ps.build_single_shunt, ps.build_multi_shunt, ps.build_transmission_line],
+    ids=["single_shunt", "multi_shunt", "transmission_line"],
+)
+def test_eigen_tags_match_pointwise_oracle(build, basis5, patches5):
+    # strong coupling mixes the modes, so both sides of the energy comparison occur
+    strong = ps.PatchArray(a=patches5.a, b=patches5.b, cp=patches5.cp, gamma=30 * patches5.gamma)
+    sys_ = ps.assemble(basis5, strong, build(5, 120.0, 1.5e5))
+    sol = eigen(sys_)
+    assert sol.tags == tags_pointwise(sys_, sol.values, sol.vectors)
+    assert {"mechanical", "electrical"} <= set(sol.tags)
+    assert all(type(tag) is str for tag in sol.tags)
 
 
 def test_gamma_zero_tags_split_exactly(basis5, unit_beam):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,36 @@ def test_tune_respects_bounds(bench_m1):
     tr = tune(rm, "min-damping-ratio", bounds=bounds)
     assert bounds[0][0] <= tr.r <= bounds[0][1]
     assert bounds[1][0] <= tr.l <= bounds[1][1]
+
+
+@pytest.mark.parametrize("seed", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf),
+                                  (0.0, 1.0), (1.0, -2.0)],
+                         ids=["R_nan", "R_inf", "L_nan", "L_inf", "R_zero", "L_negative"])
+def test_tune_rejects_seed_outside_log_space(bench_m1, seed):
+    rm = ps.reduce(bench_m1, 1)
+    r0, l0 = closed_form_seed(rm)
+    seed = (seed[0] * r0, seed[1] * l0)
+    with pytest.raises(ParameterError, match=re.escape(f"got ({seed[0]}, {seed[1]})")):
+        tune(rm, seed=seed)
+
+
+@pytest.mark.parametrize("r_box, l_box", [
+    ((np.nan, 1e2), (1e-2, 1e2)),
+    ((1e-2, 1e2), (1e-2, np.nan)),
+    ((1e2, 1e-2), (1e-2, 1e2)),
+    ((1e-2, 1e2), (1e2, 1e-2)),
+    ((0.0, 1e2), (1e-2, 1e2)),
+    ((1e-2, 1e2), (-1.0, 1e2)),
+    ((1e-2, np.inf), (1e-2, 1e2)),
+    ((1e-2, 1e2), (1e-2, np.inf)),
+], ids=["R_nan", "L_nan", "R_reversed", "L_reversed", "R_zero", "L_negative", "R_inf", "L_inf"])
+def test_tune_rejects_box_outside_log_space(bench_m1, r_box, l_box):
+    rm = ps.reduce(bench_m1, 1)
+    r0, l0 = closed_form_seed(rm)
+    bounds = (tuple(r0 * v for v in r_box), tuple(l0 * v for v in l_box))
+    (r_lo, r_hi), (l_lo, l_hi) = bounds
+    with pytest.raises(ParameterError, match=re.escape(f"R [{r_lo}, {r_hi}], L [{l_lo}, {l_hi}]")):
+        tune(rm, seed=(r0, l0), bounds=bounds)
 
 
 def test_tune_full_system_agrees_with_reduced(bench_m5):
