@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError, ParameterError
 
@@ -24,6 +23,12 @@ from .errors import NumericalError, ParameterError
 MAX_MODES = 12
 
 _NORM_PANELS = 512  # minimum panel count for the normalization quadrature
+
+#: Roots of 1 + cos(x)*cosh(x) = 0, the k-th in ((k-1)*pi, k*pi), as Brent's
+#: method finds them on cos(x) + sech(x) with xtol = rtol = 1e-15.
+_WAVENUMBERS = (1.8751040687119611, 4.694091132974175, 7.854757438237614, 10.995540734875467,
+                14.13716839104647, 17.278759532088237, 20.42035225104125, 23.561944901806445,
+                26.7035375555183, 29.845130209102816, 32.98672286269284, 36.12831551628262)
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,10 @@ class BeamSpec:
     zeta: float | tuple[float, ...] = 0.0
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ParameterError(f"beam length must be positive, got {self.length}")
-        if self.bending_stiffness <= 0:
-            raise ParameterError("bending stiffness EI must be positive")
-        if self.mass_per_length <= 0:
-            raise ParameterError("mass per length must be positive")
+        for name, value in (("length L", self.length), ("stiffness EI", self.bending_stiffness),
+                            ("mass per length rhoA", self.mass_per_length)):
+            if not 0 < value < np.inf:  # chained: nan fails it too
+                raise ParameterError(f"beam {name} must be finite and positive, got {value}")
         zeta = self.zeta
         if np.isscalar(zeta):
             zeta = (float(zeta),)
@@ -76,21 +79,10 @@ class BeamSpec:
         return np.asarray(self.zeta[:m])
 
 
-def characteristic_residual(x):
-    """Scaled clamped-free characteristic function cos(x) + sech(x).
-
-    Equivalent to 1 + cos(x)*cosh(x) = 0 divided through by cosh(x); the
-    division keeps the residual O(1) so root quality is measurable in double
-    precision for every supported mode (the raw product grows like cosh).
-    """
-    return np.cos(x) + 1.0 / np.cosh(x)
-
-
 def solve_wavenumbers(m):
     """First `m` dimensionless cantilever wavenumbers beta*L, ascending.
 
-    Roots of 1 + cos(x)*cosh(x) = 0; the k-th root is bracketed by
-    ((k-1)*pi, k*pi) where the characteristic function changes sign.
+    Roots of 1 + cos(x)*cosh(x) = 0, read from the tabulated `_WAVENUMBERS`.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ParameterError(f"mode count must be an integer, got {m!r}")
@@ -99,14 +91,7 @@ def solve_wavenumbers(m):
             f"mode count must lie in [1, {MAX_MODES}], got {m} "
             "(the closed-form mode shape is inaccurate beyond this cap)"
         )
-    roots = []
-    for k in range(1, m + 1):
-        lo, hi = (k - 1) * np.pi, k * np.pi
-        root = brentq(characteristic_residual, lo + 1e-12, hi, xtol=1e-15, rtol=1e-15)
-        if abs(characteristic_residual(root)) > 1e-10:
-            raise NumericalError(f"wavenumber root {k} did not converge")
-        roots.append(root)
-    return roots
+    return list(_WAVENUMBERS[:m])
 
 
 def _shape_coefficients(beta_l):

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .beam import BeamSpec
+from .beam import MAX_MODES, BeamSpec
 from .circuits import parse_si
 from .errors import ConfigError
 
@@ -218,7 +218,7 @@ def _validate(cfg):
         (cfg.bending_stiffness > 0, "beam", "EI must be positive"),
         (cfg.mass_per_length > 0, "beam", "rhoA must be positive"),
         (0 <= cfg.zeta < 1, "beam", "zeta must lie in [0, 1)"),
-        (1 <= cfg.n_modes <= 12, "beam", "M must lie in [1, 12]"),
+        (1 <= cfg.n_modes <= MAX_MODES, "beam", f"M must lie in [1, {MAX_MODES}]"),
         (cfg.n_patches >= 1, "patches", "N must be at least 1"),
         (0 < cfg.coverage <= 1, "patches", "coverage must lie in (0, 1]"),
         (cfg.cp > 0, "patches", "Cp must be positive"),

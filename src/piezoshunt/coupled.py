@@ -77,20 +77,28 @@ class CoupledSystem:
 
     def rescaled(self, rbar, lbar):
         """Copy with R_b = rbar*s_shape, L_b = lbar*s_shape; scalar or per-branch scales."""
-        return self.with_branch_values(rbar * self.s_shape, lbar * self.s_shape)
+        return self.with_branch_values(self._per_branch(rbar, "resistance") * self.s_shape,
+                                       self._per_branch(lbar, "inductance") * self.s_shape)
 
     def a_matrix(self, rbar, lbar):
         """State matrix at branch scales (rbar, lbar), as `ReducedModel.a_matrix`."""
         return state_matrix(self.rescaled(rbar, lbar))
 
     def with_branch_values(self, r_b, l_b):
-        """Copy of the system with explicit per-branch (R, L) vectors."""
-        r_b = np.broadcast_to(np.asarray(r_b, dtype=float), (self.nm.n_branches,)).copy()
-        l_b = np.broadcast_to(np.asarray(l_b, dtype=float), (self.nm.n_branches,)).copy()
+        """Copy of the system with per-branch (R, L) vectors; a scalar is shared by all."""
+        r_b, l_b = self._per_branch(r_b, "resistance"), self._per_branch(l_b, "inductance")
         # each rule is an interval, and min/max propagate nan: no per-branch loop
         if fault := branch_fault(r_b.min(), l_b.min()) or branch_fault(r_b.max(), l_b.max()):
             raise ParameterError(f"branch rescaling: each branch {fault}")
         return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
+
+    def _per_branch(self, values, name):
+        """`values` as a new float vector over the B branches: a scalar or length B."""
+        values, n = np.asarray(values, dtype=float), self.nm.n_branches
+        if values.shape not in ((), (n,)):
+            raise ParameterError(f"{name} must be a scalar or a list of length {n}, "
+                                 f"got shape {values.shape}")
+        return np.full(n, values)  # a third of the cost of broadcast_to(...).copy()
 
 
 def assemble(basis, patches, net):

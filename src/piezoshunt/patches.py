@@ -39,6 +39,8 @@ class PatchArray:
             raise ParameterError("patch array needs at least one transducer")
         if a.shape != b.shape:
             raise ParameterError("patch end arrays must have equal length")
+        if not np.all(np.isfinite([a, b, cp, gamma])):
+            raise ParameterError("patch ends, capacitances and couplings must be finite")
         if np.any(b <= a):
             raise ParameterError("every patch needs a_i < b_i")
         if a[0] < 0:
@@ -65,8 +67,6 @@ def uniform_layout(beam, n, coverage=0.9, cp=100e-9, gamma=1e-4):
         raise ParameterError(f"patch count must be at least 1, got {n}")
     if not 0 < coverage <= 1:
         raise ParameterError(f"coverage must lie in (0, 1], got {coverage}")
-    if cp <= 0:
-        raise ParameterError("patch capacitance must be positive")
     cell = beam.length / n
     patch_len = coverage * cell
     centers = (np.arange(n) + 0.5) * cell

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .beam import eval_mode
 from .circuits import branch_fault
@@ -61,17 +60,23 @@ def electrical_modes(nm, cap):
     """Solve B s^-1 B^T u = mu C u for the network's voltage mode shapes.
 
     `cap` is the capacitance metric: a vector of node capacitances or a full
-    symmetric positive-definite matrix.
+    symmetric positive-definite matrix.  C = Lc Lc^T (Cholesky) turns it into
+    Lc^-1 K Lc^-T y = mu y with u = Lc^-T y (Golub & Van Loan, sec. 8.7).
     """
     cap = np.asarray(cap, dtype=float)
     c_mat = np.diag(cap) if cap.ndim == 1 else cap
-    if np.any(np.linalg.eigvalsh(c_mat) <= 0):
-        raise ParameterError("node capacitances must be positive definite")
+    try:
+        if not np.all(np.isfinite(c_mat)):  # cholesky would pass nan and inf through
+            raise np.linalg.LinAlgError("non-finite capacitance")
+        inv = np.linalg.inv(np.linalg.cholesky(c_mat))
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError("node capacitances must be positive definite") from exc
     k_e = nm.b_inc @ np.diag(1.0 / nm.s_shape) @ nm.b_inc.T
     try:
-        mu, shapes = scipy.linalg.eigh(k_e, c_mat)
-    except scipy.linalg.LinAlgError as exc:
+        mu, y = np.linalg.eigh(inv @ k_e @ inv.T)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError("electrical eigenproblem failed") from exc
+    shapes = inv.T @ y
     mu = np.where(np.abs(mu) < 1e-12 * max(np.max(np.abs(mu)), 1e-300), 0.0, mu)
     if np.any(mu < 0):
         raise NumericalError(f"negative electrical eigenvalue {mu.min():.3e}")

@@ -3,15 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 import piezoshunt as ps
-from piezoshunt.beam import (
-    characteristic_residual,
-    modal_gram,
-    solve_wavenumbers,
-    tip_compliance,
-)
+from piezoshunt.beam import modal_gram, solve_wavenumbers, tip_compliance
 from piezoshunt.errors import ParameterError
 
-from _oracles import bisect_wavenumber
+from _oracles import bisect_wavenumber, characteristic_residual
 
 
 def test_first_wavenumber_matches_bisection_oracle():
@@ -29,13 +24,15 @@ def test_first_three_wavenumbers():
 
 def test_wavenumbers_strictly_increasing_and_residuals():
     roots = solve_wavenumbers(12)
+    assert len(roots) == 12
     assert all(a < b for a, b in zip(roots, roots[1:]))
     # raw characteristic residual is representable in doubles for low modes only;
     # the scaled residual cos(x) + sech(x) stays at machine level throughout
     for r in roots[:4]:
         assert abs(1.0 + np.cos(r) * np.cosh(r)) < 1e-10
-    for r in roots:
+    for k, r in enumerate(roots, start=1):
         assert abs(characteristic_residual(r)) < 1e-12
+        assert r == pytest.approx(bisect_wavenumber(k), abs=1e-10)
 
 
 def test_wavenumber_range_errors():

@@ -128,14 +128,26 @@ def test_config_search_box_is_one_field():
         load_config("[optimize]\nR_min = 1\nR_max = 10\nL_min = 0\nL_max = 10\n")
 
 
-def test_module_entry_point_runs_a_subcommand(tmp_path):
+def _python_with_package(*args):
+    """Run a fresh interpreter that imports this checkout's piezoshunt."""
     src = str(Path(ps.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "piezoshunt.cli", "modes", "--out", str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_module_entry_point_runs_a_subcommand(tmp_path):
+    proc = _python_with_package("-m", "piezoshunt.cli", "modes", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "modes.csv").read_text().startswith("mode,betaL,")
+
+
+def test_package_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    proc = _python_with_package("-c", "import piezoshunt, piezoshunt.cli, sys; "
+                                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_modes_command_writes_csv(tmp_path):

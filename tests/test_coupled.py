@@ -137,6 +137,18 @@ def test_rescaled_rejects_non_finite_branch_values(basis5, patches5, r, l, value
         sys_.with_branch_values(r_b, l_b)
 
 
+def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
+    sys_ = ps.assemble(basis5, patches5, ps.build_multi_shunt(5, 100.0, 1e5))
+    for call in (lambda: sys_.with_branch_values([1.0, 2.0], 1e5),
+                 lambda: sys_.rescaled([1.0, 2.0], 1.0),
+                 lambda: sys_.a_matrix(np.ones(2), 1.0)):
+        with pytest.raises(ParameterError, match="scalar or a list of length 5"):
+            call()
+    # scalars and length-B lists pass, and agree
+    per_branch = sys_.rescaled(np.full(5, 100.0), [1e5] * 5)
+    assert np.array_equal(state_matrix(per_branch), state_matrix(sys_.rescaled(100.0, 1e5)))
+
+
 @pytest.mark.parametrize("r, l, fault", [(1.0, np.nan, "inductance, got nan"),
                                          (1.0, np.inf, "inductance, got inf"),
                                          (-5.0, 1.0, "resistance, got -5.0"),

@@ -34,6 +34,29 @@ def test_layout_parameter_errors(unit_beam):
         ps.uniform_layout(unit_beam, 5, cp=-1e-9)
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_INPUTS = {
+    "beam_length_nan": lambda beam: ps.BeamSpec(length=NAN, bending_stiffness=1.0, mass_per_length=1.0),
+    "beam_length_inf": lambda beam: ps.BeamSpec(length=INF, bending_stiffness=1.0, mass_per_length=1.0),
+    "beam_EI_nan": lambda beam: ps.BeamSpec(length=1.0, bending_stiffness=NAN, mass_per_length=1.0),
+    "beam_EI_inf": lambda beam: ps.BeamSpec(length=1.0, bending_stiffness=INF, mass_per_length=1.0),
+    "beam_rhoA_nan": lambda beam: ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=NAN),
+    "beam_rhoA_inf": lambda beam: ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=INF),
+    "patch_end_nan": lambda beam: ps.PatchArray(a=[0.1], b=[NAN], cp=1e-7, gamma=1e-4),
+    "patch_start_inf": lambda beam: ps.PatchArray(a=[-INF], b=[0.2], cp=1e-7, gamma=1e-4),
+    "layout_cp_nan": lambda beam: ps.uniform_layout(beam, 3, cp=NAN),
+    "layout_cp_inf": lambda beam: ps.uniform_layout(beam, 3, cp=INF),
+    "layout_gamma_nan": lambda beam: ps.uniform_layout(beam, 3, gamma=NAN),
+    "layout_gamma_inf": lambda beam: ps.uniform_layout(beam, 3, gamma=INF),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_INPUTS.values(), ids=list(NON_FINITE_INPUTS))
+def test_non_finite_beam_and_patch_inputs_rejected(unit_beam, build):
+    with pytest.raises(ParameterError, match="finite"):
+        build(unit_beam)
+
+
 def test_patch_array_rejects_overlap():
     with pytest.raises(ParameterError):
         ps.PatchArray(a=[0.0, 0.15], b=[0.2, 0.4], cp=1e-7, gamma=1e-4)

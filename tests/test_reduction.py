@@ -17,7 +17,7 @@ from piezoshunt.reduction import (
     validate_reduction,
 )
 
-from _oracles import match_spectra
+from _oracles import generalized_eigh, match_spectra
 
 
 def test_multi_shunt_uniform_electrical_modes():
@@ -44,6 +44,61 @@ def test_line_modes_match_path_laplacian_oracle():
     ems = electrical_modes(nm, np.full(5, cp))
     pattern = np.sort([2.0 - 2.0 * np.cos(j * np.pi / 5) for j in range(5)]) / cp
     assert np.allclose(ems.mu, pattern, atol=1e-9 * pattern.max())
+
+
+def _random_network(kind, rng):
+    """Netlist over n patches with log-uniform, unequal branch inductances."""
+    n = int(rng.integers(2, 7))
+    if kind == "random_graph":
+        nodes = [f"n{i}" for i in range(1, n + 1)]
+        ends = [(node, rng.choice([x for x in nodes + [ps.circuits.GROUND] if x != node]))
+                for node in nodes]
+        ends += [tuple(rng.choice(nodes, size=2, replace=False)) for _ in range(rng.integers(0, n))]
+        net = ps.Netlist(branches=[ps.circuits.Branch(f"b{j}", str(a), str(b), 1.0, 1.0)
+                                   for j, (a, b) in enumerate(ends)],
+                         piezo={i: f"n{i}" for i in range(1, n + 1)})
+    elif kind == "transmission_line_both_ends":
+        net = ps.build_transmission_line(n, 1.0, 1.0, termination="both_ends")
+    else:
+        net = getattr(ps, f"build_{kind}")(n, 1.0, 1.0)
+    branches = [dataclasses.replace(br, l=10.0 ** rng.uniform(-3, 3)) for br in net.branches]
+    return ps.network_matrices(ps.Netlist(branches=branches, piezo=net.piezo), n)
+
+
+def _random_spd(p, rng):
+    """Full symmetric positive-definite capacitance metric around 100 nF."""
+    g = rng.normal(size=(p, p))
+    return 100e-9 * (g @ g.T / p + np.diag(rng.uniform(0.5, 2.0, p)))
+
+
+@pytest.mark.parametrize("kind", ["single_shunt", "multi_shunt", "transmission_line",
+                                  "transmission_line_both_ends", "random_graph"])
+def test_electrical_modes_match_generalized_eigh_oracle(kind):
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        nm = _random_network(kind, rng)
+        cap = _random_spd(nm.n_nodes, rng)
+        ems = electrical_modes(nm, cap)
+        k_e = nm.b_inc @ np.diag(1.0 / nm.s_shape) @ nm.b_inc.T
+        mu_ref, shapes_ref = generalized_eigh(k_e, cap)
+        scale = np.max(np.abs(mu_ref))
+        assert np.max(np.abs(ems.mu - mu_ref)) <= 1e-12 * scale
+        pivot = shapes_ref[np.argmax(np.abs(shapes_ref), axis=0), np.arange(nm.n_nodes)]
+        shapes_ref *= np.sign(pivot)
+        for j in range(nm.n_nodes):
+            gap = np.min(np.abs(np.delete(mu_ref, j) - mu_ref[j]), initial=scale)
+            if gap > 1e-3 * scale:  # well separated: the shape is determined
+                ref = shapes_ref[:, j]
+                assert np.linalg.norm(ems.shapes[:, j] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cap", [[1e-7, 0.0], [1e-7, -1e-7], [1e-7, np.nan], [np.inf, 1e-7],
+                                 [[1e-7, 2e-7], [2e-7, 1e-7]], [[1e-7, np.nan], [np.nan, 1e-7]]],
+                         ids=["zero", "negative", "nan", "inf", "indefinite", "nan_coupling"])
+def test_electrical_modes_reject_bad_capacitance(cap):
+    nm = ps.network_matrices(ps.build_multi_shunt(2, 10.0, 1.0), 2)
+    with pytest.raises(ParameterError, match="positive definite"):
+        electrical_modes(nm, cap)
 
 
 def test_single_shunt_reduction_is_exact_m1(bench_m1):
