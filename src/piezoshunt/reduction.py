@@ -60,7 +60,8 @@ def electrical_modes(nm, cap):
     """Solve B s^-1 B^T u = mu C u for the network's voltage mode shapes.
 
     `cap` is the capacitance metric: a vector of node capacitances or a full
-    symmetric positive-definite matrix.  C = Lc Lc^T (Cholesky) turns it into
+    symmetric positive-definite matrix (symmetric to 1e-12 of its largest
+    entry).  C = Lc Lc^T (Cholesky) turns it into
     Lc^-1 K Lc^-T y = mu y with u = Lc^-T y (Golub & Van Loan, sec. 8.7).
     """
     cap = np.asarray(cap, dtype=float)
@@ -71,6 +72,9 @@ def electrical_modes(nm, cap):
         inv = np.linalg.inv(np.linalg.cholesky(c_mat))
     except np.linalg.LinAlgError as exc:
         raise ParameterError("node capacitances must be positive definite") from exc
+    # cholesky reads only the lower triangle
+    if np.max(np.abs(c_mat - c_mat.T)) > 1e-12 * np.max(np.abs(c_mat)):
+        raise ParameterError("capacitance matrix must be symmetric")
     k_e = nm.b_inc @ np.diag(1.0 / nm.s_shape) @ nm.b_inc.T
     try:
         mu, y = np.linalg.eigh(inv @ k_e @ inv.T)
@@ -110,6 +114,30 @@ class ReducedModel:
                          -w * w, -2.0 * z * w, al, 0.0,
                          0.0, -al, 0.0, -1.0,
                          0.0, 0.0, self.mu_star / lbar, -rbar / lbar]).reshape(4, 4)
+
+    def gain_sq(self, rbar, lbar, omega):
+        """|G(j omega)|^2 from the force input to the output at branch scales (rbar, lbar).
+
+        Closed form of the RL-shunt absorber (Thomas, Ducarne & Deu 2012):
+        with rho = rbar/lbar and eps = mu*/lbar,
+
+            G(s) = g_in g_out (s^2 + rho s + eps)
+                   / [(s^2 + 2 zm wm s + wm^2)(s^2 + rho s + eps) + alpha^2 s (s + rho)],
+
+        evaluated in real arithmetic in x = omega^2.  A sample at an exact
+        pole is not finite; no floating-point warning is raised for it.
+        """
+        if fault := branch_fault(rbar, lbar):
+            raise ParameterError(f"reduced-model branch {fault}")
+        w, al2 = self.omega_m, self.alpha * self.alpha
+        rho, eps, c2 = rbar / lbar, self.mu_star / lbar, 2.0 * self.zeta_m * w
+        x = omega * omega
+        e, m = eps - x, w * w - x
+        with np.errstate(all="ignore"):
+            re = m * e - (c2 * rho + al2) * x
+            im = omega * (m * rho + c2 * e + al2 * rho)
+            num = e * e + rho * rho * x
+            return (self.in_gain * self.out_gain) ** 2 * num / (re * re + im * im)
 
     @property
     def force_map(self):
@@ -313,18 +341,21 @@ def _band(omega_t):
     return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
 
-def _objective_value(objective, model, r, l, omega_t, band, maps=None):
+def _objective_value(objective, model, r, l, band=None, grid=None, maps=None):
     """Objective of a ReducedModel or CoupledSystem at scales (r, l); larger is better.
 
     "min-damping-ratio" is the smallest damping ratio inside `band` (None
-    for all poles); "hinf" is the negated largest |G| on `hinf_grid(omega_t)`.
+    for all poles); "hinf" is the negated largest |G| on `grid`, the
+    `hinf_grid` of the target frequency, and -inf when a sample is a pole.
     `maps` is the model's (force_map, output_map) when the caller built it.
     """
-    a = model.a_matrix(r, l)
     if objective == "min-damping-ratio":
-        return _min_damping(np.linalg.eigvals(a), band=band)
+        return _min_damping(np.linalg.eigvals(model.a_matrix(r, l)), band=band)
+    if isinstance(model, ReducedModel):
+        peak = model.gain_sq(r, l, grid).max()
+        return -float(np.sqrt(peak)) if np.isfinite(peak) else -np.inf
     b, c = maps or (model.force_map, model.output_map)
-    g, _ = _frf_values(a, b, c, hinf_grid(omega_t))  # poles are stored as inf
+    g, _ = _frf_values(model.a_matrix(r, l), b, c, grid)  # poles are stored as inf
     return -float(np.max(np.abs(g)))
 
 
@@ -355,11 +386,12 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
         omega_t, band, n = model.omega_m, None, 1
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")
-    # built once: the input and output maps do not depend on the branch values
-    maps = (model.force_map, model.output_map) if objective == "hinf" else None
+    # built once: the grid and the input/output maps do not depend on the branch values
+    grid, maps = ((hinf_grid(omega_t), (model.force_map, model.output_map))
+                  if objective == "hinf" else (None, None))
 
     def evaluate(r, l):
-        return _objective_value(objective, model, r, l, omega_t, band, maps)
+        return _objective_value(objective, model, r, l, band, grid, maps)
 
     if seed is None:
         rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
@@ -450,8 +482,9 @@ def validate_reduction(sys, rm, tr):
                      default=0.0)
 
     omega_t = rm.omega_m
-    reduced_objective = _objective_value(tr.kind, rm, r, l, omega_t, None)
-    full_objective = _objective_value(tr.kind, sys, r, l, omega_t, _band(omega_t))
+    grid = hinf_grid(omega_t) if tr.kind == "hinf" else None
+    reduced_objective = _objective_value(tr.kind, rm, r, l, grid=grid)
+    full_objective = _objective_value(tr.kind, sys, r, l, _band(omega_t), grid)
 
     retuned = tune(sys, tr.kind, target_mode=rm.target_mode, seed=(r, l))
     denom = max(abs(retuned.objective), 1e-300)

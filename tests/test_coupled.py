@@ -155,11 +155,14 @@ def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
                                          (np.nan, 1.0, "resistance, got nan")],
                          ids=["L_nan", "L_inf", "R_negative", "R_nan"])
 def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r, l, fault):
-    # the reduced and the complete model share one tuning interface and one branch rule
+    # the reduced and the complete model share one tuning interface and one branch
+    # rule, and the reduced model's closed-form gain admits what its matrix admits
     rm = ps.reduce(bench_m5, 1)
     for model in (rm, bench_m5):
         with pytest.raises(ParameterError, match=fault):
             model.a_matrix(r, l)
+    with pytest.raises(ParameterError, match=fault):
+        rm.gain_sq(r, l, np.ones(3))
     assert np.all(np.isfinite(rm.a_matrix(0.0, 1.0)))
     assert np.all(np.isfinite(bench_m5.a_matrix(0.0, 1.0)))
 

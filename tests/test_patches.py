@@ -26,6 +26,9 @@ def test_single_patch_spans_beam(unit_beam):
 def test_layout_parameter_errors(unit_beam):
     with pytest.raises(ParameterError):
         ps.uniform_layout(unit_beam, 0)
+    for count in (2.5, True):  # numpy would raise TypeError on these
+        with pytest.raises(ParameterError, match="integer"):
+            ps.uniform_layout(unit_beam, count)
     with pytest.raises(ParameterError):
         ps.uniform_layout(unit_beam, 5, coverage=0.0)
     with pytest.raises(ParameterError):

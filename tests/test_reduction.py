@@ -1,17 +1,25 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import piezoshunt as ps
-from piezoshunt.coupled import state_matrix
+from piezoshunt.coupled import _frf_values, state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (
+    BOUNDS_FACTORS_L,
+    BOUNDS_FACTORS_R,
+    ReducedModel,
     _band,
     _min_damping,
+    _objective_value,
     closed_form_seed,
     electrical_modes,
+    hinf_grid,
     reduce,
     tune,
     validate_reduction,
@@ -99,6 +107,15 @@ def test_electrical_modes_reject_bad_capacitance(cap):
     nm = ps.network_matrices(ps.build_multi_shunt(2, 10.0, 1.0), 2)
     with pytest.raises(ParameterError, match="positive definite"):
         electrical_modes(nm, cap)
+
+
+def test_electrical_modes_reject_asymmetric_capacitance():
+    # the Cholesky factor reads only the lower triangle, which here is diagonal
+    nm = ps.network_matrices(ps.build_multi_shunt(2, 10.0, 1.0), 2)
+    with pytest.raises(ParameterError, match="symmetric"):
+        electrical_modes(nm, [[1e-7, 5e-7], [0.0, 1e-7]])
+    ems = electrical_modes(nm, [[1e-7, 1e-20], [0.0, 1e-7]])  # within 1e-12 of max|C|
+    assert np.allclose(ems.mu, 1e7, rtol=1e-12)
 
 
 def test_single_shunt_reduction_is_exact_m1(bench_m1):
@@ -345,3 +362,104 @@ def test_infeasible_starts_are_not_converged(bench_m1, per_branch):
                  bounds=((2.0 * r0, 5.0 * r0), (2.0 * l0, 5.0 * l0)))
     assert not any(np.isfinite(s.objective) for s in boxed.starts)
     assert not boxed.converged
+
+
+# -- closed-form transfer function of the reduced model ----------------------
+
+TOPOLOGIES = [ps.build_single_shunt, ps.build_multi_shunt, ps.build_transmission_line]
+TOPOLOGY_IDS = ["single_shunt", "multi_shunt", "transmission_line"]
+
+
+def _frf_gain_sq(rm, r, l, omega):
+    """|G|^2 from the batched LAPACK kernel: the oracle of `ReducedModel.gain_sq`."""
+    g, _ = _frf_values(rm.a_matrix(r, l), rm.force_map, rm.output_map, omega)
+    return np.abs(g) ** 2
+
+
+def _log10_box(lo, hi):
+    """log10 of a seed factor in [lo, hi], with both ends drawn often."""
+    return st.one_of(st.sampled_from([np.log10(lo), np.log10(hi)]),
+                     st.floats(np.log10(lo), np.log10(hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_omega=st.floats(-1.0, 4.0), zeta_m=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
+       log_kappa=st.floats(-3.0, np.log10(0.5)), log_mu=st.floats(3.0, 9.0),
+       gains=st.tuples(st.floats(0.1, 3.0), st.floats(-3.0, -0.1)),
+       log_r=st.one_of(st.none(), _log10_box(*BOUNDS_FACTORS_R)),
+       log_l=_log10_box(*BOUNDS_FACTORS_L))
+def test_closed_form_gain_matches_frf_kernel(log_omega, zeta_m, log_kappa, log_mu, gains,
+                                             log_r, log_l):
+    omega_m, kappa = 10.0 ** log_omega, 10.0 ** log_kappa
+    rm = ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m, u_star=np.ones(1),
+                      mu_star=10.0 ** log_mu, alpha=kappa * omega_m, kappa=kappa,
+                      in_gain=gains[0], out_gain=gains[1])
+    r0, l0 = closed_form_seed(rm)
+    r = 0.0 if log_r is None else r0 * 10.0 ** log_r  # None draws a short circuit
+    l = l0 * 10.0 ** log_l
+    grid = hinf_grid(omega_m)
+    ref = _frf_gain_sq(rm, r, l, grid)
+    # both evaluations lose accuracy next to a pole in proportion to the log
+    # slope d ln|G|^2 / d ln(omega), which sets the bound there; elsewhere it is 1e-12
+    step = 1e-6
+    slope = np.abs(np.log(_frf_gain_sq(rm, r, l, grid * (1 + step))
+                          / _frf_gain_sq(rm, r, l, grid * (1 - step)))) / (2 * step)
+    assume(np.all(np.isfinite(ref)) and np.all(np.isfinite(slope)))
+    got = rm.gain_sq(r, l, grid)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, slope) * ref)
+
+
+def test_hinf_objective_is_minus_inf_on_a_pole_sample():
+    # undamped and shorted (R = 0): the denominator (wm^2 - x)(eps - x) - alpha^2 x
+    # vanishes exactly at x = 1 for wm = 3, eps = mu*/lbar = 9/8 and alpha = 1
+    rm = ReducedModel(target_mode=1, omega_m=3.0, zeta_m=0.0, u_star=np.ones(1),
+                      mu_star=1.125, alpha=1.0, kappa=1.0 / 3.0, in_gain=1.0, out_gain=1.0)
+    grid = np.array([0.5, 1.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gain_sq = rm.gain_sq(0.0, 1.0, grid)
+        objective = _objective_value("hinf", rm, 0.0, 1.0, grid=grid)
+    assert not np.isfinite(gain_sq[1]) and np.all(np.isfinite(gain_sq[[0, 2]]))
+    assert objective == -np.inf
+    _, pole = _frf_values(rm.a_matrix(0.0, 1.0), rm.force_map, rm.output_map, grid)
+    assert pole.tolist() == [False, True, False]
+
+
+def _undamped_reduction(build, basis5, patches5):
+    rm = reduce(ps.assemble(basis5, patches5, build(5, 100.0, 1e5)), 1)
+    assert rm.zeta_m == 0.0
+    return rm
+
+
+@pytest.mark.parametrize("build", TOPOLOGIES, ids=TOPOLOGY_IDS)
+def test_den_hartog_fixed_points(build, basis5, patches5):
+    # at zeta_m = 0 every resistance passes through the same two points of |G|,
+    # the roots of 2 (eps - x)(wm^2 - x) + alpha^2 (eps - 2x) = 0 in x = omega^2
+    rm = _undamped_reduction(build, basis5, patches5)
+    r0, l0 = closed_form_seed(rm)
+    eps, w2, a2 = rm.mu_star / l0, rm.omega_m**2, rm.alpha**2
+    s = eps + w2 + a2
+    root = np.sqrt(s * s - 2.0 * eps * (2.0 * w2 + a2))
+    x = np.array([(s - root) / 2.0, (s + root) / 2.0, s / 2.0])  # last: between them
+    gains = np.array([rm.gain_sq(r0 * f, l0, np.sqrt(x)) for f in 10.0 ** np.arange(-2.0, 2.5)])
+    np.testing.assert_allclose(gains[:, :2], np.broadcast_to(gains[0, :2], (5, 2)),
+                               rtol=1e-10, atol=0.0)
+    assert np.ptp(gains[:, 2]) > 0.1 * gains[0, 2]  # elsewhere |G| does depend on R
+
+
+@pytest.mark.parametrize("build", TOPOLOGIES, ids=TOPOLOGY_IDS)
+def test_pole_placement_optimum_is_the_coalescence_point(build, basis5, patches5):
+    # zeta_m = 0: eps = wm^2 (1 + kappa^2)^2 and rho = 2 kappa wm sqrt(1 + kappa^2)
+    # merge the two pole pairs at damping ratio kappa / 2 (Krenk 2005)
+    rm = _undamped_reduction(build, basis5, patches5)
+    kappa, w = rm.kappa, rm.omega_m
+    lbar = rm.mu_star / (w**2 * (1.0 + kappa**2) ** 2)
+    rbar = 2.0 * kappa * w * np.sqrt(1.0 + kappa**2) * lbar
+    values = np.linalg.eigvals(rm.a_matrix(rbar, lbar))
+    assert _min_damping(values, band=None) == pytest.approx(kappa / 2.0, rel=1e-6)
+    assert np.array_equal(np.sort_complex(values), np.sort_complex(np.conj(values)))
+
+    tr = tune(rm)
+    assert tr.r == pytest.approx(rbar, rel=5e-5)
+    assert tr.l == pytest.approx(lbar, rel=1e-7)
+    assert kappa / 2.0 * (1.0 - 5e-5) <= tr.objective <= kappa / 2.0 * (1.0 + 1e-7)
