@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, integer_fault
 
 #: Largest supported mode count.  The closed-form cosh/sinh mode shape loses
 #: accuracy rapidly for higher wavenumbers; low-frequency damping only needs
@@ -84,13 +84,8 @@ def solve_wavenumbers(m):
 
     Roots of 1 + cos(x)*cosh(x) = 0, read from the tabulated `_WAVENUMBERS`.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ParameterError(f"mode count must be an integer, got {m!r}")
-    if not 1 <= m <= MAX_MODES:
-        raise ParameterError(
-            f"mode count must lie in [1, {MAX_MODES}], got {m} "
-            "(the closed-form mode shape is inaccurate beyond this cap)"
-        )
+    if fault := integer_fault(m, 1, MAX_MODES):
+        raise ParameterError(f"mode count {fault}")
     return list(_WAVENUMBERS[:m])
 
 
@@ -184,8 +179,8 @@ def eval_mode(basis, k, x, order=0):
 
     `k` is 1-based; `x` may be a scalar or an array within [0, L].
     """
-    if not 1 <= k <= basis.m:
-        raise ParameterError(f"mode index must lie in [1, {basis.m}], got {k}")
+    if fault := integer_fault(k, 1, basis.m):
+        raise ParameterError(f"mode index {fault}")
     if order not in (0, 1):
         raise ParameterError(f"order must be 0 or 1, got {order}")
     xa = np.asarray(x, dtype=float)

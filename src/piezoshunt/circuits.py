@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NetlistError, ParameterError
+from .errors import NetlistError, ParameterError, integer_fault
 
 GROUND = "gnd"
 
@@ -121,8 +121,8 @@ def _validate_structure(branches, piezo):
 
 def build_single_shunt(n, r, lind):
     """All N piezos parallel on one bus node, shunted to ground by one RL branch."""
-    if n < 1:
-        raise ParameterError(f"need at least one patch, got {n}")
+    if fault := integer_fault(n, 1):
+        raise ParameterError(f"patch count {fault}")
     return Netlist(
         branches=(Branch("b1", "bus", GROUND, float(r), float(lind)),),
         piezo={i: "bus" for i in range(1, n + 1)},
@@ -131,8 +131,8 @@ def build_single_shunt(n, r, lind):
 
 def build_multi_shunt(n, r, lind):
     """One grounded RL branch per piezo; scalars broadcast over the N loops."""
-    if n < 1:
-        raise ParameterError(f"need at least one patch, got {n}")
+    if fault := integer_fault(n, 1):
+        raise ParameterError(f"patch count {fault}")
     for name, value in (("resistance", r), ("inductance", lind)):
         if np.shape(value) not in ((), (n,)):
             raise ParameterError(f"{name} must be a scalar or a list of length {n}, "
@@ -153,8 +153,8 @@ def build_transmission_line(n, r, lind, termination="none"):
     (R, L) are added at the first and last node; the default leaves the line
     floating, which carries an undamped uniform-voltage mode.
     """
-    if n < 2:
-        raise ParameterError(f"transmission line needs at least 2 patches, got {n}")
+    if fault := integer_fault(n, 2):
+        raise ParameterError(f"transmission line patch count {fault}")
     if termination not in ("none", "both_ends"):
         raise ParameterError(f"unknown termination {termination!r}")
     branches = [

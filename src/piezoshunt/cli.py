@@ -157,8 +157,7 @@ def _compare_row(cfg, topology):
     report = reduction.validate_reduction(sys_, rm, tr)
 
     tr_hinf = reduction.tune(rm, "hinf", target_mode=cfg.target_mode, bounds=cfg.bounds)
-    scaled = sys_.rescaled(tr_hinf.r, tr_hinf.l)
-    peak = float(np.max(coupled.frf(scaled, reduction.hinf_grid(rm.omega_m)).magnitude))
+    peak = -reduction.validate_reduction(sys_, rm, tr_hinf).full_objective
 
     warn = []
     if not tr.converged:

@@ -237,8 +237,8 @@ def _frf_point(mat, b, c):
 def frf(sys, omega):
     """Frequency response from the force input to the displacement output."""
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ParameterError("FRF grid must contain positive frequencies only")
+    if not np.all((0 < omega) & (omega < np.inf)):  # nan fails both
+        raise ParameterError("FRF grid must contain finite positive frequencies only")
     g, pole = _frf_values(state_matrix(sys), sys.force_map, sys.output_map, omega)
     return FRFTable(omega=omega, g=g, pole=pole)
 

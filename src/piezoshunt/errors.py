@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and argument checks shared across the package."""
+
+import numbers
 
 
 class ParameterError(ValueError):
@@ -29,3 +31,12 @@ class ConfigError(ParameterError):
         super().__init__(loc + message)
         self.section = section
         self.line_no = line_no
+
+
+def integer_fault(value, lo, hi=float("inf")):
+    """Why `value` is no integer in [lo, hi] (a bool is none), or None; see `branch_fault`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return f"must be an integer, got {value!r}"
+    if not lo <= value <= hi:
+        return f"must lie in [{lo}, {hi}], got {value}"
+    return None

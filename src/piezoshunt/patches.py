@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import eval_mode
-from .errors import ParameterError
+from .errors import ParameterError, integer_fault
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,8 @@ def uniform_layout(beam, n, coverage=0.9, cp=100e-9, gamma=1e-4):
     `coverage` is the total patch length divided by the beam length; 1 gives
     contiguous patches tiling [0, L].
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParameterError(f"patch count must be an integer, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"patch count must be at least 1, got {n}")
+    if fault := integer_fault(n, 1):
+        raise ParameterError(f"patch count {fault}")
     if not 0 < coverage <= 1:
         raise ParameterError(f"coverage must lie in (0, 1], got {coverage}")
     cell = beam.length / n

@@ -41,10 +41,10 @@ def integrate(sys, x0, forcing, dt, t_final):
     Raises ParameterError when dt exceeds the spectral bound and
     NumericalError (with the first bad sample index) on divergence.
     """
-    if t_final <= 0:
-        raise ParameterError(f"final time must be positive, got {t_final}")
-    if dt <= 0:
-        raise ParameterError(f"time step must be positive, got {dt}")
+    if not 0 < t_final < np.inf:  # chained: nan fails it too
+        raise ParameterError(f"final time must be finite and positive, got {t_final}")
+    if not 0 < dt < np.inf:
+        raise ParameterError(f"time step must be finite and positive, got {dt}")
     lam_max = max_eigen_magnitude(sys)
     if lam_max > 0:
         dt_max = DT_FRACTION * 2.0 * np.pi / lam_max

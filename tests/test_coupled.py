@@ -287,6 +287,13 @@ def test_frf_rejects_nonpositive_grid(bench_m5):
         frf(bench_m5, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_frf_rejects_non_finite_grid(bench_m5, bad):
+    # a non-finite sample is a bad input, not a pole
+    with pytest.raises(ParameterError, match="finite positive"):
+        frf(bench_m5, np.array([1.0, bad]))
+
+
 def _reduced_model(omega_m, zeta_m, alpha, mu_star):
     return ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m, u_star=np.ones(1),
                         mu_star=mu_star, alpha=alpha, kappa=alpha / omega_m,

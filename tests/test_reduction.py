@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import piezoshunt as ps
+from piezoshunt import reduction
 from piezoshunt.coupled import _frf_values, state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (
@@ -279,7 +280,34 @@ def test_validate_exact_for_single_mode(bench_m1):
     report = validate_reduction(bench_m1, rm, tr)
     assert report.pole_error < 1e-9
     assert report.full_objective == pytest.approx(report.reduced_objective, abs=1e-12)
-    assert 0.0 <= report.retune_gap < 1e-4  # optimizer re-polish only
+    retuned = tune(bench_m1, tr.kind, target_mode=rm.target_mode, seed=(tr.r, tr.l))
+    retune_gap = (retuned.objective - report.full_objective) / abs(retuned.objective)
+    assert 0.0 <= retune_gap < 1e-4  # optimizer re-polish only
+
+
+def test_validate_reduction_runs_no_optimizer(bench_m5, monkeypatch):
+    rm = ps.reduce(bench_m5, 1)
+    tr = tune(rm, "min-damping-ratio")
+    expected = validate_reduction(bench_m5, rm, tr)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_reduction ran an optimizer")
+
+    monkeypatch.setattr(reduction, "tune", refuse)
+    monkeypatch.setattr(reduction, "_nelder_mead", refuse)
+    report = validate_reduction(bench_m5, rm, tr)
+    assert report.pole_error == expected.pole_error
+    assert report.full_objective == expected.full_objective
+
+
+def test_validate_rejects_per_branch_result(unit_beam):
+    # the geometric-mean scales tr.r, tr.l are not the tuned branch values
+    basis = ps.modal_basis(unit_beam, 2)
+    arr = ps.uniform_layout(unit_beam, 2, coverage=0.9, cp=100e-9, gamma=2e-4)
+    sys_ = ps.assemble(basis, arr, ps.build_multi_shunt(2, 100.0, 1e5))
+    tr = tune(sys_, "min-damping-ratio", per_branch=True)
+    with pytest.raises(ParameterError, match="per-branch"):
+        validate_reduction(sys_, ps.reduce(sys_, 1), tr)
 
 
 def test_validate_reports_low_mode_table(basis5, patches5):
@@ -325,6 +353,28 @@ def test_per_branch_scales_share_units_with_uniform_tuning(unit_beam):
 def test_tune_rejects_target_mode_out_of_range(bench_m1, target_mode, seed):
     with pytest.raises(ParameterError, match="target mode"):
         tune(bench_m1, target_mode=target_mode, seed=seed)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda sys_: reduce(sys_, 1.5), "target mode must be an integer"),
+    (lambda sys_: reduce(sys_, 2.0), "target mode must be an integer"),
+    (lambda sys_: reduce(sys_, True), "target mode must be an integer"),
+    (lambda sys_: tune(sys_, target_mode=1.5), "target mode must be an integer"),
+    (lambda sys_: ps.eval_mode(sys_.basis, 1.5, 0.5), "mode index must be an integer"),
+    (lambda sys_: ps.eval_mode(sys_.basis, 2, 0.5), "mode index must lie in"),
+    (lambda sys_: ps.solve_wavenumbers(2.5), "mode count must be an integer"),
+    (lambda sys_: ps.uniform_layout(sys_.basis.beam, 2.5), "patch count must be an integer"),
+    (lambda sys_: ps.build_single_shunt(2.5, 1.0, 0.1), "patch count must be an integer"),
+    (lambda sys_: ps.build_single_shunt(True, 1.0, 0.1), "patch count must be an integer"),
+    (lambda sys_: ps.build_multi_shunt(2.5, 1.0, 0.1), "patch count must be an integer"),
+    (lambda sys_: ps.build_transmission_line(2.5, 1.0, 0.1), "patch count must be an integer"),
+    (lambda sys_: ps.build_transmission_line(1, 1.0, 0.1), "patch count must lie in"),
+], ids=["reduce-1.5", "reduce-2.0", "reduce-bool", "tune-1.5", "eval_mode-1.5",
+        "eval_mode-range", "wavenumbers-2.5", "layout-2.5", "single-2.5", "single-bool",
+        "multi-2.5", "line-2.5", "line-range"])
+def test_counts_and_mode_indices_are_integers_in_range(bench_m1, call, match):
+    with pytest.raises(ParameterError, match=match):
+        call(bench_m1)
 
 
 def test_unknown_objective_rejected(bench_m1):

@@ -39,6 +39,15 @@ def test_time_step_precondition_cites_bound(lossless_m1):
         integrate(lossless_m1, np.zeros(4), None, _period(lossless_m1), 2.0)
 
 
+@pytest.mark.parametrize("dt, t_final, name", [
+    (np.nan, 2.0, "time step"), (np.inf, 2.0, "time step"), (0.0, 2.0, "time step"),
+    (0.01, np.nan, "final time"), (0.01, np.inf, "final time"), (0.01, -1.0, "final time"),
+])
+def test_time_inputs_must_be_finite_and_positive(lossless_m1, dt, t_final, name):
+    with pytest.raises(ParameterError, match=f"{name} must be finite and positive"):
+        integrate(lossless_m1, np.zeros(4), None, dt, t_final)
+
+
 def test_divergence_reports_first_bad_sample(lossless_m1):
     dt = _period(lossless_m1) / 200
     with pytest.raises(NumericalError, match="sample"):
