@@ -359,15 +359,16 @@ def _objective_value(objective, model, r, l, band=None, grid=None, maps=None):
     return -float(np.max(np.abs(g)))
 
 
-def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
+def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
          bounds=None, per_branch=False):
     """Optimize branch scales (rbar, lbar) by multi-start simplex descent in log space.
 
     `model` is a ReducedModel or a CoupledSystem (for the latter the target
-    mode fixes the evaluation band and the seed comes from its own
-    reduction).  The nine starts are the closed-form seed scaled by the 3x3
-    factor grid {1/10, 1, 10}^2; the best final objective wins, ties broken
-    by lexicographic (rbar, lbar).
+    mode, 1 by default, fixes the evaluation band and the seed comes from its
+    own reduction).  A ReducedModel fixes its own mode: a `target_mode` given
+    with one must equal `model.target_mode`.  The nine starts are the
+    closed-form seed scaled by the 3x3 factor grid {1/10, 1, 10}^2; the best
+    final objective wins, ties broken by lexicographic (rbar, lbar).
 
     With `per_branch` each branch b of a CoupledSystem gets its own scales,
     R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
@@ -377,12 +378,19 @@ def tune(model, objective="min-damping-ratio", *, target_mode=1, seed=None,
     if objective not in ("min-damping-ratio", "hinf"):
         raise ParameterError(f"unknown objective {objective!r}")
     if isinstance(model, CoupledSystem):
+        target_mode = 1 if target_mode is None else target_mode
         omega_t = _target_omega(model, target_mode)
         band = _band(omega_t)
         n = model.nm.n_branches if per_branch else 1
     elif per_branch:
         raise ParameterError("per-branch tuning needs the full coupled system")
     elif isinstance(model, ReducedModel):
+        if target_mode is not None:
+            fault = integer_fault(target_mode, 1)
+            if fault is None and target_mode != model.target_mode:
+                fault = f"must be the reduced model's mode {model.target_mode}, got {target_mode}"
+            if fault:
+                raise ParameterError(f"target mode {fault}")
         omega_t, band, n = model.omega_m, None, 1
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")

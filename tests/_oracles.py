@@ -9,6 +9,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from piezoshunt.coupled import state_matrix
+
 
 def characteristic_residual(x):
     """Scaled clamped-free characteristic function cos(x) + sech(x).
@@ -100,6 +102,38 @@ def frf_pointwise(a, b, c, omega):
             val = complex(np.inf, 0.0)
         g[idx] = val
     return g, pole
+
+
+def rk4_stepwise(sys, x0, forcing, dt, t_final):
+    """(times, states) of classical RK4 over x' = A x + b u(t), one step at a time.
+
+    The per-step loop `timesim.integrate` ran before free runs were block
+    propagated; `forcing` is a callable t -> force or None.  A comes from the
+    package's `state_matrix`; no input or step-bound checks are made.
+    """
+    a = state_matrix(sys)
+    b = sys.force_map
+    if forcing is None:
+        def rhs(t, y):
+            return a @ y
+    else:
+        def rhs(t, y):
+            return a @ y + b * forcing(t)
+
+    n_steps = int(np.ceil(t_final / dt - 1e-12))
+    x = np.asarray(x0, dtype=float).copy()
+    states = np.empty((n_steps + 1, x.size))
+    states[0] = x
+    t = 0.0
+    for m in range(1, n_steps + 1):
+        k1 = rhs(t, x)
+        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[m] = x
+        t = m * dt
+    return dt * np.arange(n_steps + 1), states
 
 
 def energy_pointwise(sys, states):

@@ -355,6 +355,15 @@ def test_tune_rejects_target_mode_out_of_range(bench_m1, target_mode, seed):
         tune(bench_m1, target_mode=target_mode, seed=seed)
 
 
+def test_tune_reduced_accepts_only_its_own_target_mode(bench_m5):
+    rm = reduce(bench_m5, 1)
+    for target_mode, match in [(7.5, "must be an integer"), (0, "must lie in"),
+                               (2, "must be the reduced model's mode 1")]:
+        with pytest.raises(ParameterError, match=f"target mode {match}"):
+            tune(rm, target_mode=target_mode)
+    assert tune(rm, target_mode=1) == tune(rm)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda sys_: reduce(sys_, 1.5), "target mode must be an integer"),
     (lambda sys_: reduce(sys_, 2.0), "target mode must be an integer"),

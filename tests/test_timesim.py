@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import piezoshunt as ps
+from piezoshunt import cli
+from piezoshunt.config import load_config
 from piezoshunt.coupled import eigen, state_matrix
 from piezoshunt.errors import NumericalError, ParameterError
 from piezoshunt.timesim import (
@@ -13,7 +17,9 @@ from piezoshunt.timesim import (
     max_eigen_magnitude,
 )
 
-from _oracles import energy_pointwise
+from _oracles import energy_pointwise, rk4_stepwise
+
+TOPOLOGIES = [ps.build_single_shunt, ps.build_multi_shunt, ps.build_transmission_line]
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +58,64 @@ def test_divergence_reports_first_bad_sample(lossless_m1):
     dt = _period(lossless_m1) / 200
     with pytest.raises(NumericalError, match="sample"):
         integrate(lossless_m1, np.zeros(4), lambda t: 1e305, dt, 50 * dt)
+
+
+def test_free_divergence_past_first_block_reports_its_sample(lossless_m1):
+    # the state is finite until its oscillation carries a component past the
+    # float range, after the first 64-sample block
+    period = _period(lossless_m1)
+    dt = period / 200
+    x0 = np.array([1e305, 0.0, 0.0, 0.0])
+    with pytest.raises(NumericalError) as info:
+        integrate(lossless_m1, x0, None, dt, 40 * period)
+    k = int(re.search(r"sample (\d+) ", str(info.value)).group(1))
+    assert k > 64
+    assert f"state diverged at sample {k} (t = {k * dt:.6e})" == str(info.value)
+    traj = integrate(lossless_m1, x0, None, dt, (k - 1) * dt)
+    assert traj.n_samples == k
+    assert np.all(np.isfinite(traj.states))
+
+
+def _random_run(build, basis5, patches5, steps):
+    sys_ = ps.assemble(basis5, patches5, build(5, 30.0, 0.5)).rescaled(2e4, 3e5)
+    x0 = np.random.default_rng(7).standard_normal(sys_.n_states)
+    dt = 0.5 * 0.05 * 2 * np.pi / max_eigen_magnitude(sys_)
+    return sys_, x0, dt, steps * dt
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("build", TOPOLOGIES)
+def test_free_run_matches_stepwise_rk4(build, basis5, patches5, steps):
+    sys_, x0, dt, t_final = _random_run(build, basis5, patches5, steps)
+    traj = integrate(sys_, x0, None, dt, t_final)
+    times, states = rk4_stepwise(sys_, x0, None, dt, t_final)
+    np.testing.assert_array_equal(traj.times, times)
+    assert traj.states.shape == (steps + 1, sys_.n_states)
+    assert np.max(np.abs(traj.states - states)) <= 1e-13 * np.max(np.abs(states))
+
+
+@pytest.mark.parametrize("initial", ["tip_displacement", "tip_impulse"])
+def test_default_simulate_run_matches_stepwise_rk4(initial):
+    # the CLI's `simulate` run with dt and T on auto (28 426 steps)
+    sys_ = cli._build_system(load_config(""))
+    x0 = cli._initial_state(sys_, initial)
+    dt = 0.8 * 0.05 * 2 * np.pi / max_eigen_magnitude(sys_)
+    t_final = 20 * _period(sys_)
+    traj = integrate(sys_, x0, None, dt, t_final)
+    _, states = rk4_stepwise(sys_, x0, None, dt, t_final)
+    assert traj.states.shape == states.shape
+    scale = np.max(np.abs(states), axis=0)
+    assert np.all(np.abs(traj.states - states) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("build", TOPOLOGIES)
+def test_forced_run_is_stepwise_rk4_bit_for_bit(build, basis5, patches5):
+    sys_, x0, dt, t_final = _random_run(build, basis5, patches5, 200)
+    forcing = lambda t: np.sin(40.0 * t)
+    traj = integrate(sys_, x0, forcing, dt, t_final)
+    times, states = rk4_stepwise(sys_, x0, forcing, dt, t_final)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.states, states)
 
 
 def test_lossless_energy_drift(lossless_m1):
@@ -121,8 +185,7 @@ def test_energy_never_increases_with_damping(bench_m5):
     assert np.all(np.diff(h) <= tol)
 
 
-@pytest.mark.parametrize("build", [ps.build_single_shunt, ps.build_multi_shunt,
-                                   ps.build_transmission_line])
+@pytest.mark.parametrize("build", TOPOLOGIES)
 def test_energy_history_equals_pointwise_sums(build, basis5, patches5):
     sys_ = ps.assemble(basis5, patches5, build(5, 30.0, 0.5)).rescaled(2e4, 3e5)
     rng = np.random.default_rng(3)
