@@ -22,11 +22,26 @@ def _fmt(value):
     return f"{value:.9g}"
 
 
+def _cell_format(kind):
+    """%-format of a cell of type `kind` that renders it as `_fmt` does."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):  # bool too, as str(int(value))
+        return "%d"
+    return "%.9g"  # a numpy float scalar formats as float(x), as `f"{x:.9g}"` does
+
+
 def _write_csv(path, header, rows):
+    """Write `rows` under `header`, each row with one %-format built per cell-type tuple."""
+    formats = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
+            fh.write(formats[kinds] % row)
 
 
 def _build_netlist(cfg):

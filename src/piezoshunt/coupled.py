@@ -77,20 +77,33 @@ class CoupledSystem:
 
     def rescaled(self, rbar, lbar):
         """Copy with R_b = rbar*s_shape, L_b = lbar*s_shape; scalar or per-branch scales."""
-        return self.with_branch_values(self._per_branch(rbar, "resistance") * self.s_shape,
-                                       self._per_branch(lbar, "inductance") * self.s_shape)
+        r_b, l_b = self._scaled_branches(rbar, lbar)
+        return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
 
     def a_matrix(self, rbar, lbar):
-        """State matrix at branch scales (rbar, lbar), as `ReducedModel.a_matrix`."""
-        return state_matrix(self.rescaled(rbar, lbar))
+        """New state matrix at branch scales (rbar, lbar), as `ReducedModel.a_matrix`."""
+        return self._rewrite_a_matrix(state_matrix(self), rbar, lbar)
+
+    def _rewrite_a_matrix(self, a, rbar, lbar):
+        """Make `a`, a state matrix of this system, the one at branch scales (rbar, lbar).
+
+        Only the branch rows are written, in place, so `a` is returned equal bit
+        for bit to `state_matrix(self.rescaled(rbar, lbar))`.
+        """
+        _write_branch_rows(a, self.nm.b_inc, *self._scaled_branches(rbar, lbar))
+        return a
 
     def with_branch_values(self, r_b, l_b):
         """Copy of the system with per-branch (R, L) vectors; a scalar is shared by all."""
-        r_b, l_b = self._per_branch(r_b, "resistance"), self._per_branch(l_b, "inductance")
-        # each rule is an interval, and min/max propagate nan: no per-branch loop
-        if fault := branch_fault(r_b.min(), l_b.min()) or branch_fault(r_b.max(), l_b.max()):
-            raise ParameterError(f"branch rescaling: each branch {fault}")
+        r_b, l_b = _admitted(self._per_branch(r_b, "resistance"),
+                             self._per_branch(l_b, "inductance"))
         return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
+
+    def _scaled_branches(self, rbar, lbar):
+        """Admitted (R_b, L_b) = (rbar, lbar) * s_shape for scalar or per-branch scales."""
+        s_shape = self.s_shape
+        return _admitted(self._per_branch(rbar, "resistance") * s_shape,
+                         self._per_branch(lbar, "inductance") * s_shape)
 
     def _per_branch(self, values, name):
         """`values` as a new float vector over the B branches: a scalar or length B."""
@@ -99,6 +112,14 @@ class CoupledSystem:
             raise ParameterError(f"{name} must be a scalar or a list of length {n}, "
                                  f"got shape {values.shape}")
         return np.full(n, values)  # a third of the cost of broadcast_to(...).copy()
+
+
+def _admitted(r_b, l_b):
+    """(r_b, l_b) unchanged, or ParameterError unless every branch passes `branch_fault`."""
+    # each rule is an interval, and min/max propagate nan: no per-branch loop
+    if fault := branch_fault(r_b.min(), l_b.min()) or branch_fault(r_b.max(), l_b.max()):
+        raise ParameterError(f"branch rescaling: each branch {fault}")
+    return r_b, l_b
 
 
 def assemble(basis, patches, net):
@@ -134,9 +155,20 @@ def state_matrix(sys):
     a[sl_vel, sl_v] = sys.theta_tilde
     a[sl_v, sl_vel] = -sys.theta_tilde.T / sys.cap[:, None]
     a[sl_v, sl_i] = -sys.nm.b_inc / sys.cap[:, None]
-    a[sl_i, sl_v] = sys.nm.b_inc.T / sys.nm.l_b[:, None]
-    a[sl_i, sl_i] = -np.diag(sys.nm.r_b / sys.nm.l_b)
+    _write_branch_rows(a, sys.nm.b_inc, sys.nm.r_b, sys.nm.l_b)
     return a
+
+
+def _write_branch_rows(a, b_inc, r_b, l_b):
+    """Write the rows L_b i' = B_inc^T v - R_b i of the state matrix `a` in place.
+
+    Every entry of those rows is written, the off-diagonal zeros of the
+    current block as -0.0, so no earlier branch value survives a rewrite.
+    """
+    p, bn = b_inc.shape
+    i0 = a.shape[0] - bn
+    a[i0:, i0 - p:i0] = b_inc.T / l_b[:, None]
+    a[i0:, i0:] = -np.diag(r_b / l_b)
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,14 @@ placement) or the negated FRF peak (hinf), via multi-start Nelder-Mead in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .beam import eval_mode
 from .circuits import branch_fault
 from .coupled import ZERO_MODE_RTOL, CoupledSystem, _frf_values, eigen
-from .coupled import state_matrix  # noqa: F401  bench/tests/test_bench.py patches it here
+from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
 
 #: Default tuning band around the target mode for the pole-placement objective.
@@ -261,34 +262,32 @@ class TuningResult:
 def _nelder_mead(f, z0):
     """Minimize f over R^d with a plain Nelder-Mead simplex.
 
-    Converges when the simplex diameter drops below NM_REL_TOL relative to the
-    vertex magnitude, or after NM_MAX_ITER iterations.  Returns
-    (z_best, f_best, iterations, converged).
+    The simplex is one (d+1, d) array, its vertex values one array, kept
+    sorted best first.  Converges when the simplex diameter drops below
+    NM_REL_TOL relative to the vertex magnitude, or after NM_MAX_ITER
+    iterations.  Returns (z_best, f_best, iterations, converged).
     """
+    z0 = np.asarray(z0, dtype=float)
     d = len(z0)
-    simplex = [np.asarray(z0, dtype=float)]
-    for j in range(d):
-        vertex = simplex[0].copy()
-        vertex[j] += NM_STEP
-        simplex.append(vertex)
-    values = [f(v) for v in simplex]
+    simplex = np.tile(z0, (d + 1, 1))
+    simplex[np.arange(1, d + 1), np.arange(d)] += NM_STEP
+    values = np.array([f(v) for v in simplex])
 
     iterations = 0
     converged = False
     while iterations < NM_MAX_ITER:
         order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
+        simplex, values = simplex[order], values[order]
 
-        diameter = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        scale = 1.0 + max(np.max(np.abs(v)) for v in simplex)
+        diameter = np.abs(simplex[1:] - simplex[0]).max()
+        scale = 1.0 + np.abs(simplex).max()
         if diameter < NM_REL_TOL * scale:
             converged = True
             break
 
         iterations += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]  # read before the last row is replaced
 
         reflected = centroid + (centroid - worst)
         f_r = f(reflected)
@@ -307,27 +306,26 @@ def _nelder_mead(f, z0):
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:
-                for j in range(1, d + 1):
-                    simplex[j] = simplex[0] + 0.5 * (simplex[j] - simplex[0])
-                    values[j] = f(simplex[j])
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = [f(v) for v in simplex[1:]]
 
     best = int(np.argmin(values))
-    return simplex[best], values[best], iterations, converged
+    return simplex[best].copy(), float(values[best]), iterations, converged
 
 
 def _min_damping(values, band):
     """Smallest damping ratio over non-zero eigenvalues inside the band."""
-    scale = np.max(np.abs(values))
+    freq = np.abs(values)
+    scale = freq.max()
     if scale == 0:
         return -np.inf
-    freq = np.abs(values)
     keep = freq >= ZERO_MODE_RTOL * scale
     if band is not None:
         keep &= (freq >= band[0]) & (freq <= band[1])
     keep &= values.imag >= -1e-12 * scale  # one representative per pair
-    if not np.any(keep):
+    if not keep.any():
         return -np.inf
-    return float(np.min(-values[keep].real / freq[keep]))
+    return float((-values[keep].real / freq[keep]).min())
 
 
 def hinf_grid(omega_t):
@@ -341,21 +339,23 @@ def _band(omega_t):
     return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
 
-def _objective_value(objective, model, r, l, band=None, grid=None, maps=None):
+def _objective_value(objective, model, r, l, band=None, grid=None, maps=None, a_matrix=None):
     """Objective of a ReducedModel or CoupledSystem at scales (r, l); larger is better.
 
     "min-damping-ratio" is the smallest damping ratio inside `band` (None
     for all poles); "hinf" is the negated largest |G| on `grid`, the
     `hinf_grid` of the target frequency, and -inf when a sample is a pole.
-    `maps` is the model's (force_map, output_map) when the caller built it.
+    `maps` is the model's (force_map, output_map) when the caller built it,
+    and `a_matrix` its (r, l) -> state matrix, `model.a_matrix` by default.
     """
+    a_matrix = a_matrix or model.a_matrix
     if objective == "min-damping-ratio":
-        return _min_damping(np.linalg.eigvals(model.a_matrix(r, l)), band=band)
+        return _min_damping(np.linalg.eigvals(a_matrix(r, l)), band=band)
     if isinstance(model, ReducedModel):
         peak = model.gain_sq(r, l, grid).max()
         return -float(np.sqrt(peak)) if np.isfinite(peak) else -np.inf
     b, c = maps or (model.force_map, model.output_map)
-    g, _ = _frf_values(model.a_matrix(r, l), b, c, grid)  # poles are stored as inf
+    g, _ = _frf_values(a_matrix(r, l), b, c, grid)  # poles are stored as inf
     return -float(np.max(np.abs(g)))
 
 
@@ -397,9 +397,13 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     # built once: the grid and the input/output maps do not depend on the branch values
     grid, maps = ((hinf_grid(omega_t), (model.force_map, model.output_map))
                   if objective == "hinf" else (None, None))
+    # the state-matrix source: one complete-model matrix whose branch rows each
+    # evaluation rewrites, bit for bit what a fresh `model.a_matrix` would build
+    a_matrix = (partial(model._rewrite_a_matrix, state_matrix(model))
+                if isinstance(model, CoupledSystem) else model.a_matrix)
 
     def evaluate(r, l):
-        return _objective_value(objective, model, r, l, band, grid, maps)
+        return _objective_value(objective, model, r, l, band, grid, maps, a_matrix)
 
     if seed is None:
         rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
@@ -430,7 +434,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     hi = np.repeat(np.log10([r_hi, l_hi]), n)
 
     def cost(z):
-        if np.any(z < lo) or np.any(z > hi):
+        if ((z < lo) | (z > hi)).any():
             return np.inf
         value = evaluate(*decode(z))
         return -value if np.isfinite(value) else np.inf

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from piezoshunt.coupled import state_matrix
+from piezoshunt.reduction import NM_MAX_ITER, NM_REL_TOL, NM_STEP
 
 
 def characteristic_residual(x):
@@ -172,3 +173,65 @@ def tags_pointwise(sys, values, vectors, zero_rtol=1e-9):
         elec = 0.5 * (np.sum(sys.cap * np.abs(v) ** 2) + np.sum(sys.nm.l_b * np.abs(cur) ** 2))
         tags.append("mechanical" if mech > elec else "electrical")
     return tuple(tags)
+
+
+def nelder_mead_lists(f, z0, steps=None):
+    """Nelder-Mead with the simplex as a Python list of vertex arrays.
+
+    The list-based loop `reduction._nelder_mead` ran before its simplex became
+    one array; same steps, constants and return value (z, f, iterations,
+    converged).  A `steps` list, when given, receives the name of the step
+    each iteration takes: "expand", "reflect", "contract" or "shrink".
+    """
+    steps = [] if steps is None else steps
+    d = len(z0)
+    simplex = [np.asarray(z0, dtype=float)]
+    for j in range(d):
+        vertex = simplex[0].copy()
+        vertex[j] += NM_STEP
+        simplex.append(vertex)
+    values = [f(v) for v in simplex]
+
+    iterations = 0
+    converged = False
+    while iterations < NM_MAX_ITER:
+        order = np.argsort(values)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+
+        diameter = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
+        scale = 1.0 + max(np.max(np.abs(v)) for v in simplex)
+        if diameter < NM_REL_TOL * scale:
+            converged = True
+            break
+
+        iterations += 1
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+
+        reflected = centroid + (centroid - worst)
+        f_r = f(reflected)
+        if f_r < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_e = f(expanded)
+            if f_e < f_r:
+                simplex[-1], values[-1] = expanded, f_e
+            else:
+                simplex[-1], values[-1] = reflected, f_r
+            steps.append("expand" if f_e < f_r else "reflect")
+        elif f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+            steps.append("reflect")
+        else:
+            contracted = centroid + 0.5 * (worst - centroid)
+            f_c = f(contracted)
+            steps.append("contract" if f_c < values[-1] else "shrink")
+            if f_c < values[-1]:
+                simplex[-1], values[-1] = contracted, f_c
+            else:
+                for j in range(1, d + 1):
+                    simplex[j] = simplex[0] + 0.5 * (simplex[j] - simplex[0])
+                    values[j] = f(simplex[j])
+
+    best = int(np.argmin(values))
+    return simplex[best], values[best], iterations, converged

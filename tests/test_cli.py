@@ -265,3 +265,22 @@ def test_simulate_computes_energy_history_once(tmp_path, monkeypatch):
     cfg.write_text("[simulate]\nT = 5\n")
     assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_csv_writer_matches_the_per_value_join(tmp_path):
+    from piezoshunt import cli
+
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300, 123456789.5, -2.5e-7]
+    rng = np.random.default_rng(7)
+    floats = [*specials, *rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)]
+    rows = [(x, np.float64(-x), x) for x in floats]
+    rows += [(3, np.int64(-4), True), (False, np.int64(0), 2**70)]
+    rows += [(1.5, "mechanical", np.int64(7)), ("a,b", np.float64(-0.0), "zero")]
+    rows += [[np.float64(x), 9, "tag"] for x in specials]  # lists, mixed columns
+    rows += [(np.float32(0.1), np.float32(-0.0), "float32")]  # another numpy float scalar
+
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["a", "b", "c"], rows)
+    expected = "a,b,c\n" + "".join(
+        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n" for row in rows)
+    assert path.read_text() == expected

@@ -366,3 +366,75 @@ def test_frf_kernel_flags_only_the_exact_pole_of_a_chunk():
     np.testing.assert_array_equal(pole, pole_ref)
     assert g[70] == np.inf and np.all(np.isfinite(g[~pole]))
     np.testing.assert_allclose(g[~pole], g_ref[~pole], rtol=1e-12, atol=0.0)
+
+
+UNEQUAL_NETLIST = """
+piezo 1 n1
+piezo 2 n2
+piezo 3 n3
+branch b1 n1 gnd R=100 L=1
+branch b2 n2 n1 R=50 L=2.5
+branch b3 n3 gnd R=80 L=0.7
+"""
+
+
+def _branch_systems(unit_beam):
+    basis = ps.modal_basis(unit_beam, 3)
+    patches = ps.uniform_layout(unit_beam, 3, coverage=0.9, cp=100e-9, gamma=1e-4)
+    nets = {
+        "single_shunt": ps.build_single_shunt(3, 120.0, 1.5e5),
+        "multi_shunt": ps.build_multi_shunt(3, 120.0, 1.5e5),
+        "transmission_line": ps.build_transmission_line(3, 120.0, 1.5e5),
+        "transmission_line_both_ends": ps.build_transmission_line(3, 120.0, 1.5e5, "both_ends"),
+        "parsed_unequal": ps.parse_netlist(UNEQUAL_NETLIST),
+    }
+    return {name: ps.assemble(basis, patches, net) for name, net in nets.items()}
+
+
+def _assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 too
+
+
+def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):
+    rng = np.random.default_rng(11)
+    systems = _branch_systems(unit_beam)
+    assert not np.all(systems["parsed_unequal"].s_shape == 1.0)
+    for name, sys_ in systems.items():
+        a = state_matrix(sys_)
+        b = sys_.nm.n_branches
+        scales = [(100.0, 2e5), (0.0, 1.0), (np.float64(3.5e3), 7e4),
+                  (10.0 ** rng.uniform(1, 4, b), 10.0 ** rng.uniform(3, 6, b)),
+                  (10.0 ** rng.uniform(1, 4, b), 5e4), (100.0, 2e5)]
+        for r, l in scales:  # one buffer throughout: no earlier value survives
+            got = sys_._rewrite_a_matrix(a, r, l)
+            assert got is a, name
+            nm = sys_.rescaled(r, l).nm
+            _assert_bitwise_equal(got, state_matrix(sys_.rescaled(r, l)))
+            # both blocks as their defining formulas write them, zeros as -0.0
+            p = nm.b_inc.shape[0]
+            _assert_bitwise_equal(got[-b:, -b - p:-b], nm.b_inc.T / nm.l_b[:, None])
+            _assert_bitwise_equal(got[-b:, -b:], -np.diag(nm.r_b / nm.l_b))
+            _assert_bitwise_equal(sys_.a_matrix(r, l), got)
+
+
+@pytest.mark.parametrize("r, l", [(np.nan, 1e5), (-1.0, 1e5), (np.inf, 1e5),
+                                  (100.0, np.nan), (100.0, -1.0), (100.0, np.inf)])
+def test_rewritten_branch_rows_admit_what_rescaled_admits(unit_beam, r, l):
+    sys_ = _branch_systems(unit_beam)["parsed_unequal"]
+    a = state_matrix(sys_)
+    for r_b, l_b in ((r, l), (np.array([100.0, r, 100.0]), np.array([1e5, l, 1e5]))):
+        with pytest.raises(ParameterError) as want:
+            sys_.rescaled(r_b, l_b)
+        with pytest.raises(ParameterError) as got:
+            sys_._rewrite_a_matrix(a, r_b, l_b)
+        assert str(got.value) == str(want.value)
+        assert str(want.value).startswith("branch rescaling: each branch ")
+
+
+def test_a_matrix_returns_a_new_array_each_call(bench_m5):
+    first = bench_m5.a_matrix(100.0, 1e5)
+    second = bench_m5.a_matrix(100.0, 1e5)
+    assert first is not second and not np.shares_memory(first, second)
+    first[:] = 0.0
+    np.testing.assert_array_equal(bench_m5.a_matrix(100.0, 1e5), second)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import piezoshunt as ps
-from piezoshunt import reduction
+from piezoshunt import coupled, reduction
 from piezoshunt.coupled import _frf_values, state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (
@@ -26,7 +26,7 @@ from piezoshunt.reduction import (
     validate_reduction,
 )
 
-from _oracles import generalized_eigh, match_spectra
+from _oracles import generalized_eigh, match_spectra, nelder_mead_lists
 
 
 def test_multi_shunt_uniform_electrical_modes():
@@ -522,3 +522,86 @@ def test_pole_placement_optimum_is_the_coalescence_point(build, basis5, patches5
     assert tr.r == pytest.approx(rbar, rel=5e-5)
     assert tr.l == pytest.approx(lbar, rel=1e-7)
     assert kappa / 2.0 * (1.0 - 5e-5) <= tr.objective <= kappa / 2.0 * (1.0 + 1e-7)
+
+
+def _rosenbrock(z):
+    return (1.0 - z[0]) ** 2 + 100.0 * (z[1] - z[0] ** 2) ** 2
+
+
+def _walled_quadratic(z):
+    """Shifted 10-D quadratic with its minimum just outside a box wall at z < 0.3.
+
+    Every other slab of width 1/40 across sum(z) is walled off too: a convex
+    feasible set would let every contraction succeed, and no shrink would run.
+    """
+    if (z >= 0.3).any() or int(np.floor(40.0 * np.sum(z))) % 2:
+        return np.inf
+    return float(np.sum((z - np.linspace(-0.5, 0.31, 10)) ** 2))
+
+
+@pytest.mark.parametrize("f, z0, kinds", [
+    (_rosenbrock, [-1.2, 1.0], {"expand", "reflect", "contract"}),
+    (_walled_quadratic, np.linspace(-1.0, 0.2, 10), {"expand", "reflect", "contract", "shrink"}),
+    (lambda z: np.inf, [0.5, -2.0, 3.0], {"shrink"}),  # no feasible start
+], ids=["rosenbrock", "walled_quadratic_10d", "infeasible"])
+def test_array_simplex_follows_the_list_simplex_bit_for_bit(f, z0, kinds):
+    z, f_best, iterations, converged = reduction._nelder_mead(f, np.array(z0, dtype=float))
+    steps = []
+    z_ref, f_ref, iterations_ref, converged_ref = nelder_mead_lists(
+        f, np.array(z0, dtype=float), steps)
+    assert [float(v).hex() for v in z] == [float(v).hex() for v in z_ref]
+    assert (f_best, iterations, converged) == (f_ref, iterations_ref, converged_ref)
+    assert set(steps) == kinds  # the paths compared take these steps
+
+
+def _multi_shunt_m3(beam):
+    basis = ps.modal_basis(beam, 3)
+    patches = ps.uniform_layout(beam, 3, coverage=0.9, cp=100e-9, gamma=1e-4)
+    return ps.assemble(basis, patches, ps.build_multi_shunt(3, 100.0, 1.0))
+
+
+def test_per_branch_tune_builds_the_state_matrix_once(unit_beam, monkeypatch):
+    sys_ = _multi_shunt_m3(unit_beam)
+    counts = {"state_matrix": 0, "_min_damping": 0, "_objective_value": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    build = counted("state_matrix", coupled.state_matrix)
+    monkeypatch.setattr(coupled, "state_matrix", build)
+    monkeypatch.setattr(reduction, "state_matrix", build)
+    for name in ("_min_damping", "_objective_value"):
+        monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
+    tune(sys_, per_branch=True)
+    assert counts["state_matrix"] <= 2  # not once per evaluation
+    assert counts["_min_damping"] == counts["_objective_value"] > 1000
+
+
+def test_per_branch_tune_follows_the_rebuilding_list_simplex_bit_for_bit(unit_beam, monkeypatch):
+    sys_ = _multi_shunt_m3(unit_beam)
+    fields = ("r0", "l0", "r_opt", "l_opt", "objective", "seed_objective")
+
+    def record(tr):
+        starts = [tuple(float(getattr(s, k)).hex() for k in fields) + (s.iterations, s.converged)
+                  for s in tr.starts]
+        return (starts, [float(v).hex() for v in tr.r_branches],
+                [float(v).hex() for v in tr.l_branches])
+
+    got = record(tune(sys_, per_branch=True))
+    # the reference on the same build: a state matrix built anew from a rescaled
+    # copy on every evaluation, and the list-based simplex
+    rebuilds = []
+
+    def rebuild(self, a, rbar, lbar):
+        rebuilds.append(a)
+        return state_matrix(self.rescaled(rbar, lbar))
+
+    monkeypatch.setattr(coupled.CoupledSystem, "_rewrite_a_matrix", rebuild)
+    monkeypatch.setattr(reduction, "_nelder_mead", nelder_mead_lists)
+    want = record(tune(sys_, per_branch=True))
+    assert len(rebuilds) > 1000
+    assert got == want
+    assert sum(converged for *_, converged in got[0]) not in (0, len(got[0]))  # both kinds
