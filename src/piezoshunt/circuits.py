@@ -17,7 +17,7 @@ Numbers accept scientific notation and the SI suffixes k, m, u, n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,7 +220,9 @@ class NetworkMatrices:
     node_names are sorted; branch order follows declaration order.  Column j
     of b_inc holds +1 at the branch's departure node and -1 at its arrival
     node, with the ground row dropped.  r_b and l_b hold the diagonal branch
-    resistances and inductances.
+    resistances and inductances.  s_shape, the branch inductance pattern with
+    the first branch normalized to 1, is computed once from l_b on
+    construction, also by `dataclasses.replace`.
     """
 
     node_names: tuple[str, ...]
@@ -228,15 +230,14 @@ class NetworkMatrices:
     b_inc: np.ndarray
     r_b: np.ndarray
     l_b: np.ndarray
+    s_shape: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "s_shape", self.l_b / self.l_b[0])
 
     @property
     def n_nodes(self):
         return len(self.node_names)
-
-    @property
-    def s_shape(self):
-        """Branch inductance pattern with the first branch normalized to 1."""
-        return self.l_b / self.l_b[0]
 
     @property
     def n_branches(self):

@@ -81,15 +81,12 @@ class CoupledSystem:
         return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
 
     def a_matrix(self, rbar, lbar):
-        """New state matrix at branch scales (rbar, lbar), as `ReducedModel.a_matrix`."""
-        return self._rewrite_a_matrix(state_matrix(self), rbar, lbar)
+        """New state matrix at branch scales (rbar, lbar), as `ReducedModel.a_matrix`.
 
-    def _rewrite_a_matrix(self, a, rbar, lbar):
-        """Make `a`, a state matrix of this system, the one at branch scales (rbar, lbar).
-
-        Only the branch rows are written, in place, so `a` is returned equal bit
-        for bit to `state_matrix(self.rescaled(rbar, lbar))`.
+        Only the branch rows of this system's matrix are rewritten, so the result
+        equals `state_matrix(self.rescaled(rbar, lbar))` bit for bit.
         """
+        a = state_matrix(self)
         _write_branch_rows(a, self.nm.b_inc, *self._scaled_branches(rbar, lbar))
         return a
 
@@ -162,13 +159,18 @@ def state_matrix(sys):
 def _write_branch_rows(a, b_inc, r_b, l_b):
     """Write the rows L_b i' = B_inc^T v - R_b i of the state matrix `a` in place.
 
-    Every entry of those rows is written, the off-diagonal zeros of the
-    current block as -0.0, so no earlier branch value survives a rewrite.
+    `a` may be a stack of state matrices along leading axes, with (r_b, l_b)
+    stacked along the same axes.  Every entry of those rows is written, the
+    off-diagonal zeros of the current block as -0.0 (the entries of
+    `-np.diag(r_b / l_b)`), so no earlier branch value survives a rewrite.
     """
     p, bn = b_inc.shape
-    i0 = a.shape[0] - bn
-    a[i0:, i0 - p:i0] = b_inc.T / l_b[:, None]
-    a[i0:, i0:] = -np.diag(r_b / l_b)
+    i0 = a.shape[-1] - bn
+    a[..., i0:, i0 - p:i0] = b_inc.T / l_b[..., :, None]
+    current = a[..., i0:, i0:]
+    current[...] = -0.0
+    diag = np.arange(bn)
+    current[..., diag, diag] = -(r_b / l_b)
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,15 @@ placement) or the negated FRF peak (hinf), via multi-start Nelder-Mead in
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .beam import eval_mode
 from .circuits import branch_fault
-from .coupled import ZERO_MODE_RTOL, CoupledSystem, _frf_values, eigen
+from .coupled import (ZERO_MODE_RTOL, CoupledSystem, _admitted, _frf_values,
+                      _write_branch_rows, eigen)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
 
@@ -106,15 +107,20 @@ class ReducedModel:
     out_gain: float   # phi_k at the observation location
 
     def a_matrix(self, rbar, lbar):
-        """State matrix of (eta, eta', vbar, ibar) at branch scales (rbar, lbar)."""
-        if fault := branch_fault(rbar, lbar):
-            raise ParameterError(f"reduced-model branch {fault}")
+        """State matrix of (eta, eta', vbar, ibar) at branch scales (rbar, lbar).
+
+        Arrays of scales give a stack of matrices along their (broadcast) axes.
+        """
+        _admit_reduced(rbar, lbar)
         w, z, al = self.omega_m, self.zeta_m, self.alpha
-        # built from one flat list: a third cheaper than nested rows, same entries
-        return np.array([0.0, 1.0, 0.0, 0.0,
-                         -w * w, -2.0 * z * w, al, 0.0,
-                         0.0, -al, 0.0, -1.0,
-                         0.0, 0.0, self.mu_star / lbar, -rbar / lbar]).reshape(4, 4)
+        flat = np.empty(np.broadcast_shapes(np.shape(rbar), np.shape(lbar)) + (16,))
+        flat[...] = (0.0, 1.0, 0.0, 0.0,
+                     -w * w, -2.0 * z * w, al, 0.0,
+                     0.0, -al, 0.0, -1.0,
+                     0.0, 0.0, 0.0, 0.0)
+        flat[..., 14] = self.mu_star / lbar
+        flat[..., 15] = -rbar / lbar
+        return flat.reshape(flat.shape[:-1] + (4, 4))
 
     def gain_sq(self, rbar, lbar, omega):
         """|G(j omega)|^2 from the force input to the output at branch scales (rbar, lbar).
@@ -126,10 +132,10 @@ class ReducedModel:
                    / [(s^2 + 2 zm wm s + wm^2)(s^2 + rho s + eps) + alpha^2 s (s + rho)],
 
         evaluated in real arithmetic in x = omega^2.  A sample at an exact
-        pole is not finite; no floating-point warning is raised for it.
+        pole is not finite; no floating-point warning is raised for it.  The
+        scales and `omega` broadcast against each other.
         """
-        if fault := branch_fault(rbar, lbar):
-            raise ParameterError(f"reduced-model branch {fault}")
+        _admit_reduced(rbar, lbar)
         w, al2 = self.omega_m, self.alpha * self.alpha
         rho, eps, c2 = rbar / lbar, self.mu_star / lbar, 2.0 * self.zeta_m * w
         x = omega * omega
@@ -147,6 +153,14 @@ class ReducedModel:
     @property
     def output_map(self):
         return np.array([self.out_gain, 0.0, 0.0, 0.0])
+
+
+def _admit_reduced(rbar, lbar):
+    """ParameterError unless every (rbar, lbar) pair passes `branch_fault`."""
+    # each rule is an interval, and min/max propagate nan: one check per stack
+    if fault := (branch_fault(np.min(rbar), np.min(lbar))
+                 or branch_fault(np.max(rbar), np.max(lbar))):
+        raise ParameterError(f"reduced-model branch {fault}")
 
 
 def _target_omega(sys, target_mode):
@@ -259,41 +273,45 @@ class TuningResult:
     l_branches: np.ndarray | None = None
 
 
-def _nelder_mead(f, z0):
-    """Minimize f over R^d with a plain Nelder-Mead simplex.
+def _nelder_mead(z0):
+    """Minimize over R^d with a plain Nelder-Mead simplex, asking for values as it goes.
 
-    The simplex is one (d+1, d) array, its vertex values one array, kept
-    sorted best first.  Converges when the simplex diameter drops below
-    NM_REL_TOL relative to the vertex magnitude, or after NM_MAX_ITER
-    iterations.  Returns (z_best, f_best, iterations, converged).
+    A generator: each `yield` hands out the points the search needs next as
+    a (k, d) array and takes back their k values, the d+1 vertices at the
+    start, one point per reflect, expand or contract step and d points per
+    shrink.  `_lockstep` drives it.  The simplex is one (d+1, d) array, its
+    vertex values one array, kept sorted best first.  Converges when the
+    simplex diameter drops below NM_REL_TOL relative to the vertex magnitude,
+    or after NM_MAX_ITER iterations.  Returns (z_best, f_best, iterations,
+    converged).
     """
     z0 = np.asarray(z0, dtype=float)
     d = len(z0)
     simplex = np.tile(z0, (d + 1, 1))
     simplex[np.arange(1, d + 1), np.arange(d)] += NM_STEP
-    values = np.array([f(v) for v in simplex])
+    values = np.array((yield simplex), dtype=float)
 
     iterations = 0
     converged = False
     while iterations < NM_MAX_ITER:
-        order = np.argsort(values)
+        order = values.argsort()
         simplex, values = simplex[order], values[order]
 
-        diameter = np.abs(simplex[1:] - simplex[0]).max()
-        scale = 1.0 + np.abs(simplex).max()
+        diameter = np.maximum.reduce(np.abs(simplex[1:] - simplex[0]), axis=None)
+        scale = 1.0 + np.maximum.reduce(np.abs(simplex), axis=None)
         if diameter < NM_REL_TOL * scale:
             converged = True
             break
 
         iterations += 1
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1]) / d  # the mean, as np.mean computes it
         worst = simplex[-1]  # read before the last row is replaced
 
         reflected = centroid + (centroid - worst)
-        f_r = f(reflected)
+        (f_r,) = yield reflected[None]
         if f_r < values[0]:
             expanded = centroid + 2.0 * (centroid - worst)
-            f_e = f(expanded)
+            (f_e,) = yield expanded[None]
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -302,30 +320,58 @@ def _nelder_mead(f, z0):
             simplex[-1], values[-1] = reflected, f_r
         else:
             contracted = centroid + 0.5 * (worst - centroid)
-            f_c = f(contracted)
+            (f_c,) = yield contracted[None]
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:
                 simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = [f(v) for v in simplex[1:]]
+                values[1:] = yield simplex[1:]
 
     best = int(np.argmin(values))
     return simplex[best].copy(), float(values[best]), iterations, converged
 
 
+def _lockstep(batch, starts):
+    """Run one `_nelder_mead` search per start, all of them advancing together.
+
+    Each round stacks the points every unfinished search asks for and makes
+    one `batch` call, which maps a (k, d) array of points to their k values.
+    When `batch` gives each row the value it gives that row alone, every
+    search sees the values a separate run sees, so the results, in start
+    order, equal separate runs bit for bit.
+    """
+    searches = [_nelder_mead(z0) for z0 in starts]
+    results = [None] * len(searches)
+    pending = {j: next(search) for j, search in enumerate(searches)}
+    while pending:
+        values = batch(np.concatenate(list(pending.values())))
+        offset = 0
+        for j, points in list(pending.items()):
+            reply, offset = values[offset:offset + len(points)], offset + len(points)
+            try:
+                pending[j] = searches[j].send(reply)
+            except StopIteration as done:
+                results[j] = done.value
+                del pending[j]
+    return results
+
+
 def _min_damping(values, band):
-    """Smallest damping ratio over non-zero eigenvalues inside the band."""
+    """Smallest damping ratio over non-zero eigenvalues inside the band.
+
+    Reduces along the last axis, so a stack of spectra gives one ratio per
+    spectrum; -inf for a spectrum with no eigenvalue to keep.
+    """
     freq = np.abs(values)
-    scale = freq.max()
-    if scale == 0:
-        return -np.inf
+    scale = freq.max(axis=-1, keepdims=True)
     keep = freq >= ZERO_MODE_RTOL * scale
+    keep &= freq > 0  # an all-zero spectrum keeps nothing
     if band is not None:
-        keep &= (freq >= band[0]) & (freq <= band[1])
+        keep &= freq >= band[0]
+        keep &= freq <= band[1]
     keep &= values.imag >= -1e-12 * scale  # one representative per pair
-    if not keep.any():
-        return -np.inf
-    return float((-values[keep].real / freq[keep]).min())
+    ratio = np.divide(-values.real, freq, out=np.full(freq.shape, np.inf), where=keep)
+    return np.where(keep.any(axis=-1), ratio.min(axis=-1), -np.inf)[()]
 
 
 def hinf_grid(omega_t):
@@ -339,24 +385,69 @@ def _band(omega_t):
     return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
 
-def _objective_value(objective, model, r, l, band=None, grid=None, maps=None, a_matrix=None):
-    """Objective of a ReducedModel or CoupledSystem at scales (r, l); larger is better.
+def _a_stack(model):
+    """(r, l) -> the state matrices of `model` at k rows of branch scales, stacked.
 
-    "min-damping-ratio" is the smallest damping ratio inside `band` (None
-    for all poles); "hinf" is the negated largest |G| on `grid`, the
-    `hinf_grid` of the target frequency, and -inf when a sample is a pole.
-    `maps` is the model's (force_map, output_map) when the caller built it,
-    and `a_matrix` its (r, l) -> state matrix, `model.a_matrix` by default.
+    A ReducedModel builds them itself.  For a CoupledSystem, whose rows are
+    k scalars or (k, B) per-branch scales, the matrix is built once here and
+    each copy gets its branch rows rewritten, bit for bit what
+    `state_matrix(model.rescaled(r_j, l_j))` builds; the branch values of a
+    stack are admitted together, with `rescaled`'s error.
     """
-    a_matrix = a_matrix or model.a_matrix
+    if isinstance(model, ReducedModel):
+        return model.a_matrix
+    base, b_inc, s_shape = state_matrix(model), model.nm.b_inc, model.s_shape
+
+    def a_matrix(r, l):
+        r_b, l_b = (np.reshape(v, (len(v), -1)) * s_shape for v in (r, l))
+        a = np.repeat(base[None], len(r), axis=0)
+        _write_branch_rows(a, b_inc, *_admitted(r_b, l_b))
+        return a
+    return a_matrix
+
+
+def _objective_values(objective, model, r, l, band=None, grid=None, a_matrix=None):
+    """Objective of a ReducedModel or CoupledSystem at k rows of scales (r, l); larger is better.
+
+    The rows are k scalars or, for a CoupledSystem, (k, B) per-branch
+    scales.  "min-damping-ratio" is the smallest damping ratio inside `band`
+    (None for all poles); "hinf" is the negated largest |G| on `grid`, the
+    `hinf_grid` of the target frequency, and -inf when a sample is a pole.
+    `a_matrix` is the model's `_a_stack` when the caller built it.  Each row
+    gets the value it gets alone: LAPACK factors every matrix of a stack as
+    it would a single one.
+    """
+    a_matrix = a_matrix or _a_stack(model)
     if objective == "min-damping-ratio":
         return _min_damping(np.linalg.eigvals(a_matrix(r, l)), band=band)
     if isinstance(model, ReducedModel):
-        peak = model.gain_sq(r, l, grid).max()
-        return -float(np.sqrt(peak)) if np.isfinite(peak) else -np.inf
-    b, c = maps or (model.force_map, model.output_map)
-    g, _ = _frf_values(a_matrix(r, l), b, c, grid)  # poles are stored as inf
-    return -float(np.max(np.abs(g)))
+        peak = model.gain_sq(r[:, None], l[:, None], grid).max(axis=-1)
+        return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
+    b, c = model.force_map, model.output_map
+    # poles are stored as inf
+    return np.array([-np.max(np.abs(_frf_values(a, b, c, grid)[0])) for a in a_matrix(r, l)])
+
+
+def _objective_value(objective, model, r, l, band=None, grid=None):
+    """`_objective_values` at the one point (r, l), scalar or per-branch scales, as a float."""
+    r, l = (np.asarray(v, dtype=float)[None] for v in (r, l))
+    return float(_objective_values(objective, model, r, l, band, grid)[0])
+
+
+def _two(value):
+    """The items of `value` when it is a sequence of two, else None."""
+    try:
+        return tuple(value) if len(value) == 2 else None
+    except TypeError:
+        return None
+
+
+def _real_pair(value):
+    """The items of `value` when it is a sequence of two real numbers, else None."""
+    items = _two(value)
+    if items and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        return items
+    return None
 
 
 def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
@@ -368,7 +459,9 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     own reduction).  A ReducedModel fixes its own mode: a `target_mode` given
     with one must equal `model.target_mode`.  The nine starts are the
     closed-form seed scaled by the 3x3 factor grid {1/10, 1, 10}^2; the best
-    final objective wins, ties broken by lexicographic (rbar, lbar).
+    final objective wins, ties broken by lexicographic (rbar, lbar).  The
+    starts advance in lockstep, each round's points evaluated as one stack,
+    with the results of nine separate runs.
 
     With `per_branch` each branch b of a CoupledSystem gets its own scales,
     R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
@@ -394,71 +487,83 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         omega_t, band, n = model.omega_m, None, 1
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")
-    # built once: the grid and the input/output maps do not depend on the branch values
-    grid, maps = ((hinf_grid(omega_t), (model.force_map, model.output_map))
-                  if objective == "hinf" else (None, None))
-    # the state-matrix source: one complete-model matrix whose branch rows each
-    # evaluation rewrites, bit for bit what a fresh `model.a_matrix` would build
-    a_matrix = (partial(model._rewrite_a_matrix, state_matrix(model))
-                if isinstance(model, CoupledSystem) else model.a_matrix)
+    # built once: the grid and the complete model's state matrix do not
+    # depend on the branch values
+    grid = hinf_grid(omega_t) if objective == "hinf" else None
+    a_matrix = _a_stack(model)
 
     def evaluate(r, l):
-        return _objective_value(objective, model, r, l, band, grid, maps, a_matrix)
+        return _objective_values(objective, model, r, l, band, grid, a_matrix)
 
     if seed is None:
         rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
         seed = closed_form_seed(rm)
-    r0, l0 = float(seed[0]), float(seed[1])
+    if (pair := _real_pair(seed)) is None:
+        raise ParameterError(f"tuning seed must be a pair (R, L) of real numbers, got {seed!r}")
+    r0, l0 = float(pair[0]), float(pair[1])
     if not (0 < r0 < np.inf and 0 < l0 < np.inf):  # the search runs in log10 space
         raise ParameterError(f"tuning seed must be finite and positive, got ({r0}, {l0})")
 
-    def decode(z):
-        if per_branch:
-            return 10.0 ** z[:n], 10.0 ** z[n:]
+    def decode(z):  # (k, 2n) points -> (rbar, lbar) rows, of k scalars or (k, n) scales
+        if per_branch:  # the vectorized power, elementwise over the stack
+            powers = 10.0 ** z
+            return powers[:, :n], powers[:, n:]
         # scalar powers: the vectorized power may differ in the last ulp,
         # which moves the simplex path
-        return 10.0 ** z[0], 10.0 ** z[1]
+        powers = np.array([10.0 ** v for v in z.flat]).reshape(z.shape)
+        return powers[:, 0], powers[:, 1]
 
     def summary(z):  # the (rbar, lbar) a start reports
+        r, l = decode(z[None])
         if per_branch:
-            return tuple(float(np.exp(np.mean(np.log(v)))) for v in decode(z))
-        return decode(z)
+            return tuple(float(np.exp(np.mean(np.log(v[0])))) for v in (r, l))
+        return r[0], l[0]
 
     if bounds is None:
         bounds = (np.multiply(BOUNDS_FACTORS_R, r0), np.multiply(BOUNDS_FACTORS_L, l0))
-    (r_lo, r_hi), (l_lo, l_hi) = bounds
+    box = [_real_pair(side) for side in _two(bounds) or ()]
+    if len(box) != 2 or None in box:
+        raise ParameterError(f"tuning bounds must be ((R_min, R_max), (L_min, L_max)) "
+                             f"of real numbers, got {bounds!r}")
+    (r_lo, r_hi), (l_lo, l_hi) = box
     if not (0 < r_lo < r_hi < np.inf and 0 < l_lo < l_hi < np.inf):
         raise ParameterError(f"tuning box must satisfy 0 < lo < hi < inf for R and L, "
                              f"got R [{r_lo}, {r_hi}], L [{l_lo}, {l_hi}]")
     lo = np.repeat(np.log10([r_lo, l_lo]), n)
     hi = np.repeat(np.log10([r_hi, l_hi]), n)
 
-    def cost(z):
-        if ((z < lo) | (z > hi)).any():
-            return np.inf
-        value = evaluate(*decode(z))
-        return -value if np.isfinite(value) else np.inf
+    def costs(z):  # what the searches minimize: inf outside the box and where not finite
+        out = np.full(len(z), np.inf)
+        inside = ~((z < lo) | (z > hi)).any(axis=1)
+        if inside.any():
+            values = evaluate(*decode(z[inside]))
+            out[inside] = np.where(np.isfinite(values), -values, np.inf)
+        return out
 
-    seed_objective = evaluate(r0, l0)
+    z_starts = np.array([np.log10(np.repeat([r0 * fr, l0 * fl], n))
+                         for fr in (0.1, 1.0, 10.0) for fl in (0.1, 1.0, 10.0)])
+    # the seed and the starts in one stack; like the seed, a start is evaluated
+    # also outside the box
+    r_starts, l_starts = decode(z_starts)
+    seed_objective, *start_objectives = evaluate(
+        *(np.concatenate([np.full((1,) + v.shape[1:], v0), v])
+          for v, v0 in ((r_starts, r0), (l_starts, l0)))).tolist()
     runs = []
-    for fr in (0.1, 1.0, 10.0):
-        for fl in (0.1, 1.0, 10.0):
-            z_start = np.log10(np.repeat([r0 * fr, l0 * fl], n))
-            start_obj = evaluate(*decode(z_start))
-            z_opt, f_opt, iterations, converged = _nelder_mead(cost, z_start)
-            (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
-            rec = StartRecord(
-                r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
-                objective=-f_opt, seed_objective=start_obj,
-                iterations=iterations,
-                # a simplex that shrank outside the box found no feasible point
-                converged=converged and bool(np.isfinite(f_opt)),
-            )
-            runs.append((rec, z_opt))
+    for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
+            z_starts, start_objectives, _lockstep(costs, z_starts)):
+        (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
+        rec = StartRecord(
+            r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
+            objective=-f_opt, seed_objective=start_obj,
+            iterations=iterations,
+            # a simplex that shrank outside the box found no feasible point
+            converged=converged and bool(np.isfinite(f_opt)),
+        )
+        runs.append((rec, z_opt))
 
     winner, z_opt = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt, run[0].l_opt))
     records = tuple(rec for rec, _ in runs)
-    r_branches, l_branches = ((v * model.s_shape for v in decode(z_opt)) if per_branch
+    r_branches, l_branches = ((v[0] * model.s_shape for v in decode(z_opt[None])) if per_branch
                               else (None, None))
     improving = winner.objective > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(

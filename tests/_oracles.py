@@ -9,8 +9,10 @@ import math
 import numpy as np
 import scipy.linalg
 
-from piezoshunt.coupled import state_matrix
-from piezoshunt.reduction import NM_MAX_ITER, NM_REL_TOL, NM_STEP
+from piezoshunt.coupled import ZERO_MODE_RTOL, CoupledSystem, frf, state_matrix
+from piezoshunt.reduction import (BOUNDS_FACTORS_L, BOUNDS_FACTORS_R, NM_MAX_ITER, NM_REL_TOL,
+                                  NM_STEP, ReducedModel, StartRecord, _band, closed_form_seed,
+                                  hinf_grid, reduce)
 
 
 def characteristic_residual(x):
@@ -235,3 +237,160 @@ def nelder_mead_lists(f, z0, steps=None):
 
     best = int(np.argmin(values))
     return simplex[best], values[best], iterations, converged
+
+
+def nelder_mead_array(f, z0):
+    """Nelder-Mead with the simplex as one array, calling `f` once per point.
+
+    The loop `reduction._nelder_mead` ran before its searches were driven in
+    lockstep; same steps, constants and return value (z, f, iterations,
+    converged) as `nelder_mead_lists`.
+    """
+    z0 = np.asarray(z0, dtype=float)
+    d = len(z0)
+    simplex = np.tile(z0, (d + 1, 1))
+    simplex[np.arange(1, d + 1), np.arange(d)] += NM_STEP
+    values = np.array([f(v) for v in simplex])
+
+    iterations = 0
+    converged = False
+    while iterations < NM_MAX_ITER:
+        order = np.argsort(values)
+        simplex, values = simplex[order], values[order]
+
+        diameter = np.abs(simplex[1:] - simplex[0]).max()
+        scale = 1.0 + np.abs(simplex).max()
+        if diameter < NM_REL_TOL * scale:
+            converged = True
+            break
+
+        iterations += 1
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+
+        reflected = centroid + (centroid - worst)
+        f_r = f(reflected)
+        if f_r < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_e = f(expanded)
+            if f_e < f_r:
+                simplex[-1], values[-1] = expanded, f_e
+            else:
+                simplex[-1], values[-1] = reflected, f_r
+        elif f_r < values[-2]:
+            simplex[-1], values[-1] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (worst - centroid)
+            f_c = f(contracted)
+            if f_c < values[-1]:
+                simplex[-1], values[-1] = contracted, f_c
+            else:
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                values[1:] = [f(v) for v in simplex[1:]]
+
+    best = int(np.argmin(values))
+    return simplex[best].copy(), float(values[best]), iterations, converged
+
+
+def min_damping_pointwise(values, band):
+    """Smallest damping ratio -Re/|lambda| of one spectrum, over the eigenvalues
+    above ZERO_MODE_RTOL of the largest |lambda|, inside `band` (None: all) and
+    with Im >= 0 (one per conjugate pair); -inf when none is left."""
+    freq = np.abs(values)
+    scale = freq.max()
+    if scale == 0:
+        return -np.inf
+    keep = freq >= ZERO_MODE_RTOL * scale
+    if band is not None:
+        keep &= (freq >= band[0]) & (freq <= band[1])
+    keep &= values.imag >= -1e-12 * scale
+    if not keep.any():
+        return -np.inf
+    return float((-values[keep].real / freq[keep]).min())
+
+
+def objective_pointwise(objective, model, r, l, band, grid):
+    """One objective evaluation from freshly built matrices; larger is better.
+
+    A CoupledSystem is rescaled to (r, l), scalar or per-branch scales, and
+    its state matrix and FRF are built anew; a ReducedModel's state matrix is
+    written out from the two-DOF equations, its |G|^2 is its closed-form
+    `gain_sq` at the one point.
+    """
+    if isinstance(model, CoupledSystem):
+        sys_ = model.rescaled(r, l)
+        if objective == "min-damping-ratio":
+            return min_damping_pointwise(np.linalg.eigvals(state_matrix(sys_)), band)
+        return -float(np.max(np.abs(frf(sys_, grid).g)))  # poles are stored as inf
+    if objective == "min-damping-ratio":
+        w, z, al = model.omega_m, model.zeta_m, model.alpha
+        a = np.array([[0.0, 1.0, 0.0, 0.0],
+                      [-w * w, -2.0 * z * w, al, 0.0],
+                      [0.0, -al, 0.0, -1.0],
+                      [0.0, 0.0, model.mu_star / l, -r / l]])
+        return min_damping_pointwise(np.linalg.eigvals(a), band)
+    peak = model.gain_sq(r, l, grid).max()
+    return -float(np.sqrt(peak)) if np.isfinite(peak) else -np.inf
+
+
+def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, bounds=None,
+                    per_branch=False, nelder_mead=nelder_mead_array):
+    """(starts, r_branches, l_branches) of `reduction.tune`, one start after another.
+
+    The multi-start loop `tune` ran before its starts advanced in lockstep:
+    the nine starts of the 3x3 factor grid around the closed-form seed, each
+    a separate `nelder_mead` run over log10 scales in the box, one
+    `objective_pointwise` call per point.  `starts` holds one `StartRecord`
+    per start, in start order; the branch values are None unless `per_branch`.
+    """
+    if isinstance(model, ReducedModel):
+        omega_t, band, n, rm = model.omega_m, None, 1, model
+    else:
+        target_mode = target_mode or 1
+        omega_t = float(model.basis.omega[target_mode - 1])
+        band, rm = _band(omega_t), reduce(model, target_mode)
+        n = model.nm.n_branches if per_branch else 1
+    grid = hinf_grid(omega_t) if objective == "hinf" else None
+    r0, l0 = closed_form_seed(rm)
+
+    def decode(z):
+        if per_branch:
+            return 10.0 ** z[:n], 10.0 ** z[n:]
+        return 10.0 ** z[0], 10.0 ** z[1]
+
+    def summary(z):
+        if per_branch:
+            return tuple(float(np.exp(np.mean(np.log(v)))) for v in decode(z))
+        return decode(z)
+
+    if bounds is None:
+        bounds = (np.multiply(BOUNDS_FACTORS_R, r0), np.multiply(BOUNDS_FACTORS_L, l0))
+    (r_lo, r_hi), (l_lo, l_hi) = bounds
+    lo = np.repeat(np.log10([r_lo, l_lo]), n)
+    hi = np.repeat(np.log10([r_hi, l_hi]), n)
+
+    def cost(z):
+        if ((z < lo) | (z > hi)).any():
+            return np.inf
+        value = objective_pointwise(objective, model, *decode(z), band, grid)
+        return -value if np.isfinite(value) else np.inf
+
+    starts, best = [], None
+    for fr in (0.1, 1.0, 10.0):
+        for fl in (0.1, 1.0, 10.0):
+            z_start = np.log10(np.repeat([r0 * fr, l0 * fl], n))
+            start_obj = objective_pointwise(objective, model, *decode(z_start), band, grid)
+            z_opt, f_opt, iterations, converged = nelder_mead(cost, z_start)
+            (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
+            rec = StartRecord(r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
+                              objective=-f_opt, seed_objective=start_obj,
+                              iterations=iterations,
+                              converged=converged and bool(np.isfinite(f_opt)))
+            starts.append(rec)
+            key = (-rec.objective, rec.r_opt, rec.l_opt)
+            if best is None or key < best[0]:
+                best = (key, z_opt)
+    if not per_branch:
+        return tuple(starts), None, None
+    r_b, l_b = decode(best[1])
+    return tuple(starts), r_b * model.s_shape, l_b * model.s_shape

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezoshunt as ps
+from piezoshunt import coupled
 from piezoshunt.beam import tip_compliance
 from piezoshunt.coupled import _frf_values, eigen, frf, state_matrix, total_energy
 from piezoshunt.errors import ParameterError
-from piezoshunt.reduction import ReducedModel
+from piezoshunt.reduction import ReducedModel, _a_stack
 
 from _oracles import char_poly_roots, frf_pointwise, match_spectra, tags_pointwise
 
@@ -407,8 +408,8 @@ def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):
                   (10.0 ** rng.uniform(1, 4, b), 10.0 ** rng.uniform(3, 6, b)),
                   (10.0 ** rng.uniform(1, 4, b), 5e4), (100.0, 2e5)]
         for r, l in scales:  # one buffer throughout: no earlier value survives
-            got = sys_._rewrite_a_matrix(a, r, l)
-            assert got is a, name
+            coupled._write_branch_rows(a, sys_.nm.b_inc, *sys_._scaled_branches(r, l))
+            got = a
             nm = sys_.rescaled(r, l).nm
             _assert_bitwise_equal(got, state_matrix(sys_.rescaled(r, l)))
             # both blocks as their defining formulas write them, zeros as -0.0
@@ -422,13 +423,17 @@ def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):
                                   (100.0, np.nan), (100.0, -1.0), (100.0, np.inf)])
 def test_rewritten_branch_rows_admit_what_rescaled_admits(unit_beam, r, l):
     sys_ = _branch_systems(unit_beam)["parsed_unequal"]
-    a = state_matrix(sys_)
+    stacked = _a_stack(sys_)  # the tuner's path: a stack of rows admitted at once
     for r_b, l_b in ((r, l), (np.array([100.0, r, 100.0]), np.array([1e5, l, 1e5]))):
         with pytest.raises(ParameterError) as want:
             sys_.rescaled(r_b, l_b)
-        with pytest.raises(ParameterError) as got:
-            sys_._rewrite_a_matrix(a, r_b, l_b)
-        assert str(got.value) == str(want.value)
+        # the same scales as the first row of a stack whose other row is admissible
+        rows = (np.array([r_b, np.full(np.shape(r_b), 100.0)]),
+                np.array([l_b, np.full(np.shape(l_b), 1e5)]))
+        for build in (lambda: sys_.a_matrix(r_b, l_b), lambda: stacked(*rows)):
+            with pytest.raises(ParameterError) as got:
+                build()
+            assert str(got.value) == str(want.value)
         assert str(want.value).startswith("branch rescaling: each branch ")
 
 
@@ -438,3 +443,30 @@ def test_a_matrix_returns_a_new_array_each_call(bench_m5):
     assert first is not second and not np.shares_memory(first, second)
     first[:] = 0.0
     np.testing.assert_array_equal(bench_m5.a_matrix(100.0, 1e5), second)
+
+
+def test_stacked_branch_rows_equal_one_matrix_at_a_time(unit_beam):
+    rng = np.random.default_rng(13)
+    for name, sys_ in _branch_systems(unit_beam).items():
+        base = state_matrix(sys_)
+        b = sys_.nm.n_branches
+        r_b = 10.0 ** rng.uniform(1, 4, (5, b))
+        l_b = 10.0 ** rng.uniform(3, 6, (5, b))
+        r_b[1] = 0.0  # short circuits: the current block is all signed zeros
+        stack = np.repeat(base[None], 5, axis=0)
+        coupled._write_branch_rows(stack, sys_.nm.b_inc, r_b, l_b)
+        for a, r, l in zip(stack, r_b, l_b):
+            one = base.copy()
+            coupled._write_branch_rows(one, sys_.nm.b_inc, r, l)
+            _assert_bitwise_equal(a, one)
+            _assert_bitwise_equal(a, state_matrix(sys_.with_branch_values(r, l)))
+
+
+def test_branch_pattern_is_computed_once_per_network(unit_beam):
+    sys_ = _branch_systems(unit_beam)["parsed_unequal"]
+    nm = sys_.nm
+    assert nm.s_shape is nm.s_shape and sys_.s_shape is nm.s_shape
+    np.testing.assert_array_equal(nm.s_shape, nm.l_b / nm.l_b[0])
+    scaled = sys_.rescaled(3.0, 7.0).nm  # recomputed from the new inductances
+    _assert_bitwise_equal(scaled.s_shape, scaled.l_b / scaled.l_b[0])
+    assert "s_shape" not in repr(nm)

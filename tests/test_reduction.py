@@ -26,7 +26,8 @@ from piezoshunt.reduction import (
     validate_reduction,
 )
 
-from _oracles import generalized_eigh, match_spectra, nelder_mead_lists
+from _oracles import (generalized_eigh, match_spectra, min_damping_pointwise, nelder_mead_array,
+                      nelder_mead_lists, tune_sequential)
 
 
 def test_multi_shunt_uniform_electrical_modes():
@@ -539,69 +540,199 @@ def _walled_quadratic(z):
     return float(np.sum((z - np.linspace(-0.5, 0.31, 10)) ** 2))
 
 
+def _run_alone(f, z0):
+    """One `_nelder_mead` search driven by `_lockstep`, one `f` call per point."""
+    (result,) = reduction._lockstep(lambda points: np.array([f(z) for z in points]), [z0])
+    return result
+
+
 @pytest.mark.parametrize("f, z0, kinds", [
     (_rosenbrock, [-1.2, 1.0], {"expand", "reflect", "contract"}),
     (_walled_quadratic, np.linspace(-1.0, 0.2, 10), {"expand", "reflect", "contract", "shrink"}),
     (lambda z: np.inf, [0.5, -2.0, 3.0], {"shrink"}),  # no feasible start
 ], ids=["rosenbrock", "walled_quadratic_10d", "infeasible"])
 def test_array_simplex_follows_the_list_simplex_bit_for_bit(f, z0, kinds):
-    z, f_best, iterations, converged = reduction._nelder_mead(f, np.array(z0, dtype=float))
     steps = []
     z_ref, f_ref, iterations_ref, converged_ref = nelder_mead_lists(
         f, np.array(z0, dtype=float), steps)
-    assert [float(v).hex() for v in z] == [float(v).hex() for v in z_ref]
-    assert (f_best, iterations, converged) == (f_ref, iterations_ref, converged_ref)
+    for z, f_best, iterations, converged in (_run_alone(f, np.array(z0, dtype=float)),
+                                             nelder_mead_array(f, np.array(z0, dtype=float))):
+        assert [float(v).hex() for v in z] == [float(v).hex() for v in z_ref]
+        assert (f_best, iterations, converged) == (f_ref, iterations_ref, converged_ref)
     assert set(steps) == kinds  # the paths compared take these steps
 
 
+@st.composite
+def _walled_quadratics(draw):
+    """(f, starts): a walled quadratic in 1-4 dimensions and 1-5 starts, the last infeasible.
+
+    Like `_walled_quadratic`, every other slab across sum(z) is infeasible,
+    so contractions fail and shrinks run; the last start lies outside the box
+    wall, where every vertex costs inf and only shrinks run.
+    """
+    d = draw(st.integers(1, 4))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    center = np.array(draw(st.lists(coords, min_size=d, max_size=d)))
+    wall, slabs = draw(st.floats(0.2, 1.0)), draw(st.sampled_from([10.0, 40.0, 160.0]))
+    starts = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=0, max_size=4))
+
+    def f(z):
+        if (np.abs(z) >= wall).any() or int(np.floor(slabs * np.sum(z))) % 2:
+            return np.inf
+        return float(np.sum((z - center) ** 2))
+
+    return f, [np.array(z) for z in starts] + [np.full(d, 2.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_walled_quadratics())
+def test_lockstep_searches_equal_separate_runs(problem):
+    f, starts = problem
+    batches = []
+
+    def batch(points):
+        batches.append(len(points))
+        return np.array([f(z) for z in points])
+
+    got = reduction._lockstep(batch, starts)
+    steps, calls = [], []
+
+    def counted(z):
+        calls.append(z)
+        return f(z)
+
+    want = [nelder_mead_lists(counted, z0, steps) for z0 in starts]
+    for (z, f_best, iterations, converged), (z_ref, *ref) in zip(got, want):
+        assert [float(v).hex() for v in z] == [float(v).hex() for v in z_ref]
+        assert [f_best, iterations, converged] == ref
+    assert "shrink" in steps
+    # the same evaluations, one batch per round: as many as the longest search asks for
+    assert sum(batches) == len(calls)
+    rounds = [len(batches)]
+    for z0 in starts:
+        batches.clear()
+        reduction._lockstep(batch, [z0])
+        rounds.append(len(batches))
+    assert rounds[0] == max(rounds[1:])
+
+
+TUNE_FIELDS = ("r0", "l0", "r_opt", "l_opt", "objective", "seed_objective")
+
+
+def _bits(starts, r_branches, l_branches):
+    """Every StartRecord field and branch value, floats as float.hex."""
+    records = [tuple(float(getattr(s, k)).hex() for k in TUNE_FIELDS) + (s.iterations, s.converged)
+               for s in starts]
+    branches = [None if v is None else [float(x).hex() for x in v] for v in (r_branches, l_branches)]
+    return records, branches
+
+
+def _small_system(beam, build, m=3, n=3):
+    basis = ps.modal_basis(beam, m)
+    patches = ps.uniform_layout(beam, n, coverage=0.9, cp=100e-9, gamma=1e-4)
+    return ps.assemble(basis, patches, build(n, 100.0, 1.0))
+
+
+@pytest.mark.parametrize("case", ["reduced-mdr", "reduced-hinf", "full-mdr", "full-hinf",
+                                  "per_branch-mdr"])
+@pytest.mark.parametrize("build", TOPOLOGIES, ids=TOPOLOGY_IDS)
+def test_tune_equals_the_sequential_multi_start_bit_for_bit(unit_beam, build, case):
+    kind, objective = case.split("-")
+    objective = "hinf" if objective == "hinf" else "min-damping-ratio"
+    sys_ = _small_system(unit_beam, build)
+    model = reduce(sys_) if kind == "reduced" else sys_
+    per_branch, bounds = kind == "per_branch", None
+    if case == "full-hinf":
+        # a 400-point FRF per evaluation: a box that holds one start of the nine
+        # keeps it short, and the other eight search outside it, unevaluated
+        r0, l0 = closed_form_seed(reduce(sys_))
+        bounds = ((0.5 * r0, 2.0 * r0), (0.5 * l0, 2.0 * l0))
+    tr = tune(model, objective, bounds=bounds, per_branch=per_branch)
+    want = tune_sequential(model, objective, bounds=bounds, per_branch=per_branch)
+    assert _bits(tr.starts, tr.r_branches, tr.l_branches) == _bits(*want)
+
+
 def _multi_shunt_m3(beam):
-    basis = ps.modal_basis(beam, 3)
-    patches = ps.uniform_layout(beam, 3, coverage=0.9, cp=100e-9, gamma=1e-4)
-    return ps.assemble(basis, patches, ps.build_multi_shunt(3, 100.0, 1.0))
+    return _small_system(beam, ps.build_multi_shunt)
 
 
 def test_per_branch_tune_builds_the_state_matrix_once(unit_beam, monkeypatch):
     sys_ = _multi_shunt_m3(unit_beam)
-    counts = {"state_matrix": 0, "_min_damping": 0, "_objective_value": 0}
+    counts = {"state_matrix": 0, "eigvals": 0, "rows": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def build(*args):
+        counts["state_matrix"] += 1
+        return state_matrix(*args)
 
-    build = counted("state_matrix", coupled.state_matrix)
+    def eigvals(a, solve=np.linalg.eigvals):
+        counts["eigvals"] += 1
+        counts["rows"] += len(a)
+        return solve(a)
+
     monkeypatch.setattr(coupled, "state_matrix", build)
     monkeypatch.setattr(reduction, "state_matrix", build)
-    for name in ("_min_damping", "_objective_value"):
-        monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
-    tune(sys_, per_branch=True)
+    monkeypatch.setattr(reduction.np.linalg, "eigvals", eigvals)
+    tr = tune(sys_, per_branch=True)
     assert counts["state_matrix"] <= 2  # not once per evaluation
-    assert counts["_min_damping"] == counts["_objective_value"] > 1000
+    # every round's points are one stack: one eigvals call per round, not per point
+    assert counts["rows"] > 1000 and counts["eigvals"] <= counts["rows"] / 3
+    # the seed and starts, then up to three rounds per iteration of the longest search
+    assert counts["eigvals"] <= 2 + 3 * max(s.iterations for s in tr.starts)
 
 
-def test_per_branch_tune_follows_the_rebuilding_list_simplex_bit_for_bit(unit_beam, monkeypatch):
+def test_per_branch_tune_follows_the_rebuilding_list_simplex_bit_for_bit(unit_beam):
     sys_ = _multi_shunt_m3(unit_beam)
-    fields = ("r0", "l0", "r_opt", "l_opt", "objective", "seed_objective")
-
-    def record(tr):
-        starts = [tuple(float(getattr(s, k)).hex() for k in fields) + (s.iterations, s.converged)
-                  for s in tr.starts]
-        return (starts, [float(v).hex() for v in tr.r_branches],
-                [float(v).hex() for v in tr.l_branches])
-
-    got = record(tune(sys_, per_branch=True))
+    got = _bits(*(lambda tr: (tr.starts, tr.r_branches, tr.l_branches))(tune(sys_, per_branch=True)))
     # the reference on the same build: a state matrix built anew from a rescaled
-    # copy on every evaluation, and the list-based simplex
-    rebuilds = []
-
-    def rebuild(self, a, rbar, lbar):
-        rebuilds.append(a)
-        return state_matrix(self.rescaled(rbar, lbar))
-
-    monkeypatch.setattr(coupled.CoupledSystem, "_rewrite_a_matrix", rebuild)
-    monkeypatch.setattr(reduction, "_nelder_mead", nelder_mead_lists)
-    want = record(tune(sys_, per_branch=True))
-    assert len(rebuilds) > 1000
+    # copy on every evaluation, one start after another, and the list-based simplex
+    want = _bits(*tune_sequential(sys_, per_branch=True, nelder_mead=nelder_mead_lists))
     assert got == want
     assert sum(converged for *_, converged in got[0]) not in (0, len(got[0]))  # both kinds
+
+
+def _seed_and_box(rm):
+    r0, l0 = closed_form_seed(rm)
+    return r0, l0, ((0.5 * r0, 2.0 * r0), (0.5 * l0, 2.0 * l0))
+
+
+@pytest.mark.parametrize("bad", ["three_items", "array_item", "scalar", "string", "bool_item"])
+def test_tune_rejects_a_malformed_seed(bench_m1, bad):
+    rm = reduce(bench_m1)
+    r0, l0, _ = _seed_and_box(rm)
+    seed = {"three_items": (r0, l0, "junk"), "array_item": (np.array([r0]), l0), "scalar": r0,
+            "string": "ab", "bool_item": (True, l0)}[bad]
+    with pytest.raises(ParameterError, match=r"^tuning seed must be a pair \(R, L\)"):
+        tune(rm, seed=seed)
+
+
+@pytest.mark.parametrize("bad", ["three_bounds", "one_side", "scalar", "string_item"])
+def test_tune_rejects_malformed_bounds(bench_m1, bad):
+    rm = reduce(bench_m1)
+    r0, l0, (r_box, l_box) = _seed_and_box(rm)
+    bounds = {"three_bounds": ((1, 2, 3), (1, 2)), "one_side": (r_box,), "scalar": 1.0,
+              "string_item": (r_box, ("1", "2"))}[bad]
+    with pytest.raises(ParameterError, match=r"^tuning bounds must be \(\(R_min, R_max\)"):
+        tune(rm, seed=(r0, l0), bounds=bounds)
+
+
+def test_tune_accepts_seed_and_bounds_as_arrays(bench_m1):
+    rm = reduce(bench_m1)
+    r0, l0, box = _seed_and_box(rm)
+    want = tune(rm, seed=(r0, l0), bounds=box)
+    got = tune(rm, seed=np.array([r0, l0]), bounds=np.array(box))
+    assert (got.r, got.l, got.objective) == (want.r, want.l, want.objective)
+
+
+def test_stacked_min_damping_equals_one_spectrum_at_a_time():
+    rng = np.random.default_rng(5)
+    spectra = [np.linalg.eigvals(rng.standard_normal((6, 6))) for _ in range(6)]
+    spectra += [np.zeros(6, dtype=complex),                    # all zero modes
+                np.array([1e-12, -1.0, -2.0, 3j, -3j, 0.0]),   # real, zero and undamped
+                np.full(6, 1e3 * (-0.01 + 1j))]                # all outside the band
+    stack = np.array(spectra)
+    for band in (None, (0.5, 5.0)):
+        got = _min_damping(stack, band)
+        want = [min_damping_pointwise(v, band) for v in spectra]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert [float(_min_damping(v, band)).hex() for v in spectra] == [v.hex() for v in want]
+    assert _min_damping(stack[-1], (0.5, 5.0)) == -np.inf
