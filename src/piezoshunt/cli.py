@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from itertools import chain
 
 import numpy as np
 
@@ -22,26 +23,28 @@ def _fmt(value):
     return f"{value:.9g}"
 
 
-def _cell_format(kind):
-    """%-format of a cell of type `kind` that renders it as `_fmt` does."""
-    if issubclass(kind, str):
-        return "%s"
-    if issubclass(kind, (int, np.integer)):  # bool too, as str(int(value))
-        return "%d"
-    return "%.9g"  # a numpy float scalar formats as float(x), as `f"{x:.9g}"` does
+#: %-format of a column by its numpy dtype kind, rendering each cell as `_fmt` does
+#: (a bool as str(int(value)), a float as f"{value:.9g}").
+_COLUMN_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.9g", "U": "%s"}
+
+#: Rows formatted per write.
+_CSV_BLOCK = 1024
 
 
-def _write_csv(path, header, rows):
-    """Write `rows` under `header`, each row with one %-format built per cell-type tuple."""
-    formats = {}
+def _write_csv(path, header, columns):
+    """Write the equal-length `columns` under `header`, one %-format built from the column types.
+
+    A column is an array or a sequence of cells of one type.  The rows are
+    formatted in blocks of `_CSV_BLOCK`, each from Python scalars.
+    """
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join(_COLUMN_FORMATS[col.dtype.kind] for col in columns) + "\n"
+    n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
-            fh.write(formats[kinds] % row)
+        for start in range(0, n_rows, _CSV_BLOCK):
+            block = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _build_netlist(cfg):
@@ -83,25 +86,19 @@ def _initial_state(sys, kind):
 
 def _cmd_modes(cfg, outdir):
     basis = modal_basis(cfg.beam_spec(), cfg.n_modes)
-    rows = [
-        (k, basis.beta_l[k - 1], basis.omega[k - 1], basis.zeta[k - 1], basis.norm[k - 1])
-        for k in range(1, basis.m + 1)
-    ]
     _write_csv(os.path.join(outdir, "modes.csv"),
-               ["mode", "betaL", "omega_rad_s", "zeta", "norm"], rows)
-    print(f"wrote {len(rows)} modes to {os.path.join(outdir, 'modes.csv')}")
+               ["mode", "betaL", "omega_rad_s", "zeta", "norm"],
+               [np.arange(1, basis.m + 1), basis.beta_l, basis.omega, basis.zeta, basis.norm])
+    print(f"wrote {basis.m} modes to {os.path.join(outdir, 'modes.csv')}")
     return 0
 
 
 def _cmd_eig(cfg, outdir):
     sol = coupled.eigen(_build_system(cfg))
-    rows = [
-        (lam.real, lam.imag, sol.freq[j], sol.zeta[j], sol.tags[j])
-        for j, lam in enumerate(sol.values)
-    ]
     _write_csv(os.path.join(outdir, "eig.csv"),
-               ["re", "im", "freq_rad_s", "damping_ratio", "tag"], rows)
-    print(f"wrote {len(rows)} eigenvalues to {os.path.join(outdir, 'eig.csv')}")
+               ["re", "im", "freq_rad_s", "damping_ratio", "tag"],
+               [sol.values.real, sol.values.imag, sol.freq, sol.zeta, sol.tags])
+    print(f"wrote {len(sol.values)} eigenvalues to {os.path.join(outdir, 'eig.csv')}")
     return 0
 
 
@@ -109,10 +106,10 @@ def _cmd_frf(cfg, outdir):
     sys_ = _build_system(cfg)
     omega = np.linspace(0.1 * sys_.basis.omega[0], 1.2 * sys_.basis.omega[-1], 2000)
     table = coupled.frf(sys_, omega)
-    rows = list(zip(table.omega, table.magnitude, table.phase))
     _write_csv(os.path.join(outdir, "frf.csv"),
-               ["omega_rad_s", "mag_m_per_N", "phase_rad"], rows)
-    print(f"wrote {len(rows)} FRF samples to {os.path.join(outdir, 'frf.csv')}")
+               ["omega_rad_s", "mag_m_per_N", "phase_rad"],
+               [table.omega, table.magnitude, table.phase])
+    print(f"wrote {len(omega)} FRF samples to {os.path.join(outdir, 'frf.csv')}")
     return 0
 
 
@@ -133,7 +130,7 @@ def _cmd_optimize(cfg, outdir):
     ]
     _write_csv(os.path.join(outdir, "optimize_trace.csv"),
                ["start", "R0", "L0", "R_opt", "L_opt", "seed_objective",
-                "objective", "iterations", "converged"], rows)
+                "objective", "iterations", "converged"], list(zip(*rows)))
     print(f"objective        = {cfg.objective}")
     print(f"target mode      = {cfg.target_mode}  (kappa = {_fmt(rm.kappa)})")
     print(f"seed (R, L)      = ({_fmt(tr.seed[0])}, {_fmt(tr.seed[1])})")
@@ -154,11 +151,10 @@ def _cmd_simulate(cfg, outdir):
     traj = timesim.integrate(sys_, x0, None, dt, t_final)
     tip = traj.states @ sys_.output_map
     h, p_diss = timesim.energy_history(sys_, traj)
-    rows = list(zip(traj.times, tip, h))
     _write_csv(os.path.join(outdir, "trajectory.csv"),
-               ["t_s", "tip_m", "energy_J"], rows)
+               ["t_s", "tip_m", "energy_J"], [traj.times, tip, h])
     resid = timesim._energy_residual(h, p_diss, traj.dt)
-    print(f"wrote {len(rows)} samples to {os.path.join(outdir, 'trajectory.csv')}")
+    print(f"wrote {len(traj.times)} samples to {os.path.join(outdir, 'trajectory.csv')}")
     print(f"energy_residual = {_fmt(resid)}")
     return 0
 
@@ -199,7 +195,7 @@ def _cmd_compare(cfg, outdir):
         row, warn = _compare_row(cfg, topology)
         rows.append(row)
         warnings.extend(warn)
-    _write_csv(os.path.join(outdir, "compare.csv"), header, rows)
+    _write_csv(os.path.join(outdir, "compare.csv"), header, list(zip(*rows)))
     print(f"wrote comparison for {len(rows)} topologies to {os.path.join(outdir, 'compare.csv')}")
     for row in rows:
         print(

@@ -236,19 +236,21 @@ def _frf_values(a, b, c, omega):
     LAPACK solve each; LAPACK factors every matrix of a stack as it would a
     single one, and the (1 x n) @ (n x 1) product reproduces `c @ x`, so the
     samples equal those of a per-point loop bit for bit.  A chunk holding an
-    exactly singular point falls back to that loop.
+    exactly singular point falls back to that loop.  Each matrix j w I - a
+    of the real `a` is a copy of 0.0 - a with w written into the imaginary
+    parts of its diagonal: for w > 0 the bits of (1j w) I - a.
     """
     n = a.shape[0]
-    eye = np.eye(n)
+    minus_a = (0.0 - a).astype(complex)
     c_row = np.asarray(c).astype(complex)[:, None]
     g = np.empty(len(omega), dtype=complex)
     stack = np.empty((min(len(omega), _FRF_CHUNK), n, n), dtype=complex)
     for start in range(0, len(omega), _FRF_CHUNK):
         chunk = slice(start, start + _FRF_CHUNK)
         w = omega[chunk]
-        mats = stack[:len(w)]
-        np.multiply(1j * w[:, None, None], eye, out=mats)  # one reused buffer
-        mats -= a
+        mats = stack[:len(w)]  # one reused buffer
+        mats[...] = minus_a
+        mats.reshape(len(w), n * n)[:, ::n + 1].imag = w[:, None]  # the diagonals
         try:
             x = np.linalg.solve(mats, np.broadcast_to(b[:, None], (len(mats), n, 1)))
         except np.linalg.LinAlgError:

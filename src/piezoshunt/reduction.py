@@ -24,7 +24,10 @@ placement) or the negated FRF peak (hinf), via multi-start Nelder-Mead in
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, gt, lt
 
 import numpy as np
 
@@ -111,13 +114,21 @@ class ReducedModel:
 
         Arrays of scales give a stack of matrices along their (broadcast) axes.
         """
-        _admit_reduced(rbar, lbar)
-        w, z, al = self.omega_m, self.zeta_m, self.alpha
+        _admit_reduced(np.ravel(rbar).tolist(), np.ravel(lbar).tolist())
         flat = np.empty(np.broadcast_shapes(np.shape(rbar), np.shape(lbar)) + (16,))
-        flat[...] = (0.0, 1.0, 0.0, 0.0,
-                     -w * w, -2.0 * z * w, al, 0.0,
-                     0.0, -al, 0.0, -1.0,
-                     0.0, 0.0, 0.0, 0.0)
+        flat[...] = self._a_template()
+        return self._write_scales(flat, rbar, lbar)
+
+    def _a_template(self):
+        """The 16 entries of the flattened state matrix that the scales leave alone."""
+        w, z, al = self.omega_m, self.zeta_m, self.alpha
+        return np.array((0.0, 1.0, 0.0, 0.0,
+                         -w * w, -2.0 * z * w, al, 0.0,
+                         0.0, -al, 0.0, -1.0,
+                         0.0, 0.0, 0.0, 0.0))
+
+    def _write_scales(self, flat, rbar, lbar):
+        """Write entries 14 and 15 of the (..., 16) template copies `flat`; the (..., 4, 4) view."""
         flat[..., 14] = self.mu_star / lbar
         flat[..., 15] = -rbar / lbar
         return flat.reshape(flat.shape[:-1] + (4, 4))
@@ -135,16 +146,24 @@ class ReducedModel:
         pole is not finite; no floating-point warning is raised for it.  The
         scales and `omega` broadcast against each other.
         """
-        _admit_reduced(rbar, lbar)
-        w, al2 = self.omega_m, self.alpha * self.alpha
-        rho, eps, c2 = rbar / lbar, self.mu_star / lbar, 2.0 * self.zeta_m * w
+        _admit_reduced(np.ravel(rbar).tolist(), np.ravel(lbar).tolist())
+        return self._gain_sq(rbar, lbar, omega, *self._grid_terms(omega))
+
+    def _grid_terms(self, omega):
+        """The terms of `gain_sq` the scales leave alone: x = omega^2, wm^2 - x and (g_in g_out)^2."""
         x = omega * omega
-        e, m = eps - x, w * w - x
+        return x, self.omega_m * self.omega_m - x, (self.in_gain * self.out_gain) ** 2
+
+    def _gain_sq(self, rbar, lbar, omega, x, m, gain2):
+        """`gain_sq` from the `_grid_terms` (x, m, gain2) of `omega`, without the admission."""
+        al2 = self.alpha * self.alpha
+        rho, eps, c2 = rbar / lbar, self.mu_star / lbar, 2.0 * self.zeta_m * self.omega_m
+        e = eps - x
         with np.errstate(all="ignore"):
             re = m * e - (c2 * rho + al2) * x
             im = omega * (m * rho + c2 * e + al2 * rho)
             num = e * e + rho * rho * x
-            return (self.in_gain * self.out_gain) ** 2 * num / (re * re + im * im)
+            return gain2 * num / (re * re + im * im)
 
     @property
     def force_map(self):
@@ -155,11 +174,13 @@ class ReducedModel:
         return np.array([self.out_gain, 0.0, 0.0, 0.0])
 
 
-def _admit_reduced(rbar, lbar):
-    """ParameterError unless every (rbar, lbar) pair passes `branch_fault`."""
+def _admit_reduced(r, l):
+    """ParameterError unless every pair of the float lists (r, l) passes `branch_fault`."""
+    total = sum(r) + sum(l)  # finite only when every value is
+    if total - total == 0.0 and min(r) >= 0.0 and min(l) > 0.0:
+        return
     # each rule is an interval, and min/max propagate nan: one check per stack
-    if fault := (branch_fault(np.min(rbar), np.min(lbar))
-                 or branch_fault(np.max(rbar), np.max(lbar))):
+    if fault := (branch_fault(np.min(r), np.min(l)) or branch_fault(np.max(r), np.max(l))):
         raise ParameterError(f"reduced-model branch {fault}")
 
 
@@ -276,42 +297,55 @@ class TuningResult:
 def _nelder_mead(z0):
     """Minimize over R^d with a plain Nelder-Mead simplex, asking for values as it goes.
 
-    A generator: each `yield` hands out the points the search needs next as
-    a (k, d) array and takes back their k values, the d+1 vertices at the
-    start, one point per reflect, expand or contract step and d points per
-    shrink.  `_lockstep` drives it.  The simplex is one (d+1, d) array, its
-    vertex values one array, kept sorted best first.  Converges when the
-    simplex diameter drops below NM_REL_TOL relative to the vertex magnitude,
-    or after NM_MAX_ITER iterations.  Returns (z_best, f_best, iterations,
-    converged).
+    A generator: each `yield` hands out the points the search needs next,
+    a list of k points of d Python floats each, and takes back their k
+    values, Python floats and never nan: the d+1 vertices at the start, one
+    point per reflect, expand or contract step and d points per shrink.
+    `_lockstep` drives it.  The simplex is d+1 vertex lists and their values
+    a list, kept sorted best first as a stable sort orders them, so vertices
+    of equal value keep their order.  The arithmetic is that of one
+    (d+1, d) array: the centroid is summed vertex by vertex from vertex 0,
+    as `np.add.reduce` sums rows.  Converges when the simplex diameter drops
+    below NM_REL_TOL relative to the vertex magnitude, or after NM_MAX_ITER
+    iterations.  Returns (z_best, f_best, iterations, converged), z_best a
+    fresh float array.
     """
-    z0 = np.asarray(z0, dtype=float)
+    z0 = np.asarray(z0, dtype=float).tolist()
     d = len(z0)
-    simplex = np.tile(z0, (d + 1, 1))
-    simplex[np.arange(1, d + 1), np.arange(d)] += NM_STEP
-    values = np.array((yield simplex), dtype=float)
+    simplex = [z0] + [z0[:j] + [z0[j] + NM_STEP] + z0[j + 1:] for j in range(d)]
+    values = (yield simplex)
+    # at least every |coordinate| so far: the cheap half of the convergence test
+    bound = max(0.0, *map(abs, chain.from_iterable(simplex)))
 
     iterations = 0
     converged = False
+    resort = True  # more than the last vertex is new: at the start and after a shrink
     while iterations < NM_MAX_ITER:
-        order = values.argsort()
-        simplex, values = simplex[order], values[order]
+        if resort:
+            order = sorted(range(d + 1), key=values.__getitem__)
+            simplex, values = [simplex[i] for i in order], [values[i] for i in order]
+        else:  # the rest is in order: the last vertex goes where a stable sort puts it
+            at = bisect_right(values, values[-1], 0, d)
+            simplex.insert(at, simplex.pop())
+            values.insert(at, values.pop())
 
-        diameter = np.maximum.reduce(np.abs(simplex[1:] - simplex[0]), axis=None)
-        scale = 1.0 + np.maximum.reduce(np.abs(simplex), axis=None)
-        if diameter < NM_REL_TOL * scale:
+        if _simplex_converged(simplex, bound):
             converged = True
             break
 
         iterations += 1
-        centroid = np.add.reduce(simplex[:-1]) / d  # the mean, as np.mean computes it
-        worst = simplex[-1]  # read before the last row is replaced
+        centroid = simplex[0]
+        for vertex in simplex[1:-1]:
+            centroid = list(map(add, centroid, vertex))
+        centroid = [c / d for c in centroid]
+        worst = simplex[-1]
 
-        reflected = centroid + (centroid - worst)
-        (f_r,) = yield reflected[None]
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
+        (f_r,) = yield [reflected]
+        resort = False
         if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            (f_e,) = yield expanded[None]
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            (f_e,) = yield [expanded]
             if f_e < f_r:
                 simplex[-1], values[-1] = expanded, f_e
             else:
@@ -319,40 +353,66 @@ def _nelder_mead(z0):
         elif f_r < values[-2]:
             simplex[-1], values[-1] = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            (f_c,) = yield contracted[None]
+            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            (f_c,) = yield [contracted]
             if f_c < values[-1]:
                 simplex[-1], values[-1] = contracted, f_c
             else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                first = simplex[0]
+                simplex[1:] = [[a + 0.5 * (b - a) for a, b in zip(first, vertex)]
+                               for vertex in simplex[1:]]
                 values[1:] = yield simplex[1:]
+                resort = True
+        new = simplex[1:] if resort else simplex[-1:]
+        bound = max(bound, *map(abs, chain.from_iterable(new)))
 
-    best = int(np.argmin(values))
-    return simplex[best].copy(), float(values[best]), iterations, converged
+    best = min(range(d + 1), key=values.__getitem__)
+    return np.array(simplex[best]), float(values[best]), iterations, converged
+
+
+def _simplex_converged(simplex, bound):
+    """Whether every vertex of the sorted simplex lies within NM_REL_TOL * (1 + its largest
+    |coordinate|) of the best one, coordinate by coordinate; False when a coordinate is nan.
+
+    `bound` is at least every |coordinate|, so an offset of NM_REL_TOL * (1 + bound) or
+    more decides the test without scanning the whole simplex.
+    """
+    best = simplex[0]
+    loose = NM_REL_TOL * (1.0 + bound)
+    for vertex in simplex[1:]:
+        for a, b in zip(vertex, best):
+            if abs(a - b) >= loose:
+                return False
+    offsets = [abs(a - b) for vertex in simplex[1:] for a, b in zip(vertex, best)]
+    if any(v != v for v in offsets):  # a nan coordinate makes an offset nan
+        return False
+    scale = 1.0 + max(abs(v) for v in chain.from_iterable(simplex))
+    return max(offsets) < NM_REL_TOL * scale
 
 
 def _lockstep(batch, starts):
     """Run one `_nelder_mead` search per start, all of them advancing together.
 
-    Each round stacks the points every unfinished search asks for and makes
-    one `batch` call, which maps a (k, d) array of points to their k values.
-    When `batch` gives each row the value it gives that row alone, every
-    search sees the values a separate run sees, so the results, in start
-    order, equal separate runs bit for bit.
+    Each round stacks the points every unfinished search asks for into one
+    (k, d) array and makes one `batch` call, which maps it to an array of
+    the k values; one `tolist` hands every search its values as Python
+    floats.  When `batch` gives each row the value it gives that row alone,
+    every search sees the values a separate run sees, so the results, in
+    start order, equal separate runs bit for bit.
     """
     searches = [_nelder_mead(z0) for z0 in starts]
     results = [None] * len(searches)
-    pending = {j: next(search) for j, search in enumerate(searches)}
+    pending = [(j, search, next(search)) for j, search in enumerate(searches)]
     while pending:
-        values = batch(np.concatenate(list(pending.values())))
-        offset = 0
-        for j, points in list(pending.items()):
+        values = batch(np.array([point for _, _, points in pending for point in points])).tolist()
+        waiting, offset = [], 0
+        for j, search, points in pending:
             reply, offset = values[offset:offset + len(points)], offset + len(points)
             try:
-                pending[j] = searches[j].send(reply)
+                waiting.append((j, search, search.send(reply)))
             except StopIteration as done:
                 results[j] = done.value
-                del pending[j]
+        pending = waiting
     return results
 
 
@@ -385,18 +445,15 @@ def _band(omega_t):
     return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
 
-def _a_stack(model):
-    """(r, l) -> the state matrices of `model` at k rows of branch scales, stacked.
+def _a_stack(sys):
+    """(r, l) -> the state matrices of the CoupledSystem `sys` at k rows of branch scales, stacked.
 
-    A ReducedModel builds them itself.  For a CoupledSystem, whose rows are
-    k scalars or (k, B) per-branch scales, the matrix is built once here and
-    each copy gets its branch rows rewritten, bit for bit what
-    `state_matrix(model.rescaled(r_j, l_j))` builds; the branch values of a
+    The rows are k scalars or (k, B) per-branch scales.  The matrix is built
+    once here and each copy gets its branch rows rewritten, bit for bit what
+    `state_matrix(sys.rescaled(r_j, l_j))` builds; the branch values of a
     stack are admitted together, with `rescaled`'s error.
     """
-    if isinstance(model, ReducedModel):
-        return model.a_matrix
-    base, b_inc, s_shape = state_matrix(model), model.nm.b_inc, model.s_shape
+    base, b_inc, s_shape = state_matrix(sys), sys.nm.b_inc, sys.s_shape
 
     def a_matrix(r, l):
         r_b, l_b = (np.reshape(v, (len(v), -1)) * s_shape for v in (r, l))
@@ -406,32 +463,57 @@ def _a_stack(model):
     return a_matrix
 
 
-def _objective_values(objective, model, r, l, band=None, grid=None, a_matrix=None):
-    """Objective of a ReducedModel or CoupledSystem at k rows of scales (r, l); larger is better.
+def _objective(model, objective, band=None, grid=None):
+    """(r, l) -> `objective` of a ReducedModel or CoupledSystem at k rows of scales; larger is better.
 
-    The rows are k scalars or, for a CoupledSystem, (k, B) per-branch
-    scales.  "min-damping-ratio" is the smallest damping ratio inside `band`
-    (None for all poles); "hinf" is the negated largest |G| on `grid`, the
+    What does not depend on the scales is prepared here, once.  The rows are
+    lists of k floats or, for a CoupledSystem, (k, B) per-branch scales.
+    "min-damping-ratio" is the smallest damping ratio inside `band` (None
+    for all poles); "hinf" is the negated largest |G| on `grid`, the
     `hinf_grid` of the target frequency, and -inf when a sample is a pole.
-    `a_matrix` is the model's `_a_stack` when the caller built it.  Each row
-    gets the value it gets alone: LAPACK factors every matrix of a stack as
-    it would a single one.
+    Each row gets the value it gets alone: LAPACK factors every matrix of a
+    stack as it would a single one.
     """
-    a_matrix = a_matrix or _a_stack(model)
-    if objective == "min-damping-ratio":
-        return _min_damping(np.linalg.eigvals(a_matrix(r, l)), band=band)
     if isinstance(model, ReducedModel):
-        peak = model.gain_sq(r[:, None], l[:, None], grid).max(axis=-1)
-        return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
+        return _reduced_objective(model, objective, band, grid)
+    a_matrix = _a_stack(model)
+    if objective == "min-damping-ratio":
+        return lambda r, l: _min_damping(np.linalg.eigvals(a_matrix(r, l)), band=band)
     b, c = model.force_map, model.output_map
     # poles are stored as inf
-    return np.array([-np.max(np.abs(_frf_values(a, b, c, grid)[0])) for a in a_matrix(r, l)])
+    return lambda r, l: np.array([-np.max(np.abs(_frf_values(a, b, c, grid)[0]))
+                                  for a in a_matrix(r, l)])
+
+
+def _reduced_objective(rm, objective, band, grid):
+    """`_objective` of the ReducedModel `rm`: its state-matrix template or the grid terms of
+    its gain are built once, and each call computes only what the scales change."""
+    if objective == "min-damping-ratio":
+        template = rm._a_template()
+        stack = template[None]  # template copies, grown to the largest batch
+
+        def values(r, l):
+            nonlocal stack
+            _admit_reduced(r, l)
+            if len(r) > len(stack):
+                stack = np.tile(template, (len(r), 1))
+            a = rm._write_scales(stack[:len(r)], np.array(r), np.array(l))
+            return _min_damping(np.linalg.eigvals(a), band=band)
+        return values
+    x, m, gain2 = rm._grid_terms(grid)
+
+    def values(r, l):
+        _admit_reduced(r, l)
+        gain_sq = rm._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
+        peak = gain_sq.max(axis=-1)
+        return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
+    return values
 
 
 def _objective_value(objective, model, r, l, band=None, grid=None):
-    """`_objective_values` at the one point (r, l), scalar or per-branch scales, as a float."""
-    r, l = (np.asarray(v, dtype=float)[None] for v in (r, l))
-    return float(_objective_values(objective, model, r, l, band, grid)[0])
+    """`_objective` at the one point (r, l), scalar or per-branch scales, as a float."""
+    r, l = (np.asarray(v, dtype=float)[None].tolist() for v in (r, l))
+    return float(_objective(model, objective, band, grid)(r, l)[0])
 
 
 def _two(value):
@@ -487,13 +569,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         omega_t, band, n = model.omega_m, None, 1
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")
-    # built once: the grid and the complete model's state matrix do not
-    # depend on the branch values
     grid = hinf_grid(omega_t) if objective == "hinf" else None
-    a_matrix = _a_stack(model)
-
-    def evaluate(r, l):
-        return _objective_values(objective, model, r, l, band, grid, a_matrix)
+    evaluate = _objective(model, objective, band, grid)
 
     if seed is None:
         rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
@@ -504,17 +581,16 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     if not (0 < r0 < np.inf and 0 < l0 < np.inf):  # the search runs in log10 space
         raise ParameterError(f"tuning seed must be finite and positive, got ({r0}, {l0})")
 
-    def decode(z):  # (k, 2n) points -> (rbar, lbar) rows, of k scalars or (k, n) scales
+    def decode(rows):  # k points of 2n floats -> (rbar, lbar) rows, of k floats or (k, n) scales
         if per_branch:  # the vectorized power, elementwise over the stack
-            powers = 10.0 ** z
+            powers = 10.0 ** np.array(rows)
             return powers[:, :n], powers[:, n:]
         # scalar powers: the vectorized power may differ in the last ulp,
         # which moves the simplex path
-        powers = np.array([10.0 ** v for v in z.flat]).reshape(z.shape)
-        return powers[:, 0], powers[:, 1]
+        return [10.0 ** row[0] for row in rows], [10.0 ** row[1] for row in rows]
 
     def summary(z):  # the (rbar, lbar) a start reports
-        r, l = decode(z[None])
+        r, l = decode([z.tolist()])
         if per_branch:
             return tuple(float(np.exp(np.mean(np.log(v[0])))) for v in (r, l))
         return r[0], l[0]
@@ -529,25 +605,32 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     if not (0 < r_lo < r_hi < np.inf and 0 < l_lo < l_hi < np.inf):
         raise ParameterError(f"tuning box must satisfy 0 < lo < hi < inf for R and L, "
                              f"got R [{r_lo}, {r_hi}], L [{l_lo}, {l_hi}]")
-    lo = np.repeat(np.log10([r_lo, l_lo]), n)
-    hi = np.repeat(np.log10([r_hi, l_hi]), n)
+    lo = np.repeat(np.log10([r_lo, l_lo]), n).tolist()
+    hi = np.repeat(np.log10([r_hi, l_hi]), n).tolist()
 
     def costs(z):  # what the searches minimize: inf outside the box and where not finite
-        out = np.full(len(z), np.inf)
-        inside = ~((z < lo) | (z > hi)).any(axis=1)
-        if inside.any():
-            values = evaluate(*decode(z[inside]))
-            out[inside] = np.where(np.isfinite(values), -values, np.inf)
-        return out
+        rows = z.tolist()
+        inside = [j for j, row in enumerate(rows)
+                  if not (any(map(lt, row, lo)) or any(map(gt, row, hi)))]
+        out = [np.inf] * len(rows)
+        if inside:
+            values = evaluate(*decode([rows[j] for j in inside])).tolist()
+            for j, value in zip(inside, values):
+                if -np.inf < value < np.inf:
+                    out[j] = -value
+        return np.array(out)
 
     z_starts = np.array([np.log10(np.repeat([r0 * fr, l0 * fl], n))
                          for fr in (0.1, 1.0, 10.0) for fl in (0.1, 1.0, 10.0)])
     # the seed and the starts in one stack; like the seed, a start is evaluated
     # also outside the box
-    r_starts, l_starts = decode(z_starts)
-    seed_objective, *start_objectives = evaluate(
-        *(np.concatenate([np.full((1,) + v.shape[1:], v0), v])
-          for v, v0 in ((r_starts, r0), (l_starts, l0)))).tolist()
+    r_starts, l_starts = decode(z_starts.tolist())
+    if per_branch:
+        r_starts, l_starts = (np.vstack([np.full(n, v0), v])
+                              for v, v0 in ((r_starts, r0), (l_starts, l0)))
+    else:
+        r_starts, l_starts = [r0] + r_starts, [l0] + l_starts
+    seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
     runs = []
     for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
             z_starts, start_objectives, _lockstep(costs, z_starts)):
@@ -563,7 +646,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
 
     winner, z_opt = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt, run[0].l_opt))
     records = tuple(rec for rec, _ in runs)
-    r_branches, l_branches = ((v[0] * model.s_shape for v in decode(z_opt[None])) if per_branch
+    r_branches, l_branches = ((v[0] * model.s_shape for v in decode([z_opt.tolist()])) if per_branch
                               else (None, None))
     improving = winner.objective > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(

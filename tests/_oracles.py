@@ -177,15 +177,18 @@ def tags_pointwise(sys, values, vectors, zero_rtol=1e-9):
     return tuple(tags)
 
 
-def nelder_mead_lists(f, z0, steps=None):
+def nelder_mead_lists(f, z0, steps=None, sorted_values=None):
     """Nelder-Mead with the simplex as a Python list of vertex arrays.
 
     The list-based loop `reduction._nelder_mead` ran before its simplex became
     one array; same steps, constants and return value (z, f, iterations,
-    converged).  A `steps` list, when given, receives the name of the step
-    each iteration takes: "expand", "reflect", "contract" or "shrink".
+    converged).  Vertices are sorted stably: vertices of equal value keep
+    their order.  A `steps` list, when given, receives the name of the step
+    each iteration takes: "expand", "reflect", "contract" or "shrink"; a
+    `sorted_values` list receives the vertex values after each sort.
     """
     steps = [] if steps is None else steps
+    sorted_values = [] if sorted_values is None else sorted_values
     d = len(z0)
     simplex = [np.asarray(z0, dtype=float)]
     for j in range(d):
@@ -197,9 +200,10 @@ def nelder_mead_lists(f, z0, steps=None):
     iterations = 0
     converged = False
     while iterations < NM_MAX_ITER:
-        order = np.argsort(values)
+        order = np.argsort(values, kind="stable")  # vertices of equal value keep their order
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
+        sorted_values.append(values.copy())
 
         diameter = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
         scale = 1.0 + max(np.max(np.abs(v)) for v in simplex)
@@ -255,7 +259,7 @@ def nelder_mead_array(f, z0):
     iterations = 0
     converged = False
     while iterations < NM_MAX_ITER:
-        order = np.argsort(values)
+        order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
 
         diameter = np.abs(simplex[1:] - simplex[0]).max()

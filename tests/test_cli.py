@@ -272,15 +272,30 @@ def test_csv_writer_matches_the_per_value_join(tmp_path):
 
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e300, 123456789.5, -2.5e-7]
     rng = np.random.default_rng(7)
-    floats = [*specials, *rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40)]
-    rows = [(x, np.float64(-x), x) for x in floats]
-    rows += [(3, np.int64(-4), True), (False, np.int64(0), 2**70)]
-    rows += [(1.5, "mechanical", np.int64(7)), ("a,b", np.float64(-0.0), "zero")]
-    rows += [[np.float64(x), 9, "tag"] for x in specials]  # lists, mixed columns
-    rows += [(np.float32(0.1), np.float32(-0.0), "float32")]  # another numpy float scalar
+    floats = [*specials, *rng.standard_normal(2990) * 10.0 ** rng.integers(-30, 30, 2990)]
+    n = len(floats)  # more rows than one formatting block
+    assert n > cli._CSV_BLOCK
+    ints = rng.integers(-2**62, 2**62, n)
+    singles = rng.standard_normal(n).astype(np.float32)
+    singles[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    columns = {
+        "float": floats,                                    # Python floats
+        "float64": -np.array(floats),                       # a float array
+        "float32": singles,                                 # another float type
+        "int": [int(v) for v in ints],                      # Python ints
+        "int64": ints,                                      # an int array
+        "uint8": rng.integers(0, 256, n).astype(np.uint8),
+        "bool": rng.random(n) < 0.5,
+        "str": [("a,b", "mechanical", "zero")[j % 3] for j in range(n)],
+    }
 
     path = tmp_path / "table.csv"
-    cli._write_csv(path, ["a", "b", "c"], rows)
-    expected = "a,b,c\n" + "".join(
-        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n" for row in rows)
+    cli._write_csv(path, list(columns), list(columns.values()))
+    cells = [[v.item() if isinstance(v, np.generic) else v for v in col]
+             for col in columns.values()]
+    expected = ",".join(columns) + "\n" + "".join(
+        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
+        for row in zip(*cells))
     assert path.read_text() == expected
+    cli._write_csv(path, ["a", "b"], [[], np.array([])])
+    assert path.read_text() == "a,b\n"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import piezoshunt as ps
 from piezoshunt import coupled, reduction
+from piezoshunt.circuits import branch_fault
 from piezoshunt.coupled import _frf_values, state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (
@@ -614,6 +615,109 @@ def test_lockstep_searches_equal_separate_runs(problem):
         reduction._lockstep(batch, [z0])
         rounds.append(len(batches))
     assert rounds[0] == max(rounds[1:])
+
+
+def _plateaued_quadratic(d):
+    """A d-dimensional quadratic costing inf outside |z| < 1 and on every other slab across sum(z).
+
+    From z0 = 0 every vertex but z0 lies on the infeasible slab, a tie of d
+    values at inf; from outside the wall every vertex ties.
+    """
+    center = np.linspace(-0.4, 0.3, d)
+
+    def f(z):
+        if (np.abs(z) >= 1.0).any() or int(np.floor(30.0 * np.sum(z))) % 2:
+            return np.inf
+        return float(np.sum((z - center) ** 2))
+    return f
+
+
+@pytest.mark.parametrize("d", [4, 10, 16])
+def test_tied_vertices_keep_their_order(d):
+    f = _plateaued_quadratic(d)
+    rng = np.random.default_rng(d)
+    starts = [np.zeros(d), np.full(d, 0.02), *np.round(rng.uniform(-0.3, 0.3, (4, d)), 2),
+              np.full(d, 2.0)]
+    got = reduction._lockstep(lambda points: np.array([f(z) for z in points]), starts)
+    tied = []
+    for z0, (z, f_best, iterations, converged) in zip(starts, got):
+        sorted_values = []
+        z_ref, *ref = nelder_mead_lists(f, z0, sorted_values=sorted_values)
+        assert [float(v).hex() for v in z] == [float(v).hex() for v in z_ref]
+        assert [f_best, iterations, converged] == ref
+        tied.append(any(a == b for values in sorted_values for a, b in zip(values, values[1:])))
+    # equal values were sorted on the paths built to meet them
+    assert tied[0] and tied[-1]
+    assert got[0][1] < np.inf and got[-1][1] == np.inf
+
+
+def _pole_model():
+    """Undamped and shorted at (R, L) = (0, 1): omega = 1 is an exact pole of |G|^2."""
+    return ReducedModel(target_mode=1, omega_m=3.0, zeta_m=0.0, u_star=np.ones(1),
+                        mu_star=1.125, alpha=1.0, kappa=1.0 / 3.0, in_gain=1.0, out_gain=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_omega=st.floats(-1.0, 4.0), zeta_m=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
+       log_kappa=st.floats(-3.0, np.log10(0.5)), log_mu=st.floats(3.0, 9.0),
+       gains=st.tuples(st.floats(0.1, 3.0), st.floats(-3.0, -0.1)),
+       factors=st.lists(st.tuples(st.floats(-2.0, 6.0), st.floats(-4.0, 4.0)),
+                        min_size=1, max_size=6),
+       pole=st.booleans(),
+       bad=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.booleans(),
+                                          st.sampled_from([np.nan, -1.0, 0.0, np.inf]))))
+def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
+        log_omega, zeta_m, log_kappa, log_mu, gains, factors, pole, bad):
+    omega_m, kappa = 10.0 ** log_omega, 10.0 ** log_kappa
+    rm = ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m, u_star=np.ones(1),
+                      mu_star=10.0 ** log_mu, alpha=kappa * omega_m, kappa=kappa,
+                      in_gain=gains[0], out_gain=gains[1])
+    grid = hinf_grid(omega_m)
+    r0, l0 = closed_form_seed(rm)
+    r = [r0 * 10.0 ** fr for fr, _ in factors]
+    l = [l0 * 10.0 ** fl for _, fl in factors]
+    if pole:  # the pole model, its pole row and the pole on the grid
+        rm, grid = _pole_model(), np.array([0.5, 1.0, 1.5])
+        r, l = r + [0.0], l + [1.0]
+    if bad is not None:
+        j, on_l, value = bad
+        j %= len(r)
+        if on_l:
+            l[j] = value
+        elif value != 0.0:  # R = 0 is admissible
+            r[j] = value
+    hinf = reduction._objective(rm, "hinf", grid=grid)
+    mdr = reduction._objective(rm, "min-damping-ratio")
+
+    fault = branch_fault(np.min(r), np.min(l)) or branch_fault(np.max(r), np.max(l))
+    if fault:
+        for kernel in (hinf, mdr):
+            with pytest.raises(ParameterError) as got:
+                kernel(r, l)
+            assert str(got.value) == f"reduced-model branch {fault}"
+        for public in (lambda: rm.a_matrix(np.array(r), np.array(l)),
+                       lambda: rm.gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid)):
+            with pytest.raises(ParameterError) as got:
+                public()
+            assert str(got.value) == f"reduced-model branch {fault}"
+        return
+
+    x, m, gain2 = rm._grid_terms(grid)
+    stacked = rm._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
+    a_stack = rm._write_scales(np.tile(rm._a_template(), (len(r), 1)), np.array(r), np.array(l))
+    want_hinf, want_mdr = [], []
+    for j, (r_j, l_j) in enumerate(zip(r, l)):
+        gain_sq = rm.gain_sq(r_j, l_j, grid)
+        assert [v.hex() for v in stacked[j].tolist()] == [v.hex() for v in gain_sq.tolist()]
+        assert ([v.hex() for v in a_stack[j].ravel().tolist()]
+                == [v.hex() for v in rm.a_matrix(r_j, l_j).ravel().tolist()])
+        peak = gain_sq.max()
+        want_hinf.append(-np.sqrt(peak) if np.isfinite(peak) else -np.inf)
+        want_mdr.append(_min_damping(np.linalg.eigvals(rm.a_matrix(r_j, l_j)), None))
+    assert [float(v).hex() for v in hinf(r, l)] == [float(v).hex() for v in want_hinf]
+    assert [float(v).hex() for v in mdr(r, l)] == [float(v).hex() for v in want_mdr]
+    if pole:
+        assert hinf(r, l)[-1] == -np.inf
 
 
 TUNE_FIELDS = ("r0", "l0", "r_opt", "l_opt", "objective", "seed_objective")
