@@ -18,7 +18,7 @@ from .circuits import (
 from .config import ScenarioConfig, load_config
 from .coupled import CoupledSystem, EigenSolution, FRFTable, assemble, eigen, frf, state_matrix, total_energy
 from .errors import ConfigError, NetlistError, NumericalError, ParameterError
-from .patches import PatchArray, coupling_matrix, node_capacitances, uniform_layout
+from .patches import PatchArray, coupling_matrix, uniform_layout
 from .reduction import (
     ElectricalModeSet,
     ReducedModel,
@@ -30,6 +30,6 @@ from .reduction import (
     tune,
     validate_reduction,
 )
-from .timesim import Trajectory, decay_rate, energy_residual, integrate
+from .timesim import Trajectory, energy_residual, integrate
 
 __version__ = "0.1.0"

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, integer_fault
+from .errors import ParameterError, integer_fault
 
 #: Largest supported mode count.  The closed-form cosh/sinh mode shape loses
 #: accuracy rapidly for higher wavenumbers; low-frequency damping only needs
 #: the first few modes.
 MAX_MODES = 12
-
-_NORM_PANELS = 512  # minimum panel count for the normalization quadrature
 
 #: Roots of 1 + cos(x)*cosh(x) = 0, the k-th in ((k-1)*pi, k*pi), as Brent's
 #: method finds them on cos(x) + sech(x) with xtol = rtol = 1e-15.
@@ -116,7 +114,7 @@ class ModalBasis:
     omega : ndarray, shape (m,)
         Natural frequencies in rad/s, omega_k = beta_l_k**2 * sqrt(EI/rhoA)/L**2.
     norm : ndarray, shape (m,)
-        Scale factors making the modal mass of every mode equal 1.
+        Scale factors 1/sqrt(rhoA*L), which make the modal mass of every mode 1.
     zeta : ndarray, shape (m,)
         Per-mode damping ratios resolved from the beam spec.
     """
@@ -135,33 +133,10 @@ def modal_basis(beam, m):
     omega = beta_l**2 * np.sqrt(beam.bending_stiffness / beam.mass_per_length) / beam.length**2
     zeta = beam.modal_damping(m)
 
-    norm = np.empty(m)
-    for k in range(m):
-        raw = lambda x: beam.mass_per_length * _raw_shape(beam, beta_l[k], x, 0) ** 2
-        coarse = _panel_quad(raw, 0.0, beam.length, _NORM_PANELS)
-        fine = _panel_quad(raw, 0.0, beam.length, 2 * _NORM_PANELS)
-        if abs(fine - coarse) > 1e-8 * abs(fine):
-            raise NumericalError(
-                f"mode {k + 1} normalization quadrature did not converge "
-                f"(refinement residual {abs(fine - coarse) / abs(fine):.2e})"
-            )
-        norm[k] = 1.0 / np.sqrt(fine)
-
+    # the raw shape cosh - cos - sigma*(sinh - sin) has integral of its square over
+    # [0, L] equal to L (Blevins 1979, table 8-1), so every modal mass is rhoA*L
+    norm = np.full(m, 1.0 / np.sqrt(beam.mass_per_length * beam.length))
     return ModalBasis(beam=beam, m=m, beta_l=beta_l, omega=omega, norm=norm, zeta=zeta)
-
-
-# 4-point Gauss-Legendre rule on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-
-
-def _panel_quad(f, a, b, panels):
-    """Composite 4-point Gauss-Legendre quadrature with fixed panels."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    x = (mid[:, None] + half * _GL_X[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_W, (panels, _GL_X.size)).ravel()
-    return float(np.dot(w, f(x)))
 
 
 def _raw_shape(beam, beta_l, x, order):
@@ -184,7 +159,7 @@ def eval_mode(basis, k, x, order=0):
     if order not in (0, 1):
         raise ParameterError(f"order must be 0 or 1, got {order}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or np.any(xa > basis.beam.length):
+    if not np.all((0 <= xa) & (xa <= basis.beam.length)):  # as chained, nan fails it
         raise ParameterError(f"position {x} outside beam span [0, {basis.beam.length}]")
     val = basis.norm[k - 1] * _raw_shape(basis.beam, basis.beta_l[k - 1], xa, order)
     return float(val) if np.isscalar(x) else val
@@ -195,24 +170,3 @@ def modal_force_vector(basis, x_f=None):
     if x_f is None:
         x_f = basis.beam.length
     return np.array([eval_mode(basis, k, x_f) for k in range(1, basis.m + 1)])
-
-
-def modal_gram(basis, panels=2 * _NORM_PANELS):
-    """Gram matrix of rhoA-weighted mode products; identity for an exact basis."""
-    g = np.empty((basis.m, basis.m))
-    for j in range(1, basis.m + 1):
-        for k in range(j, basis.m + 1):
-            f = lambda x: basis.beam.mass_per_length * eval_mode(basis, j, x) * eval_mode(basis, k, x)
-            g[j - 1, k - 1] = g[k - 1, j - 1] = _panel_quad(f, 0.0, basis.beam.length, panels)
-    return g
-
-
-def tip_compliance(basis, m=None):
-    """Truncated static tip compliance sum(phi_k(L)^2 / omega_k^2) over k<=m.
-
-    Converges monotonically from below to the closed form L^3/(3 EI).
-    """
-    if m is None:
-        m = basis.m
-    phi_tip = modal_force_vector(basis)
-    return float(np.sum(phi_tip[:m] ** 2 / basis.omega[:m] ** 2))

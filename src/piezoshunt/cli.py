@@ -11,7 +11,7 @@ import numpy as np
 
 from . import circuits, coupled, reduction, timesim
 from .beam import modal_basis, modal_force_vector
-from .config import ScenarioConfig, load_config
+from .config import TOPOLOGIES, load_config
 from .errors import NumericalError, ParameterError
 from .patches import uniform_layout
 
@@ -47,24 +47,30 @@ def _write_csv(path, header, columns):
             fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
-def _build_netlist(cfg):
-    if cfg.netlist_path is not None:
-        with open(cfg.netlist_path) as fh:
-            return circuits.parse_netlist(fh.read())
+def _builtin_netlist(cfg, topology):
+    """The built-in `topology` on the configured patch count and branch values."""
     try:
-        if cfg.topology == "single_shunt":
+        if topology == "single_shunt":
             return circuits.build_single_shunt(cfg.n_patches, cfg.r, cfg.l)
-        if cfg.topology == "multi_shunt":
+        if topology == "multi_shunt":
             return circuits.build_multi_shunt(cfg.n_patches, cfg.r, cfg.l)
         return circuits.build_transmission_line(cfg.n_patches, cfg.r, cfg.l, cfg.termination)
     except ParameterError as exc:
-        raise ParameterError(f"[network] topology = {cfg.topology}: {exc}") from exc
+        raise ParameterError(f"[network] topology = {topology}: {exc}") from exc
+
+
+def _basis_and_patches(cfg):
+    basis = modal_basis(cfg.beam_spec(), cfg.n_modes)
+    return basis, uniform_layout(basis.beam, cfg.n_patches, cfg.coverage, cfg.cp, cfg.gamma)
 
 
 def _build_system(cfg):
-    basis = modal_basis(cfg.beam_spec(), cfg.n_modes)
-    patches = uniform_layout(cfg.beam_spec(), cfg.n_patches, cfg.coverage, cfg.cp, cfg.gamma)
-    return coupled.assemble(basis, patches, _build_netlist(cfg))
+    if cfg.netlist_path is not None:
+        with open(cfg.netlist_path) as fh:
+            net = circuits.parse_netlist(fh.read())
+    else:
+        net = _builtin_netlist(cfg, cfg.topology)
+    return coupled.assemble(*_basis_and_patches(cfg), net)
 
 
 def _initial_state(sys, kind):
@@ -159,9 +165,7 @@ def _cmd_simulate(cfg, outdir):
     return 0
 
 
-def _compare_row(cfg, topology):
-    sub = ScenarioConfig(**{**cfg.__dict__, "topology": topology, "netlist_path": None})
-    sys_ = _build_system(sub)
+def _compare_row(cfg, sys_, topology):
     rm = reduction.reduce(sys_, cfg.target_mode)
 
     tr = reduction.tune(rm, "min-damping-ratio", target_mode=cfg.target_mode, bounds=cfg.bounds)
@@ -191,8 +195,10 @@ def _cmd_compare(cfg, outdir):
     ]
     rows = []
     warnings = []
-    for topology in ("single_shunt", "multi_shunt", "transmission_line"):
-        row, warn = _compare_row(cfg, topology)
+    basis, patches = _basis_and_patches(cfg)  # shared: only the netlist differs
+    for topology in TOPOLOGIES:
+        sys_ = coupled.assemble(basis, patches, _builtin_netlist(cfg, topology))
+        row, warn = _compare_row(cfg, sys_, topology)
         rows.append(row)
         warnings.extend(warn)
     _write_csv(os.path.join(outdir, "compare.csv"), header, list(zip(*rows)))
@@ -227,8 +233,7 @@ def _parser():
         p = sub.add_parser(name)
         p.add_argument("--config", help="scenario configuration file")
         p.add_argument("--out", help="output directory (overrides [output] dir)")
-        p.add_argument("--topology", choices=("single_shunt", "multi_shunt", "transmission_line"),
-                       help="override the network topology")
+        p.add_argument("--topology", choices=TOPOLOGIES, help="override the network topology")
         p.add_argument("--netlist", help="netlist file overriding the topology")
     return parser
 

@@ -43,9 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .beam import MAX_MODES, BeamSpec
-from .circuits import parse_si
-from .errors import ConfigError
+from .beam import BeamSpec, modal_basis
+from .circuits import branch_fault, parse_si
+from .errors import ConfigError, ParameterError, integer_fault
+from .patches import uniform_layout
 
 TOPOLOGIES = ("single_shunt", "multi_shunt", "transmission_line")
 OBJECTIVES = ("min-damping-ratio", "hinf")
@@ -213,24 +214,22 @@ def load_config(text):
 
 
 def _validate(cfg):
-    checks = [
-        (cfg.length > 0, "beam", "L must be positive"),
-        (cfg.bending_stiffness > 0, "beam", "EI must be positive"),
-        (cfg.mass_per_length > 0, "beam", "rhoA must be positive"),
-        (0 <= cfg.zeta < 1, "beam", "zeta must lie in [0, 1)"),
-        (1 <= cfg.n_modes <= MAX_MODES, "beam", f"M must lie in [1, {MAX_MODES}]"),
-        (cfg.n_patches >= 1, "patches", "N must be at least 1"),
-        (0 < cfg.coverage <= 1, "patches", "coverage must lie in (0, 1]"),
-        (cfg.cp > 0, "patches", "Cp must be positive"),
-        (cfg.r >= 0, "network", "R must be nonnegative"),
-        (cfg.l > 0, "network", "L must be positive"),
-        (1 <= cfg.target_mode <= cfg.n_modes, "optimize", "target_mode must lie in [1, M]"),
-        (cfg.dt is None or cfg.dt > 0, "simulate", "dt must be positive or auto"),
-        (cfg.t_final is None or cfg.t_final > 0, "simulate", "T must be positive or auto"),
-    ]
-    for ok, section, message in checks:
-        if not ok:
-            raise ConfigError(message, section)
+    """Apply the rules of the library calls that consume `cfg`; a fault names its section."""
+    section = "beam"
+    try:
+        beam = cfg.beam_spec()
+        modal_basis(beam, cfg.n_modes)
+        section = "patches"
+        uniform_layout(beam, cfg.n_patches, cfg.coverage, cfg.cp, cfg.gamma)
+    except ParameterError as exc:
+        raise ConfigError(str(exc), section) from None
+    if fault := branch_fault(cfg.r, cfg.l):
+        raise ConfigError(f"R, L: branch {fault}", "network")
+    if fault := integer_fault(cfg.target_mode, 1, cfg.n_modes):
+        raise ConfigError(f"target_mode {fault}", "optimize")
+    for key, value in (("dt", cfg.dt), ("T", cfg.t_final)):
+        if not (value is None or value > 0):
+            raise ConfigError(f"{key} must be positive or auto, got {value}", "simulate")
     for x, (lo, hi) in zip("RL", cfg.bounds or ()):
         if not 0 < lo < hi:
             raise ConfigError(f"{x} bounds must satisfy 0 < {x}_min < {x}_max", "optimize")

@@ -80,16 +80,6 @@ class CoupledSystem:
         r_b, l_b = self._scaled_branches(rbar, lbar)
         return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
 
-    def a_matrix(self, rbar, lbar):
-        """New state matrix at branch scales (rbar, lbar), as `ReducedModel.a_matrix`.
-
-        Only the branch rows of this system's matrix are rewritten, so the result
-        equals `state_matrix(self.rescaled(rbar, lbar))` bit for bit.
-        """
-        a = state_matrix(self)
-        _write_branch_rows(a, self.nm.b_inc, *self._scaled_branches(rbar, lbar))
-        return a
-
     def with_branch_values(self, r_b, l_b):
         """Copy of the system with per-branch (R, L) vectors; a scalar is shared by all."""
         r_b, l_b = _admitted(self._per_branch(r_b, "resistance"),

@@ -89,7 +89,3 @@ def coupling_matrix(basis, patches):
         theta[k - 1] = patches.gamma * (slope_b - slope_a)
     return theta
 
-
-def node_capacitances(patches):
-    """Diagonal N x N matrix of the blocked patch capacitances."""
-    return np.diag(patches.cp)

@@ -154,18 +154,3 @@ def _energy_residual(h, p, dt):
     resid = np.abs(dh + p[1:-1])
     return float(np.max(resid) / max(h[0], 1e-300))
 
-
-def decay_rate(times, signal, min_peaks=5):
-    """Decay rate of |signal| from a least-squares fit of its log peak envelope.
-
-    Picks strict local maxima of |signal| and fits log(peak) vs time; the
-    returned rate is positive for a decaying envelope.
-    """
-    mag = np.abs(np.asarray(signal, dtype=float))
-    interior = (mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])
-    idx = np.nonzero(interior)[0] + 1
-    idx = idx[mag[idx] > 0]
-    if idx.size < min_peaks:
-        raise ParameterError(f"envelope fit needs at least {min_peaks} peaks, found {idx.size}")
-    slope, _ = np.polyfit(np.asarray(times)[idx], np.log(mag[idx]), 1)
-    return float(-slope)

@@ -9,7 +9,9 @@ import math
 import numpy as np
 import scipy.linalg
 
+from piezoshunt.beam import _raw_shape, eval_mode, modal_force_vector, solve_wavenumbers
 from piezoshunt.coupled import ZERO_MODE_RTOL, CoupledSystem, frf, state_matrix
+from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (BOUNDS_FACTORS_L, BOUNDS_FACTORS_R, NM_MAX_ITER, NM_REL_TOL,
                                   NM_STEP, ReducedModel, StartRecord, _band, closed_form_seed,
                                   hinf_grid, reduce)
@@ -38,6 +40,69 @@ def bisect_wavenumber(k, iterations=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+# 4-point Gauss-Legendre rule on [-1, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+
+
+def panel_quad(f, a, b, panels):
+    """Composite 4-point Gauss-Legendre quadrature with fixed panels."""
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    x = (mid[:, None] + half * _GL_X[None, :]).ravel()
+    w = np.broadcast_to(half * _GL_W, (panels, _GL_X.size)).ravel()
+    return float(np.dot(w, f(x)))
+
+
+def quadrature_norms(beam, m, panels=1024):
+    """1/sqrt(modal mass) of the raw cantilever shapes, the mass by `panel_quad`."""
+    return np.array([1.0 / np.sqrt(panel_quad(
+        lambda x: beam.mass_per_length * _raw_shape(beam, beta_l, x, 0) ** 2,
+        0.0, beam.length, panels)) for beta_l in solve_wavenumbers(m)])
+
+
+def modal_gram(basis, panels=1024):
+    """Gram matrix of rhoA-weighted mode products; identity for an exact basis."""
+    g = np.empty((basis.m, basis.m))
+    for j in range(1, basis.m + 1):
+        for k in range(j, basis.m + 1):
+            f = lambda x: basis.beam.mass_per_length * eval_mode(basis, j, x) * eval_mode(basis, k, x)
+            g[j - 1, k - 1] = g[k - 1, j - 1] = panel_quad(f, 0.0, basis.beam.length, panels)
+    return g
+
+
+def tip_compliance(basis, m=None):
+    """Truncated static tip compliance sum(phi_k(L)^2 / omega_k^2) over k<=m.
+
+    Converges monotonically from below to the closed form L^3/(3 EI).
+    """
+    if m is None:
+        m = basis.m
+    phi_tip = modal_force_vector(basis)
+    return float(np.sum(phi_tip[:m] ** 2 / basis.omega[:m] ** 2))
+
+
+def node_capacitances(patches):
+    """Diagonal N x N matrix of the blocked patch capacitances."""
+    return np.diag(patches.cp)
+
+
+def decay_rate(times, signal, min_peaks=5):
+    """Decay rate of |signal| from a least-squares fit of its log peak envelope.
+
+    Picks strict local maxima of |signal| and fits log(peak) vs time; the
+    returned rate is positive for a decaying envelope.
+    """
+    mag = np.abs(np.asarray(signal, dtype=float))
+    interior = (mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])
+    idx = np.nonzero(interior)[0] + 1
+    idx = idx[mag[idx] > 0]
+    if idx.size < min_peaks:
+        raise ParameterError(f"envelope fit needs at least {min_peaks} peaks, found {idx.size}")
+    slope, _ = np.polyfit(np.asarray(times)[idx], np.log(mag[idx]), 1)
+    return float(-slope)
 
 
 def generalized_eigh(k, c):

@@ -11,13 +11,12 @@ import numpy as np
 import scipy.linalg
 
 import piezoshunt as ps
-from piezoshunt.beam import modal_gram
 from piezoshunt.cli import run_command
 from piezoshunt.coupled import eigen, state_matrix, total_energy
 from piezoshunt.reduction import _min_damping, closed_form_seed, tune, validate_reduction
-from piezoshunt.timesim import decay_rate, energy_history, integrate, max_eigen_magnitude
+from piezoshunt.timesim import energy_history, integrate, max_eigen_magnitude
 
-from _oracles import bisect_wavenumber, grid_search, match_spectra
+from _oracles import bisect_wavenumber, decay_rate, grid_search, match_spectra, modal_gram
 from conftest import make_benchmark
 
 

@@ -3,10 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 import piezoshunt as ps
-from piezoshunt.beam import modal_gram, solve_wavenumbers, tip_compliance
+from piezoshunt.beam import solve_wavenumbers
 from piezoshunt.errors import ParameterError
 
-from _oracles import bisect_wavenumber, characteristic_residual
+from _oracles import (bisect_wavenumber, characteristic_residual, modal_gram, quadrature_norms,
+                      tip_compliance)
+
+# (L, EI, rhoA) of the unit beam and two others
+BEAMS = [(1.0, 1.0, 1.0), (0.3, 2.5, 0.7), (2.0, 50.0, 3.1)]
 
 
 def test_first_wavenumber_matches_bisection_oracle():
@@ -57,6 +61,18 @@ def test_modal_mass_is_one_by_quadrature():
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("length, stiffness, mass", BEAMS)
+def test_modal_mass_closed_form_matches_gauss_legendre(length, stiffness, mass):
+    # the raw shape's square integrates to L (Blevins 1979, table 8-1): every
+    # mode has norm 1/sqrt(rhoA*L), which a 1024-panel quadrature reproduces
+    beam = ps.BeamSpec(length, stiffness, mass)
+    basis = ps.modal_basis(beam, 12)
+    closed = 1.0 / np.sqrt(mass * length)
+    assert np.all(basis.norm == closed)
+    ulps = np.abs(quadrature_norms(beam, 12) - closed) / np.spacing(closed)
+    assert np.max(ulps) <= 4.0
+
+
 def test_gram_matrix_is_identity(basis5):
     g = modal_gram(basis5)
     assert np.max(np.abs(g - np.eye(5))) < 1e-8
@@ -97,6 +113,13 @@ def test_eval_mode_domain_errors(basis5):
         ps.eval_mode(basis5, 6, 0.5)
     with pytest.raises(ParameterError):
         ps.eval_mode(basis5, 1, 0.5, order=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="outside beam span"):
+            ps.eval_mode(basis5, 1, bad)
+        with pytest.raises(ParameterError, match="outside beam span"):
+            ps.eval_mode(basis5, 1, np.array([0.5, bad]))
+        with pytest.raises(ParameterError, match="outside beam span"):
+            ps.modal_force_vector(basis5, bad)
 
 
 def test_force_vector_at_clamped_end_is_zero(basis5):

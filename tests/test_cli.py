@@ -43,8 +43,21 @@ R = 80k
 
 
 def test_config_rejects_zero_mode_count():
-    with pytest.raises(ConfigError, match="M must lie"):
+    with pytest.raises(ConfigError, match=r"\[beam\] mode count must lie in \[1, 12\], got 0"):
         load_config("[beam]\nM = 0\n")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("beam", "L", "0"), ("beam", "EI", "-1"), ("beam", "rhoA", "0"), ("beam", "zeta", "1"),
+    ("beam", "M", "13"), ("patches", "N", "0"), ("patches", "coverage", "1.5"),
+    ("patches", "Cp", "0"), ("network", "R", "-1"), ("network", "L", "0"),
+    ("optimize", "target_mode", "6"), ("simulate", "dt", "0"), ("simulate", "T", "-1"),
+])
+def test_config_rejects_each_bad_value_with_its_section(section, key, value):
+    with pytest.raises(ConfigError) as info:
+        load_config(f"[{section}]\n{key} = {value}\n")
+    assert info.value.section == section
+    assert str(info.value).startswith(f"[{section}] ")
 
 
 def test_config_rejects_unknown_key_with_location():
@@ -144,9 +157,12 @@ def test_module_entry_point_runs_a_subcommand(tmp_path):
 
 
 def test_package_imports_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only reference
+    # numpy is the only runtime dependency; scipy is a test-only reference, and
+    # numpy.polynomial (quadrature nodes, fits) is only the tests' oracles' business
     proc = _python_with_package("-c", "import piezoshunt, piezoshunt.cli, sys; "
-                                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+                                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                                "assert not [m for m in sys.modules "
+                                "if m.startswith('numpy.polynomial')], 'numpy.polynomial'")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -265,6 +281,21 @@ def test_simulate_computes_energy_history_once(tmp_path, monkeypatch):
     cfg.write_text("[simulate]\nT = 5\n")
     assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_compare_builds_basis_and_patches_once(tmp_path, monkeypatch):
+    from piezoshunt import cli
+
+    calls = []
+    for name in ("modal_basis", "uniform_layout"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _b=build, _n=name: calls.append(_n) or _b(*args))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n")
+    assert run_command(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert calls == ["modal_basis", "uniform_layout"]
+    topologies = [row.split(",")[0] for row in (tmp_path / "compare.csv").read_text().splitlines()]
+    assert topologies == ["topology", "single_shunt", "multi_shunt", "transmission_line"]
 
 
 def test_csv_writer_matches_the_per_value_join(tmp_path):

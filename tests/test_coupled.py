@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 import piezoshunt as ps
 from piezoshunt import coupled
-from piezoshunt.beam import tip_compliance
 from piezoshunt.coupled import _frf_values, eigen, frf, state_matrix, total_energy
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import ReducedModel, _a_stack
 
-from _oracles import char_poly_roots, frf_pointwise, match_spectra, tags_pointwise
+from _oracles import char_poly_roots, frf_pointwise, match_spectra, tags_pointwise, tip_compliance
 
 
 def _mechanical_poles(basis):
@@ -141,8 +140,7 @@ def test_rescaled_rejects_non_finite_branch_values(basis5, patches5, r, l, value
 def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
     sys_ = ps.assemble(basis5, patches5, ps.build_multi_shunt(5, 100.0, 1e5))
     for call in (lambda: sys_.with_branch_values([1.0, 2.0], 1e5),
-                 lambda: sys_.rescaled([1.0, 2.0], 1.0),
-                 lambda: sys_.a_matrix(np.ones(2), 1.0)):
+                 lambda: sys_.rescaled([1.0, 2.0], 1.0)):
         with pytest.raises(ParameterError, match="scalar or a list of length 5"):
             call()
     # scalars and length-B lists pass, and agree
@@ -156,16 +154,17 @@ def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
                                          (np.nan, 1.0, "resistance, got nan")],
                          ids=["L_nan", "L_inf", "R_negative", "R_nan"])
 def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r, l, fault):
-    # the reduced and the complete model share one tuning interface and one branch
-    # rule, and the reduced model's closed-form gain admits what its matrix admits
+    # the reduced model's matrix and the complete model's tuner stack share one
+    # branch rule, and the reduced model's closed-form gain admits what its matrix admits
     rm = ps.reduce(bench_m5, 1)
-    for model in (rm, bench_m5):
+    stacked = _a_stack(bench_m5)
+    for build in (lambda: rm.a_matrix(r, l), lambda: stacked([r], [l])):
         with pytest.raises(ParameterError, match=fault):
-            model.a_matrix(r, l)
+            build()
     with pytest.raises(ParameterError, match=fault):
         rm.gain_sq(r, l, np.ones(3))
     assert np.all(np.isfinite(rm.a_matrix(0.0, 1.0)))
-    assert np.all(np.isfinite(bench_m5.a_matrix(0.0, 1.0)))
+    assert np.all(np.isfinite(stacked([0.0], [1.0])))
 
 
 def test_char_poly_cross_check(unit_beam):
@@ -416,7 +415,6 @@ def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):
             p = nm.b_inc.shape[0]
             _assert_bitwise_equal(got[-b:, -b - p:-b], nm.b_inc.T / nm.l_b[:, None])
             _assert_bitwise_equal(got[-b:, -b:], -np.diag(nm.r_b / nm.l_b))
-            _assert_bitwise_equal(sys_.a_matrix(r, l), got)
 
 
 @pytest.mark.parametrize("r, l", [(np.nan, 1e5), (-1.0, 1e5), (np.inf, 1e5),
@@ -430,19 +428,21 @@ def test_rewritten_branch_rows_admit_what_rescaled_admits(unit_beam, r, l):
         # the same scales as the first row of a stack whose other row is admissible
         rows = (np.array([r_b, np.full(np.shape(r_b), 100.0)]),
                 np.array([l_b, np.full(np.shape(l_b), 1e5)]))
-        for build in (lambda: sys_.a_matrix(r_b, l_b), lambda: stacked(*rows)):
-            with pytest.raises(ParameterError) as got:
-                build()
-            assert str(got.value) == str(want.value)
+        with pytest.raises(ParameterError) as got:
+            stacked(*rows)
+        assert str(got.value) == str(want.value)
         assert str(want.value).startswith("branch rescaling: each branch ")
 
 
 def test_a_matrix_returns_a_new_array_each_call(bench_m5):
-    first = bench_m5.a_matrix(100.0, 1e5)
-    second = bench_m5.a_matrix(100.0, 1e5)
+    # the tuner's stack rewrites copies: its prepared matrix never changes
+    a_matrix = _a_stack(bench_m5)
+    first = a_matrix([100.0], [1e5])
+    second = a_matrix([100.0], [1e5])
     assert first is not second and not np.shares_memory(first, second)
     first[:] = 0.0
-    np.testing.assert_array_equal(bench_m5.a_matrix(100.0, 1e5), second)
+    np.testing.assert_array_equal(a_matrix([100.0], [1e5]), second)
+    np.testing.assert_array_equal(second[0], state_matrix(bench_m5.rescaled(100.0, 1e5)))
 
 
 def test_stacked_branch_rows_equal_one_matrix_at_a_time(unit_beam):

@@ -9,15 +9,9 @@ from piezoshunt import cli
 from piezoshunt.config import load_config
 from piezoshunt.coupled import eigen, state_matrix
 from piezoshunt.errors import NumericalError, ParameterError
-from piezoshunt.timesim import (
-    decay_rate,
-    energy_history,
-    energy_residual,
-    integrate,
-    max_eigen_magnitude,
-)
+from piezoshunt.timesim import energy_history, energy_residual, integrate, max_eigen_magnitude
 
-from _oracles import energy_pointwise, rk4_stepwise
+from _oracles import decay_rate, energy_pointwise, rk4_stepwise
 
 TOPOLOGIES = [ps.build_single_shunt, ps.build_multi_shunt, ps.build_transmission_line]
 
