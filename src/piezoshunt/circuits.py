@@ -83,6 +83,15 @@ def branch_fault(r, l):
     return None
 
 
+def per_branch(values, n, name):
+    """`values` as a new float vector over `n` branches: a scalar or a sequence of length n."""
+    values = np.asarray(values, dtype=float)
+    if values.shape not in ((), (n,)):
+        raise ParameterError(f"{name} must be a scalar or a list of length {n}, "
+                             f"got shape {values.shape}")
+    return np.full(n, values)  # a third of the cost of broadcast_to(...).copy()
+
+
 def _validate_structure(branches, piezo):
     """First violated structural invariant as (subject, message), or None.
 
@@ -133,12 +142,7 @@ def build_multi_shunt(n, r, lind):
     """One grounded RL branch per piezo; scalars broadcast over the N loops."""
     if fault := integer_fault(n, 1):
         raise ParameterError(f"patch count {fault}")
-    for name, value in (("resistance", r), ("inductance", lind)):
-        if np.shape(value) not in ((), (n,)):
-            raise ParameterError(f"{name} must be a scalar or a list of length {n}, "
-                                 f"got shape {np.shape(value)}")
-    r_list = np.broadcast_to(np.asarray(r, dtype=float), (n,))
-    l_list = np.broadcast_to(np.asarray(lind, dtype=float), (n,))
+    r_list, l_list = per_branch(r, n, "resistance"), per_branch(lind, n, "inductance")
     branches = tuple(
         Branch(f"b{i}", f"n{i}", GROUND, float(r_list[i - 1]), float(l_list[i - 1]))
         for i in range(1, n + 1)

@@ -126,6 +126,7 @@ def _cmd_optimize(cfg, outdir):
         rm if not cfg.per_branch else sys_,
         cfg.objective,
         target_mode=cfg.target_mode,
+        seed=reduction.closed_form_seed(rm),  # the system is reduced once
         bounds=cfg.bounds,
         per_branch=cfg.per_branch,
     )
@@ -242,6 +243,10 @@ def run_command(argv):
     """Run one subcommand; returns 0 on success, 1 on validation error, 2 on numerical error."""
     args = _parser().parse_args(argv)
     try:
+        for flag in ("topology", "netlist"):
+            if args.command == "compare" and getattr(args, flag) is not None:
+                raise ParameterError(f"compare always runs the three built-in topologies; "
+                                     f"--{flag} does not apply")
         if args.config is not None:
             with open(args.config) as fh:
                 cfg = load_config(fh.read())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beam import modal_force_vector
-from .circuits import branch_fault, network_matrices
+from .circuits import branch_fault, network_matrices, per_branch
 from .errors import NumericalError, ParameterError
 from .patches import coupling_matrix
 
@@ -32,6 +32,14 @@ ZERO_MODE_RTOL = 1e-9
 #: Frequencies per stacked FRF solve: enough to amortize the per-call overhead,
 #: few enough that the complex matrix stack stays small (2.5 MB at n = 49).
 _FRF_CHUNK = 64
+
+
+def _nonzero_modes(freq, scale):
+    """Where the eigenvalue magnitudes `freq` are no zero mode: positive and at least
+    ZERO_MODE_RTOL of `scale`, the largest magnitude of their spectrum; False for nan."""
+    keep = freq >= ZERO_MODE_RTOL * scale
+    keep &= freq > 0
+    return keep
 
 
 @dataclass(frozen=True)
@@ -77,34 +85,26 @@ class CoupledSystem:
 
     def rescaled(self, rbar, lbar):
         """Copy with R_b = rbar*s_shape, L_b = lbar*s_shape; scalar or per-branch scales."""
-        r_b, l_b = self._scaled_branches(rbar, lbar)
-        return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
+        n = self.nm.n_branches
+        return self.with_branch_values(per_branch(rbar, n, "resistance") * self.s_shape,
+                                       per_branch(lbar, n, "inductance") * self.s_shape)
 
     def with_branch_values(self, r_b, l_b):
         """Copy of the system with per-branch (R, L) vectors; a scalar is shared by all."""
-        r_b, l_b = _admitted(self._per_branch(r_b, "resistance"),
-                             self._per_branch(l_b, "inductance"))
+        n = self.nm.n_branches
+        r_b, l_b = _admitted(per_branch(r_b, n, "resistance"), per_branch(l_b, n, "inductance"))
         return replace(self, nm=replace(self.nm, r_b=r_b, l_b=l_b))
-
-    def _scaled_branches(self, rbar, lbar):
-        """Admitted (R_b, L_b) = (rbar, lbar) * s_shape for scalar or per-branch scales."""
-        s_shape = self.s_shape
-        return _admitted(self._per_branch(rbar, "resistance") * s_shape,
-                         self._per_branch(lbar, "inductance") * s_shape)
-
-    def _per_branch(self, values, name):
-        """`values` as a new float vector over the B branches: a scalar or length B."""
-        values, n = np.asarray(values, dtype=float), self.nm.n_branches
-        if values.shape not in ((), (n,)):
-            raise ParameterError(f"{name} must be a scalar or a list of length {n}, "
-                                 f"got shape {values.shape}")
-        return np.full(n, values)  # a third of the cost of broadcast_to(...).copy()
 
 
 def _admitted(r_b, l_b):
     """(r_b, l_b) unchanged, or ParameterError unless every branch passes `branch_fault`."""
+    if type(r_b) is list:  # the simplex's float lists: builtins, no array round trip
+        total = sum(r_b) + sum(l_b)  # finite only when every value is
+        if total - total == 0.0 and min(r_b) >= 0.0 and min(l_b) > 0.0:
+            return r_b, l_b
+    r, l = np.asarray(r_b), np.asarray(l_b)  # the methods cost half of np.min and np.max
     # each rule is an interval, and min/max propagate nan: no per-branch loop
-    if fault := branch_fault(r_b.min(), l_b.min()) or branch_fault(r_b.max(), l_b.max()):
+    if fault := branch_fault(r.min(), l.min()) or branch_fault(r.max(), l.max()):
         raise ParameterError(f"branch rescaling: each branch {fault}")
     return r_b, l_b
 
@@ -189,15 +189,16 @@ def eigen(sys):
     values = values[order]
     vectors = vectors[:, order]
 
-    scale = np.max(np.abs(values))
     freq = np.abs(values)
+    scale = freq.max()
     with np.errstate(invalid="ignore", divide="ignore"):
         zeta = np.where(freq > 0, -values.real / np.where(freq > 0, freq, 1.0), 0.0)
 
     # a C-ordered copy: row sums of the transposed view may differ in the last ulp
     kin, strain, cap, ind, _ = _energy_terms(sys, np.abs(vectors).T.copy())
-    tags = np.where(freq < ZERO_MODE_RTOL * scale, "zero",
-                    np.where(0.5 * (kin + strain) > 0.5 * (cap + ind), "mechanical", "electrical"))
+    tags = np.where(_nonzero_modes(freq, scale),
+                    np.where(0.5 * (kin + strain) > 0.5 * (cap + ind), "mechanical", "electrical"),
+                    "zero")
     return EigenSolution(values=values, vectors=vectors, freq=freq, zeta=zeta,
                          tags=tuple(tags.tolist()))
 

@@ -32,8 +32,7 @@ from operator import add, gt, lt
 import numpy as np
 
 from .beam import eval_mode
-from .circuits import branch_fault
-from .coupled import (ZERO_MODE_RTOL, CoupledSystem, _admitted, _frf_values,
+from .coupled import (CoupledSystem, _admitted, _frf_values, _nonzero_modes,
                       _write_branch_rows, eigen)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
@@ -114,24 +113,26 @@ class ReducedModel:
 
         Arrays of scales give a stack of matrices along their (broadcast) axes.
         """
-        _admit_reduced(np.ravel(rbar).tolist(), np.ravel(lbar).tolist())
-        flat = np.empty(np.broadcast_shapes(np.shape(rbar), np.shape(lbar)) + (16,))
-        flat[...] = self._a_template()
-        return self._write_scales(flat, rbar, lbar)
+        a = np.empty(np.broadcast_shapes(np.shape(rbar), np.shape(lbar)) + (4, 4))
+        a[...] = self._a_template()
+        return self._write_scales(a, rbar, lbar)
 
     def _a_template(self):
-        """The 16 entries of the flattened state matrix that the scales leave alone."""
+        """The state matrix with the two entries that the scales set left at zero."""
         w, z, al = self.omega_m, self.zeta_m, self.alpha
-        return np.array((0.0, 1.0, 0.0, 0.0,
-                         -w * w, -2.0 * z * w, al, 0.0,
-                         0.0, -al, 0.0, -1.0,
-                         0.0, 0.0, 0.0, 0.0))
+        return np.array(((0.0, 1.0, 0.0, 0.0),
+                         (-w * w, -2.0 * z * w, al, 0.0),
+                         (0.0, -al, 0.0, -1.0),
+                         (0.0, 0.0, 0.0, 0.0)))
 
-    def _write_scales(self, flat, rbar, lbar):
-        """Write entries 14 and 15 of the (..., 16) template copies `flat`; the (..., 4, 4) view."""
-        flat[..., 14] = self.mu_star / lbar
-        flat[..., 15] = -rbar / lbar
-        return flat.reshape(flat.shape[:-1] + (4, 4))
+    def _write_scales(self, a, rbar, lbar):
+        """Write the entries that the admitted scales (arrays or float lists) set into
+        the (..., 4, 4) template copies `a`; returns `a`."""
+        _admitted(rbar, lbar)
+        lbar = np.asarray(lbar)
+        a[..., 3, 2] = self.mu_star / lbar
+        a[..., 3, 3] = -np.asarray(rbar) / lbar
+        return a
 
     def gain_sq(self, rbar, lbar, omega):
         """|G(j omega)|^2 from the force input to the output at branch scales (rbar, lbar).
@@ -146,7 +147,7 @@ class ReducedModel:
         pole is not finite; no floating-point warning is raised for it.  The
         scales and `omega` broadcast against each other.
         """
-        _admit_reduced(np.ravel(rbar).tolist(), np.ravel(lbar).tolist())
+        _admitted(rbar, lbar)
         return self._gain_sq(rbar, lbar, omega, *self._grid_terms(omega))
 
     def _grid_terms(self, omega):
@@ -172,16 +173,6 @@ class ReducedModel:
     @property
     def output_map(self):
         return np.array([self.out_gain, 0.0, 0.0, 0.0])
-
-
-def _admit_reduced(r, l):
-    """ParameterError unless every pair of the float lists (r, l) passes `branch_fault`."""
-    total = sum(r) + sum(l)  # finite only when every value is
-    if total - total == 0.0 and min(r) >= 0.0 and min(l) > 0.0:
-        return
-    # each rule is an interval, and min/max propagate nan: one check per stack
-    if fault := (branch_fault(np.min(r), np.min(l)) or branch_fault(np.max(r), np.max(l))):
-        raise ParameterError(f"reduced-model branch {fault}")
 
 
 def _target_omega(sys, target_mode):
@@ -424,8 +415,7 @@ def _min_damping(values, band):
     """
     freq = np.abs(values)
     scale = freq.max(axis=-1, keepdims=True)
-    keep = freq >= ZERO_MODE_RTOL * scale
-    keep &= freq > 0  # an all-zero spectrum keeps nothing
+    keep = _nonzero_modes(freq, scale)
     if band is not None:
         keep &= freq >= band[0]
         keep &= freq <= band[1]
@@ -445,21 +435,30 @@ def _band(omega_t):
     return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
 
-def _a_stack(sys):
-    """(r, l) -> the state matrices of the CoupledSystem `sys` at k rows of branch scales, stacked.
+def _a_stack(model):
+    """(r, l) -> the state matrices of a ReducedModel or CoupledSystem at k rows of scales.
 
-    The rows are k scalars or (k, B) per-branch scales.  The matrix is built
-    once here and each copy gets its branch rows rewritten, bit for bit what
-    `state_matrix(sys.rescaled(r_j, l_j))` builds; the branch values of a
-    stack are admitted together, with `rescaled`'s error.
+    The rows are as `_objective` takes them.  A stack of template copies, grown
+    to the largest k so far, is reused: each call rewrites only the entries the
+    scales set and returns a view valid until the next call, bit for bit
+    `model.a_matrix(r_j, l_j)` or `state_matrix(model.rescaled(r_j, l_j))`.
     """
-    base, b_inc, s_shape = state_matrix(sys), sys.nm.b_inc, sys.s_shape
+    if isinstance(model, ReducedModel):
+        template, write = model._a_template(), model._write_scales
+    else:
+        template, b_inc, s_shape = state_matrix(model), model.nm.b_inc, model.s_shape
+
+        def write(a, r, l):
+            r_b, l_b = (np.reshape(v, (len(v), -1)) * s_shape for v in (r, l))
+            _write_branch_rows(a, b_inc, *_admitted(r_b, l_b))
+            return a
+    stack = np.empty((0,) + template.shape)
 
     def a_matrix(r, l):
-        r_b, l_b = (np.reshape(v, (len(v), -1)) * s_shape for v in (r, l))
-        a = np.repeat(base[None], len(r), axis=0)
-        _write_branch_rows(a, b_inc, *_admitted(r_b, l_b))
-        return a
+        nonlocal stack
+        if len(r) > len(stack):
+            stack = np.repeat(template[None], len(r), axis=0)
+        return write(stack[:len(r)], r, l)
     return a_matrix
 
 
@@ -474,40 +473,22 @@ def _objective(model, objective, band=None, grid=None):
     Each row gets the value it gets alone: LAPACK factors every matrix of a
     stack as it would a single one.
     """
-    if isinstance(model, ReducedModel):
-        return _reduced_objective(model, objective, band, grid)
-    a_matrix = _a_stack(model)
     if objective == "min-damping-ratio":
+        a_matrix = _a_stack(model)
         return lambda r, l: _min_damping(np.linalg.eigvals(a_matrix(r, l)), band=band)
-    b, c = model.force_map, model.output_map
+    if isinstance(model, ReducedModel):
+        x, m, gain2 = model._grid_terms(grid)
+
+        def values(r, l):
+            _admitted(r, l)
+            gain_sq = model._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
+            peak = gain_sq.max(axis=-1)
+            return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
+        return values
+    a_matrix, b, c = _a_stack(model), model.force_map, model.output_map
     # poles are stored as inf
     return lambda r, l: np.array([-np.max(np.abs(_frf_values(a, b, c, grid)[0]))
                                   for a in a_matrix(r, l)])
-
-
-def _reduced_objective(rm, objective, band, grid):
-    """`_objective` of the ReducedModel `rm`: its state-matrix template or the grid terms of
-    its gain are built once, and each call computes only what the scales change."""
-    if objective == "min-damping-ratio":
-        template = rm._a_template()
-        stack = template[None]  # template copies, grown to the largest batch
-
-        def values(r, l):
-            nonlocal stack
-            _admit_reduced(r, l)
-            if len(r) > len(stack):
-                stack = np.tile(template, (len(r), 1))
-            a = rm._write_scales(stack[:len(r)], np.array(r), np.array(l))
-            return _min_damping(np.linalg.eigvals(a), band=band)
-        return values
-    x, m, gain2 = rm._grid_terms(grid)
-
-    def values(r, l):
-        _admit_reduced(r, l)
-        gain_sq = rm._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
-        peak = gain_sq.max(axis=-1)
-        return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
-    return values
 
 
 def _objective_value(objective, model, r, l, band=None, grid=None):
@@ -624,12 +605,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
                          for fr in (0.1, 1.0, 10.0) for fl in (0.1, 1.0, 10.0)])
     # the seed and the starts in one stack; like the seed, a start is evaluated
     # also outside the box
-    r_starts, l_starts = decode(z_starts.tolist())
-    if per_branch:
-        r_starts, l_starts = (np.vstack([np.full(n, v0), v])
-                              for v, v0 in ((r_starts, r0), (l_starts, l0)))
-    else:
-        r_starts, l_starts = [r0] + r_starts, [l0] + l_starts
+    seed_rows = (np.full(n, r0), np.full(n, l0)) if per_branch else (r0, l0)
+    r_starts, l_starts = ([v0, *v] for v0, v in zip(seed_rows, decode(z_starts.tolist())))
     seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
     runs = []
     for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(

@@ -330,3 +330,35 @@ def test_csv_writer_matches_the_per_value_join(tmp_path):
     assert path.read_text() == expected
     cli._write_csv(path, ["a", "b"], [[], np.array([])])
     assert path.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--netlist", "missing.lst"),
+                                         ("--topology", "multi_shunt")])
+def test_compare_rejects_the_network_flags(tmp_path, capsys, flag, value):
+    rc = run_command(["compare", flag, value, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+def test_compare_accepts_the_shared_network_config_keys(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n[network]\ntopology = multi_shunt\n"
+                   f"netlist = {tmp_path / 'missing.lst'}\n")
+    assert run_command(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["single_shunt", "multi_shunt",
+                                                   "transmission_line"]
+
+
+def test_per_branch_optimize_reduces_the_system_once(tmp_path, monkeypatch):
+    from piezoshunt import reduction
+
+    calls = []
+    reduce = reduction.reduce
+    monkeypatch.setattr(reduction, "reduce", lambda *args: calls.append(args) or reduce(*args))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n[network]\ntopology = multi_shunt\n"
+                   "[optimize]\nper_branch = true\n")
+    assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezoshunt as ps
-from piezoshunt import coupled
-from piezoshunt.coupled import _frf_values, eigen, frf, state_matrix, total_energy
+from piezoshunt import coupled, reduction
+from piezoshunt.coupled import _frf_values, _nonzero_modes, eigen, frf, state_matrix, total_energy
 from piezoshunt.errors import ParameterError
-from piezoshunt.reduction import ReducedModel, _a_stack
+from piezoshunt.reduction import ReducedModel, _a_stack, _min_damping, _objective, hinf_grid
 
 from _oracles import char_poly_roots, frf_pointwise, match_spectra, tags_pointwise, tip_compliance
 
@@ -139,10 +139,13 @@ def test_rescaled_rejects_non_finite_branch_values(basis5, patches5, r, l, value
 
 def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
     sys_ = ps.assemble(basis5, patches5, ps.build_multi_shunt(5, 100.0, 1e5))
-    for call in (lambda: sys_.with_branch_values([1.0, 2.0], 1e5),
+    # the netlist builder and the system copies share one per-branch rule
+    for call in (lambda: ps.build_multi_shunt(5, [1.0, 2.0], 1e5),
+                 lambda: sys_.with_branch_values([1.0, 2.0], 1e5),
                  lambda: sys_.rescaled([1.0, 2.0], 1.0)):
-        with pytest.raises(ParameterError, match="scalar or a list of length 5"):
+        with pytest.raises(ParameterError) as got:
             call()
+        assert str(got.value) == "resistance must be a scalar or a list of length 5, got shape (2,)"
     # scalars and length-B lists pass, and agree
     per_branch = sys_.rescaled(np.full(5, 100.0), [1e5] * 5)
     assert np.array_equal(state_matrix(per_branch), state_matrix(sys_.rescaled(100.0, 1e5)))
@@ -150,21 +153,43 @@ def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
 
 @pytest.mark.parametrize("r, l, fault", [(1.0, np.nan, "inductance, got nan"),
                                          (1.0, np.inf, "inductance, got inf"),
+                                         (1.0, 0.0, "inductance, got 0.0"),
                                          (-5.0, 1.0, "resistance, got -5.0"),
-                                         (np.nan, 1.0, "resistance, got nan")],
-                         ids=["L_nan", "L_inf", "R_negative", "R_nan"])
+                                         (np.nan, 1.0, "resistance, got nan"),
+                                         (np.inf, 1.0, "resistance, got inf")],
+                         ids=["L_nan", "L_inf", "L_zero", "R_negative", "R_nan", "R_inf"])
 def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r, l, fault):
-    # the reduced model's matrix and the complete model's tuner stack share one
-    # branch rule, and the reduced model's closed-form gain admits what its matrix admits
+    # one branch rule with one message: both models' matrices and objective
+    # kernels, the reduced model's closed-form gain and the system copies
+    # (bench_m5 is a single shunt: its branch pattern is 1, so rescaling keeps the values)
     rm = ps.reduce(bench_m5, 1)
     stacked = _a_stack(bench_m5)
-    for build in (lambda: rm.a_matrix(r, l), lambda: stacked([r], [l])):
-        with pytest.raises(ParameterError, match=fault):
-            build()
-    with pytest.raises(ParameterError, match=fault):
-        rm.gain_sq(r, l, np.ones(3))
+    grid = hinf_grid(rm.omega_m)
+    calls = [lambda: rm.a_matrix(r, l), lambda: stacked([r], [l]), lambda: rm.gain_sq(r, l, grid),
+             lambda: bench_m5.rescaled(r, l), lambda: bench_m5.with_branch_values(r, l)]
+    for model in (rm, bench_m5):
+        for objective in ("min-damping-ratio", "hinf"):
+            kernel = _objective(model, objective, grid=grid)
+            calls.append(lambda kernel=kernel: kernel([r], [l]))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ParameterError) as got:
+            call()
+        messages.add(str(got.value))
+    (message,) = messages
+    assert message.startswith("branch rescaling: each branch needs ") and message.endswith(fault)
     assert np.all(np.isfinite(rm.a_matrix(0.0, 1.0)))
     assert np.all(np.isfinite(stacked([0.0], [1.0])))
+
+
+def test_zero_tags_and_min_damping_filter_agree_on_the_floating_line(basis5, patches5):
+    sol = eigen(ps.assemble(basis5, patches5, ps.build_transmission_line(5, 100.0, 1e5)))
+    zero = np.array(sol.tags) == "zero"
+    assert zero.sum() == 1 and sol.zeta[zero] == -1.0  # a tiny positive real eigenvalue
+    np.testing.assert_array_equal(~_nonzero_modes(sol.freq, sol.freq.max()), zero)
+    # the filter drops the tagged mode and nothing else: its -1 would be the minimum
+    upper = sol.values.imag >= -1e-12 * sol.freq.max()
+    assert _min_damping(sol.values, None) == np.min(sol.zeta[~zero & upper])
 
 
 def test_char_poly_cross_check(unit_beam):
@@ -407,9 +432,9 @@ def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):
                   (10.0 ** rng.uniform(1, 4, b), 10.0 ** rng.uniform(3, 6, b)),
                   (10.0 ** rng.uniform(1, 4, b), 5e4), (100.0, 2e5)]
         for r, l in scales:  # one buffer throughout: no earlier value survives
-            coupled._write_branch_rows(a, sys_.nm.b_inc, *sys_._scaled_branches(r, l))
-            got = a
             nm = sys_.rescaled(r, l).nm
+            coupled._write_branch_rows(a, sys_.nm.b_inc, nm.r_b, nm.l_b)
+            got = a
             _assert_bitwise_equal(got, state_matrix(sys_.rescaled(r, l)))
             # both blocks as their defining formulas write them, zeros as -0.0
             p = nm.b_inc.shape[0]
@@ -434,15 +459,43 @@ def test_rewritten_branch_rows_admit_what_rescaled_admits(unit_beam, r, l):
         assert str(want.value).startswith("branch rescaling: each branch ")
 
 
-def test_a_matrix_returns_a_new_array_each_call(bench_m5):
-    # the tuner's stack rewrites copies: its prepared matrix never changes
-    a_matrix = _a_stack(bench_m5)
-    first = a_matrix([100.0], [1e5])
-    second = a_matrix([100.0], [1e5])
-    assert first is not second and not np.shares_memory(first, second)
-    first[:] = 0.0
-    np.testing.assert_array_equal(a_matrix([100.0], [1e5]), second)
-    np.testing.assert_array_equal(second[0], state_matrix(bench_m5.rescaled(100.0, 1e5)))
+@pytest.mark.parametrize("case", ["reduced", "scalar_rows", "per_branch_rows"])
+def test_reused_stack_equals_fresh_builds(unit_beam, monkeypatch, case):
+    # one row, rows A (k = 3), then B (k = 9), then A again: the stack grows and
+    # is rewritten in place, and each matrix is what a fresh build gives
+    sys_ = _branch_systems(unit_beam)["parsed_unequal"]
+    templates = []
+    if case == "reduced":
+        model, a_template = ps.reduce(sys_, 1), ReducedModel._a_template
+        monkeypatch.setattr(ReducedModel, "_a_template",
+                            lambda self: templates.append(a_template(self)) or templates[-1])
+        fresh = model.a_matrix
+    else:
+        model = sys_
+        monkeypatch.setattr(reduction, "state_matrix",
+                            lambda s: templates.append(state_matrix(s)) or templates[-1])
+        fresh = lambda r, l: state_matrix(sys_.rescaled(r, l))  # noqa: E731
+    a_matrix = _a_stack(model)
+    (template,) = templates
+    pristine = template.copy()
+    rng = np.random.default_rng(17)
+
+    def rows(k):
+        shape = (k, sys_.nm.n_branches) if case == "per_branch_rows" else (k,)
+        r, l = 10.0 ** rng.uniform(1, 4, shape), 10.0 ** rng.uniform(3, 6, shape)
+        return (r, l) if case == "per_branch_rows" else (r.tolist(), l.tolist())
+
+    rows_a, rows_b = rows(3), rows(9)
+    stacks = []
+    for r, l in (rows(1), rows_a, rows_b, rows_a):
+        stacks.append(a_matrix(r, l))
+        assert len(stacks[-1]) == len(r)
+        for a, r_j, l_j in zip(stacks[-1], r, l):
+            _assert_bitwise_equal(a, fresh(r_j, l_j))
+        _assert_bitwise_equal(template, pristine)  # never written
+        assert not np.shares_memory(stacks[-1], template)
+    # not a new array per call: the last call rewrote the stack of the one before
+    assert np.shares_memory(stacks[2], stacks[3])
 
 
 def test_stacked_branch_rows_equal_one_matrix_at_a_time(unit_beam):

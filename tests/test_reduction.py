@@ -694,17 +694,17 @@ def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
         for kernel in (hinf, mdr):
             with pytest.raises(ParameterError) as got:
                 kernel(r, l)
-            assert str(got.value) == f"reduced-model branch {fault}"
+            assert str(got.value) == f"branch rescaling: each branch {fault}"
         for public in (lambda: rm.a_matrix(np.array(r), np.array(l)),
                        lambda: rm.gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid)):
             with pytest.raises(ParameterError) as got:
                 public()
-            assert str(got.value) == f"reduced-model branch {fault}"
+            assert str(got.value) == f"branch rescaling: each branch {fault}"
         return
 
     x, m, gain2 = rm._grid_terms(grid)
     stacked = rm._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
-    a_stack = rm._write_scales(np.tile(rm._a_template(), (len(r), 1)), np.array(r), np.array(l))
+    a_stack = reduction._a_stack(rm)(r, l)
     want_hinf, want_mdr = [], []
     for j, (r_j, l_j) in enumerate(zip(r, l)):
         gain_sq = rm.gain_sq(r_j, l_j, grid)
