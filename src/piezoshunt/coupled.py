@@ -13,6 +13,12 @@ nodes.  The signs are the unique energy-consistent choice: with
     H = 1/2 (|eta'|^2 + sum w_k^2 eta_k^2) + 1/2 v^T C v + 1/2 i^T L_b i
 
 they satisfy dH/dt = eta'^T f - P_diss, P_diss = sum 2 zeta w eta'^2 + i^T R i >= 0.
+
+The frequency response is solved in charge form (Hagood & von Flotow 1991):
+with branch charges q, i = q', each branch obeys L_b q'' + R_b q' = B_inc^T v
+and the node equation integrates to C v = -Thetat^T eta - B_inc q, so one
+complex system in (eta, v, q) of order M + P + B per frequency w > 0 replaces
+the 2M + P + B of the state resolvent; see `_frf_values`.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .patches import coupling_matrix
 ZERO_MODE_RTOL = 1e-9
 
 #: Frequencies per stacked FRF solve: enough to amortize the per-call overhead,
-#: few enough that the complex matrix stack stays small (2.5 MB at n = 49).
+#: few enough that the complex matrix stack stays small (1.4 MB at order 37).
 _FRF_CHUNK = 64
 
 
@@ -190,13 +196,12 @@ def eigen(sys):
     vectors = vectors[:, order]
 
     freq = np.abs(values)
-    scale = freq.max()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zeta = np.where(freq > 0, -values.real / np.where(freq > 0, freq, 1.0), 0.0)
+    nonzero = _nonzero_modes(freq, freq.max())
+    zeta = np.where(nonzero, -values.real / np.where(nonzero, freq, 1.0), 0.0)
 
     # a C-ordered copy: row sums of the transposed view may differ in the last ulp
     kin, strain, cap, ind, _ = _energy_terms(sys, np.abs(vectors).T.copy())
-    tags = np.where(_nonzero_modes(freq, scale),
+    tags = np.where(nonzero,
                     np.where(0.5 * (kin + strain) > 0.5 * (cap + ind), "mechanical", "electrical"),
                     "zero")
     return EigenSolution(values=values, vectors=vectors, freq=freq, zeta=zeta,
@@ -220,43 +225,88 @@ class FRFTable:
         return np.angle(self.g)
 
 
-def _frf_values(a, b, c, omega):
-    """Sample c^T (j w I - a)^-1 b on the grid, flagging singular points.
+def _charge_form(sys):
+    """What `_frf_values` takes from `sys` and no branch value changes, built once per model.
 
-    The grid is solved in chunks of `_FRF_CHUNK` frequencies, one stacked
-    LAPACK solve each; LAPACK factors every matrix of a stack as it would a
-    single one, and the (1 x n) @ (n x 1) product reproduces `c @ x`, so the
-    samples equal those of a per-point loop bit for bit.  A chunk holding an
-    exactly singular point falls back to that loop.  Each matrix j w I - a
-    of the real `a` is a copy of 0.0 - a with w written into the imaginary
-    parts of its diagonal: for w > 0 the bits of (1j w) I - a.
+    (template, w_k, damp, rhs): the constant matrix of the (eta, v, q) system
+    with zeros where D(w) and Z(w) go, the M modal frequencies, the M + P
+    leading entries of the damping diagonal (2 zeta_k w_k, then zeros) and the
+    right-hand side (phi_tip, 0, 0) as an (n, 1) complex column.
     """
-    n = a.shape[0]
-    minus_a = (0.0 - a).astype(complex)
-    c_row = np.asarray(c).astype(complex)[:, None]
+    m, p = sys.basis.m, sys.nm.n_nodes
+    n = m + p + sys.nm.n_branches
+    template = np.zeros((n, n))
+    template[:m, m:m + p] = -sys.theta_tilde
+    template[m:m + p, :m] = -sys.theta_tilde.T
+    template[m:m + p, m:m + p] = -np.diag(sys.cap)
+    template[m:m + p, m + p:] = -sys.nm.b_inc
+    template[m + p:, m:m + p] = -sys.nm.b_inc.T
+    damp = np.concatenate((2.0 * sys.basis.zeta * sys.basis.omega, np.zeros(p)))
+    rhs = np.zeros((n, 1), dtype=complex)
+    rhs[:m, 0] = modal_force_vector(sys.basis)
+    return template, sys.basis.omega, damp, rhs
+
+
+def _frf_values(form, r_b, l_b, omega):
+    """Sample G(j w) of a `_charge_form` at branch values (r_b, l_b) on the grid; flag poles.
+
+    With branch charges q (i = q') each frequency w > 0 solves the second-order
+    equations of the module docstring as one symmetric system in (eta, v, q),
+
+        [ D(w)         -Thetat    0      ] [eta]   [phi_tip]
+        [ -Thetat^T    -C         -B_inc ] [ v ] = [   0   ]
+        [ 0            -B_inc^T   Z(w)   ] [ q ]   [   0   ]
+
+    D = diag(w_k^2 - w^2 + 2j zeta_k w_k w), Z = diag(R_b j w - L_b w^2), and
+    G = phi_tip^T eta: order M + P + B instead of the 2M + P + B of the state
+    resolvent.  Thetat, C and B_inc enter as given, and LAPACK's pivoting
+    picks the elimination order at each frequency.  Eliminating v ahead of
+    time (order M + B) or q (order M + P) forms products with C^-1 or Z^-1
+    whose rounding cancels digits where a branch impedance is small against
+    the capacitive one: next to a resonance for v, and for a floating network
+    at low frequency for q.  The grid is solved in chunks of `_FRF_CHUNK`
+    frequencies, one stacked LAPACK solve each; LAPACK factors every matrix of
+    a stack as it would a single one.  A chunk holding an exactly singular
+    point is solved point by point with the same bits, and that point is a
+    pole, stored as inf.
+    """
+    template, omega_k, damp, rhs = form
+    n, m, mp = len(rhs), len(omega_k), len(damp)
+    damp = np.concatenate((damp, r_b))
+    phi_col = rhs[:m]
     g = np.empty(len(omega), dtype=complex)
     stack = np.empty((min(len(omega), _FRF_CHUNK), n, n), dtype=complex)
     for start in range(0, len(omega), _FRF_CHUNK):
         chunk = slice(start, start + _FRF_CHUNK)
         w = omega[chunk]
         mats = stack[:len(w)]  # one reused buffer
-        mats[...] = minus_a
-        mats.reshape(len(w), n * n)[:, ::n + 1].imag = w[:, None]  # the diagonals
+        mats[...] = template
+        diag = mats.reshape(len(w), n * n)[:, ::n + 1]
+        # w_k^2 - w^2 as (w_k - w)(w_k + w): no cancellation next to a resonance
+        diag.real[:, :m] = (omega_k - w[:, None]) * (omega_k + w[:, None])
+        diag.real[:, mp:] = -(w * w)[:, None] * l_b
+        diag.imag = w[:, None] * damp
         try:
-            x = np.linalg.solve(mats, np.broadcast_to(b[:, None], (len(mats), n, 1)))
+            x = np.linalg.solve(mats, np.broadcast_to(rhs, (len(w), n, 1)))
         except np.linalg.LinAlgError:
-            g[chunk] = [_frf_point(mat, b, c) for mat in mats]
+            g[chunk] = [_frf_point(mat, rhs, phi_col) for mat in mats]
         else:
-            g[chunk] = (np.swapaxes(x, 1, 2) @ c_row)[:, 0, 0]
+            g[chunk] = _tip(x, phi_col)
     pole = ~np.isfinite(g)
     g[pole] = complex(np.inf, 0.0)
     return g, pole
 
 
-def _frf_point(mat, b, c):
-    """c^T mat^-1 b for one frequency; inf where mat is exactly singular."""
+def _tip(x, phi_col):
+    """phi_tip^T eta of solutions x (..., n, 1) as (1 x M) @ (M x 1) products: the same
+    bits for a stack as for each of its solutions alone."""
+    return (np.swapaxes(x[..., :len(phi_col), :], -1, -2) @ phi_col)[..., 0, 0]
+
+
+def _frf_point(mat, rhs, phi_col):
+    """G for one frequency; inf where mat is exactly singular."""
     try:
-        return c @ np.linalg.solve(mat, b)
+        return _tip(np.linalg.solve(mat, rhs), phi_col)
     except np.linalg.LinAlgError:
         return complex(np.inf, 0.0)
 
@@ -266,7 +316,7 @@ def frf(sys, omega):
     omega = np.asarray(omega, dtype=float)
     if not np.all((0 < omega) & (omega < np.inf)):  # nan fails both
         raise ParameterError("FRF grid must contain finite positive frequencies only")
-    g, pole = _frf_values(state_matrix(sys), sys.force_map, sys.output_map, omega)
+    g, pole = _frf_values(_charge_form(sys), sys.nm.r_b, sys.nm.l_b, omega)
     return FRFTable(omega=omega, g=g, pole=pole)
 
 

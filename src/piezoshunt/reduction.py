@@ -32,7 +32,7 @@ from operator import add, gt, lt
 import numpy as np
 
 from .beam import eval_mode
-from .coupled import (CoupledSystem, _admitted, _frf_values, _nonzero_modes,
+from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _nonzero_modes,
                       _write_branch_rows, eigen)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
@@ -435,6 +435,11 @@ def _band(omega_t):
     return (BAND_FACTORS[0] * omega_t, BAND_FACTORS[1] * omega_t)
 
 
+def _branch_values(s_shape, r, l):
+    """The admitted (k, B) branch values R_b, L_b of k rows of scales, as `_objective` takes them."""
+    return _admitted(*(np.reshape(v, (len(v), -1)) * s_shape for v in (r, l)))
+
+
 def _a_stack(model):
     """(r, l) -> the state matrices of a ReducedModel or CoupledSystem at k rows of scales.
 
@@ -449,8 +454,7 @@ def _a_stack(model):
         template, b_inc, s_shape = state_matrix(model), model.nm.b_inc, model.s_shape
 
         def write(a, r, l):
-            r_b, l_b = (np.reshape(v, (len(v), -1)) * s_shape for v in (r, l))
-            _write_branch_rows(a, b_inc, *_admitted(r_b, l_b))
+            _write_branch_rows(a, b_inc, *_branch_values(s_shape, r, l))
             return a
     stack = np.empty((0,) + template.shape)
 
@@ -485,10 +489,10 @@ def _objective(model, objective, band=None, grid=None):
             peak = gain_sq.max(axis=-1)
             return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
         return values
-    a_matrix, b, c = _a_stack(model), model.force_map, model.output_map
-    # poles are stored as inf
-    return lambda r, l: np.array([-np.max(np.abs(_frf_values(a, b, c, grid)[0]))
-                                  for a in a_matrix(r, l)])
+    form = _charge_form(model)
+    # one kernel call per row; poles are stored as inf
+    return lambda r, l: np.array([-np.max(np.abs(_frf_values(form, r_b, l_b, grid)[0]))
+                                  for r_b, l_b in zip(*_branch_values(model.s_shape, r, l))])
 
 
 def _objective_value(objective, model, r, l, band=None, grid=None):

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import piezoshunt as ps
-from piezoshunt import coupled, reduction
-from piezoshunt.coupled import _frf_values, _nonzero_modes, eigen, frf, state_matrix, total_energy
+from piezoshunt import cli, coupled, reduction
+from piezoshunt.beam import modal_force_vector
+from piezoshunt.config import load_config
+from piezoshunt.coupled import _nonzero_modes, eigen, frf, state_matrix, total_energy
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import ReducedModel, _a_stack, _min_damping, _objective, hinf_grid
 
-from _oracles import char_poly_roots, frf_pointwise, match_spectra, tags_pointwise, tip_compliance
+from _oracles import (char_poly_roots, frf_mpmath, frf_pointwise, match_spectra, tags_pointwise,
+                      tip_compliance)
 
 
 def _mechanical_poles(basis):
@@ -185,9 +188,11 @@ def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r,
 def test_zero_tags_and_min_damping_filter_agree_on_the_floating_line(basis5, patches5):
     sol = eigen(ps.assemble(basis5, patches5, ps.build_transmission_line(5, 100.0, 1e5)))
     zero = np.array(sol.tags) == "zero"
-    assert zero.sum() == 1 and sol.zeta[zero] == -1.0  # a tiny positive real eigenvalue
+    assert zero.sum() == 1 and sol.zeta[zero] == 0.0  # as documented for a zero mode
     np.testing.assert_array_equal(~_nonzero_modes(sol.freq, sol.freq.max()), zero)
-    # the filter drops the tagged mode and nothing else: its -1 would be the minimum
+    # the filter drops the tagged mode and nothing else: it is a tiny positive real
+    # eigenvalue, whose -Re/|lambda| = -1 would be the minimum
+    assert sol.values[zero].real > 0 and sol.values[zero].imag == 0
     upper = sol.values.imag >= -1e-12 * sol.freq.max()
     assert _min_damping(sol.values, None) == np.min(sol.zeta[~zero & upper])
 
@@ -319,36 +324,15 @@ def test_frf_rejects_non_finite_grid(bench_m5, bad):
         frf(bench_m5, np.array([1.0, bad]))
 
 
-def _reduced_model(omega_m, zeta_m, alpha, mu_star):
-    return ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m, u_star=np.ones(1),
-                        mu_star=mu_star, alpha=alpha, kappa=alpha / omega_m,
-                        in_gain=1.3, out_gain=-0.7)
-
-
-_decades = st.floats(-3.0, 3.0)
-
-
-@st.composite
-def _reduced_systems(draw):
-    """(a, b, c, omega_1) of a two-DOF absorber model, damped or not."""
-    omega_m = 10.0 ** draw(st.floats(-1.0, 3.0))
-    zeta_m = draw(st.sampled_from([0.0, 1e-3, 0.05]))
-    kappa = draw(st.floats(0.0, 0.5))
-    rm = _reduced_model(omega_m, zeta_m, kappa * omega_m, mu_star=1.0)
-    lbar = 10.0 ** draw(_decades) / omega_m**2
-    rbar = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(_decades) * lbar * omega_m
-    return rm.a_matrix(rbar, lbar), rm.force_map, rm.output_map, omega_m
-
-
 @st.composite
 def _full_systems(draw):
-    """(a, b, c, omega_1) of an assembled beam, patch array and RL network."""
+    """An assembled beam, patch array and RL network, damped or not."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(2, 5))
     beam = ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=1.0,
                        zeta=draw(st.sampled_from([0.0, 0.01])))
     r = draw(st.sampled_from([0.0, 1.0])) * 10.0 ** draw(st.floats(0.0, 4.0))
-    lind = 10.0 ** draw(_decades)
+    lind = 10.0 ** draw(st.floats(-3.0, 3.0))
     net = draw(st.sampled_from([
         ps.build_single_shunt(n, r, lind),
         ps.build_multi_shunt(n, r, lind),
@@ -358,39 +342,105 @@ def _full_systems(draw):
     basis = ps.modal_basis(beam, m)
     patches = ps.uniform_layout(beam, n, coverage=0.9, cp=100e-9,
                                 gamma=draw(st.sampled_from([-1e-3, 1e-4, 1e-3])))
-    sys_ = ps.assemble(basis, patches, net)
-    return state_matrix(sys_), sys_.force_map, sys_.output_map, float(basis.omega[0])
+    return ps.assemble(basis, patches, net)
 
 
 @settings(max_examples=60, deadline=None)
-@given(system=st.one_of(_reduced_systems(), _full_systems()),
+@given(sys_=_full_systems(),
        points=st.integers(1, 300).filter(lambda k: k % 64 != 0),
        span=st.tuples(st.floats(0.05, 1.0), st.floats(1.0, 40.0)))
-def test_frf_kernel_matches_pointwise_oracle(system, points, span):
-    a, b, c, omega_1 = system
+def test_frf_kernel_matches_pointwise_oracle(sys_, points, span):
+    omega_1 = float(sys_.basis.omega[0])
     omega = np.linspace(span[0] * omega_1, span[1] * omega_1, points)
-    g, pole = _frf_values(a, b, c, omega)
-    g_ref, pole_ref = frf_pointwise(a, b, c, omega)
-    np.testing.assert_array_equal(pole, pole_ref)
-    assert np.all(g[pole] == np.inf)
-    np.testing.assert_allclose(g[~pole], g_ref[~pole], rtol=1e-12, atol=0.0)
+    table = frf(sys_, omega)
+    a, b, c = state_matrix(sys_), sys_.force_map, sys_.output_map
+    g_lu, pole_lu = frf_pointwise(a, b, c, omega)
+    np.testing.assert_array_equal(table.pole, pole_lu)
+    assert np.all(table.g[table.pole] == np.inf)
+    finite = np.flatnonzero(~table.pole)
+    if finite.size == 0:
+        return
+    # the dense LU of the state resolvent is itself off by more than 1e-12 next to
+    # the poles and zeros of G, so the sample where the two disagree most is
+    # checked against 34 digits of the model; not of `state_matrix`, whose rounded
+    # quotients move G by up to 1e-8 where a stiff shunt nearly shorts a resonance
+    gap = np.abs(table.g[finite] - g_lu[finite]) / np.abs(g_lu[finite])
+    j = finite[np.argmax(gap)]
+    (ref,), (slope,) = frf_mpmath(sys_, omega[j:j + 1], 34)
+    # rounding the model data moves a sample in proportion to the log slope
+    # d ln|G|^2 / d ln(omega), which sets the bound there; elsewhere it is 1e-12.
+    # The slope is the local one: a difference quotient over +-1e-6 straddles a
+    # pole closer than that and reads a slope as much as 1e4 times too small
+    assert abs(table.g[j] - ref) <= 1e-12 * max(1.0, slope) * abs(ref)
 
 
-def test_frf_kernel_flags_only_the_exact_pole_of_a_chunk():
-    # undamped, uncoupled absorber: j*2 is an exact eigenvalue, so that point's
-    # matrix is exactly singular and its whole chunk takes the per-point path
-    rm = _reduced_model(omega_m=2.0, zeta_m=0.0, alpha=0.0, mu_star=1.0)
-    a, b, c = rm.a_matrix(0.1, 0.5), rm.force_map, rm.output_map
-    omega = np.linspace(0.5, 3.5, 150)
-    omega[70] = 2.0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(2j * np.eye(4) - a, b)
-    g, pole = _frf_values(a, b, c, omega)
-    g_ref, pole_ref = frf_pointwise(a, b, c, omega)
-    assert np.flatnonzero(pole).tolist() == [70]
-    np.testing.assert_array_equal(pole, pole_ref)
-    assert g[70] == np.inf and np.all(np.isfinite(g[~pole]))
-    np.testing.assert_allclose(g[~pole], g_ref[~pole], rtol=1e-12, atol=0.0)
+def test_frf_kernel_flags_only_the_exact_pole_of_a_chunk(unit_beam):
+    # no coupling and no damping: at w = w_1 the kernel's row and column of mode 1
+    # are exactly zero, so that point's matrix is exactly singular and its whole
+    # chunk takes the per-point path
+    basis = ps.modal_basis(unit_beam, 3)
+    patches = ps.uniform_layout(unit_beam, 2, coverage=0.9, cp=100e-9, gamma=0.0)
+    sys_ = ps.assemble(basis, patches, ps.build_multi_shunt(2, 10.0, 1e5))
+    w1 = float(basis.omega[0])
+    omega = np.linspace(0.5 * w1, 3.5 * w1, 150)
+    omega[70] = w1
+    table = frf(sys_, omega)
+    assert np.flatnonzero(table.pole).tolist() == [70]
+    assert table.g[70] == np.inf and np.all(np.isfinite(table.g[~table.pole]))
+    # uncoupled and undamped, G is the modal sum of phi_k(L)^2 / (w_k^2 - w^2)
+    phi, w = modal_force_vector(basis), omega[~table.pole, None]
+    modal = np.sum(phi**2 / ((basis.omega - w) * (basis.omega + w)), axis=1)
+    np.testing.assert_allclose(table.g[~table.pole], modal, rtol=1e-12, atol=0.0)
+    # the per-point path gives the chunk's other samples the bits of the stacked solve
+    near = omega.copy()
+    near[70] = np.nextafter(w1, 0.0)
+    stacked = frf(sys_, near)
+    assert not stacked.pole.any()
+    np.testing.assert_array_equal(stacked.g[~table.pole], table.g[~table.pole])
+
+
+#: G of the default scenario at the five samples of the default `frf` grid where
+#: a dense LU solve of its 12-state resolvent errs most (up to 3e-12 relative):
+#: `frf_mpmath(sys, omega[index], 40)`, rounded to complex.
+DEFAULT_FRF_REFERENCE = {
+    1518: -1.2550713958442144e-06 - 2.2297070495962663e-13j,
+    877: -5.340928354937968e-06 - 6.09882928479706e-12j,
+    1522: 1.8595134983147056e-05 - 2.517460320512207e-13j,
+    1517: -6.092651084569586e-06 - 2.1622032102849358e-13j,
+    1515: -1.562535981012655e-05 - 2.0321908149031676e-13j,
+}
+
+
+#: The same at the two samples next to the resonance of mode 5 (199.86 rad/s), where
+#: w_5^2 - w^2 formed as a difference of squares would cost the kernel 1.9e-13.
+DEFAULT_FRF_RESONANCE = {
+    1665: 0.14233599969241784 - 4.602212349904768e-08j,
+    1666: -0.20236044049278917 - 9.235917778671444e-08j,
+}
+
+
+def _default_frf_case():
+    """The default scenario's system and the grid of `piezoshunt frf`."""
+    sys_ = cli._build_system(load_config(""))
+    omega = np.linspace(0.1 * sys_.basis.omega[0], 1.2 * sys_.basis.omega[-1], 2000)
+    return sys_, omega
+
+
+@pytest.mark.parametrize("pinned, rtol", [(DEFAULT_FRF_REFERENCE, 1e-13),
+                                           (DEFAULT_FRF_RESONANCE, 1e-14)],
+                         ids=["lu_worst", "resonance"])
+def test_frf_kernel_matches_pinned_40_digit_values_on_the_default_grid(pinned, rtol):
+    sys_, omega = _default_frf_case()
+    ref = np.array(list(pinned.values()))
+    g = frf(sys_, omega).g[list(pinned)]
+    assert np.all(np.abs(g - ref) <= rtol * np.abs(ref))
+
+
+def test_pinned_frf_values_are_the_40_digit_model():
+    sys_, omega = _default_frf_case()
+    pinned = DEFAULT_FRF_REFERENCE | DEFAULT_FRF_RESONANCE
+    got, _ = frf_mpmath(sys_, omega[list(pinned)], 40)
+    np.testing.assert_array_equal(got, list(pinned.values()))
 
 
 UNEQUAL_NETLIST = """
@@ -419,6 +469,22 @@ def _branch_systems(unit_beam):
 def _assert_bitwise_equal(got, want):
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 too
+
+
+@pytest.mark.parametrize("name", ["multi_shunt", "parsed_unequal"])
+def test_hinf_objective_row_is_the_frf_peak_bit_for_bit(unit_beam, name):
+    sys_ = _branch_systems(unit_beam)[name]
+    grid = hinf_grid(float(sys_.basis.omega[0]))
+    b = sys_.nm.n_branches
+    per_branch = (np.array([np.full(b, 80.0), np.linspace(50.0, 150.0, b)]),
+                  np.array([np.full(b, 1.5e5), np.linspace(1e5, 2e5, b)]))
+    scalar = ([80.0, 120.0], [1.5e5, 1e5])  # rows as the reduced tuning's validation passes them
+    for r, l in (per_branch, scalar):
+        peaks = _objective(sys_, "hinf", grid=grid)(r, l)
+        for j in range(2):
+            table = frf(sys_.with_branch_values(np.multiply(r[j], sys_.s_shape),
+                                                np.multiply(l[j], sys_.s_shape)), grid)
+            assert peaks[j] == -np.max(np.abs(table.g))
 
 
 def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import piezoshunt as ps
 from piezoshunt import coupled, reduction
 from piezoshunt.circuits import branch_fault
-from piezoshunt.coupled import _frf_values, state_matrix
+from piezoshunt.coupled import state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (
     BOUNDS_FACTORS_L,
@@ -27,8 +27,8 @@ from piezoshunt.reduction import (
     validate_reduction,
 )
 
-from _oracles import (generalized_eigh, match_spectra, min_damping_pointwise, nelder_mead_array,
-                      nelder_mead_lists, tune_sequential)
+from _oracles import (frf_pointwise, generalized_eigh, match_spectra, min_damping_pointwise,
+                      nelder_mead_array, nelder_mead_lists, tune_sequential)
 
 
 def test_multi_shunt_uniform_electrical_modes():
@@ -432,8 +432,8 @@ TOPOLOGY_IDS = ["single_shunt", "multi_shunt", "transmission_line"]
 
 
 def _frf_gain_sq(rm, r, l, omega):
-    """|G|^2 from the batched LAPACK kernel: the oracle of `ReducedModel.gain_sq`."""
-    g, _ = _frf_values(rm.a_matrix(r, l), rm.force_map, rm.output_map, omega)
+    """|G|^2 from a dense solve of the state resolvent per point: the oracle of `ReducedModel.gain_sq`."""
+    g, _ = frf_pointwise(rm.a_matrix(r, l), rm.force_map, rm.output_map, omega)
     return np.abs(g) ** 2
 
 
@@ -482,7 +482,7 @@ def test_hinf_objective_is_minus_inf_on_a_pole_sample():
         objective = _objective_value("hinf", rm, 0.0, 1.0, grid=grid)
     assert not np.isfinite(gain_sq[1]) and np.all(np.isfinite(gain_sq[[0, 2]]))
     assert objective == -np.inf
-    _, pole = _frf_values(rm.a_matrix(0.0, 1.0), rm.force_map, rm.output_map, grid)
+    _, pole = frf_pointwise(rm.a_matrix(0.0, 1.0), rm.force_map, rm.output_map, grid)
     assert pole.tolist() == [False, True, False]
 
 
