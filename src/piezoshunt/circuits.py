@@ -59,8 +59,7 @@ class Netlist:
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "piezo", dict(self.piezo))
-        fault = _validate_structure(self.branches, self.piezo)
-        if fault is not None:
+        if fault := _validate_structure(self.branches, self.piezo):
             raise ParameterError(fault[1])
 
     @property
@@ -96,8 +95,8 @@ def _validate_structure(branches, piezo):
     """First violated structural invariant as (subject, message), or None.
 
     `subject` names the item at fault: ("branch", position), ("piezo", index),
-    ("node", name) or None.  `Netlist` raises the message; the parser also
-    attaches the line that declared the subject.
+    ("node", name), or None for a netlist-wide fault.  `Netlist` raises the
+    message; the parser also attaches the line that declared the subject.
     """
     if not branches:
         return None, "netlist needs at least one branch"
@@ -211,10 +210,11 @@ def parse_netlist(text):
         else:
             raise NetlistError(line_no, f"unknown directive {tokens[0]!r}")
 
-    fault = _validate_structure(branches, piezo)
-    if fault is not None:
-        raise NetlistError(lines.get(fault[0], 0), fault[1])
-    return Netlist(branches=tuple(branches), piezo=piezo)
+    try:
+        return Netlist(branches=tuple(branches), piezo=piezo)  # runs the structural check
+    except ParameterError:  # a failed parse asks again, for the subject's line
+        subject, message = _validate_structure(branches, piezo)
+        raise NetlistError(lines.get(subject), message) from None
 
 
 @dataclass(frozen=True)

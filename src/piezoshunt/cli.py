@@ -64,10 +64,14 @@ def _basis_and_patches(cfg):
     return basis, uniform_layout(basis.beam, cfg.n_patches, cfg.coverage, cfg.cp, cfg.gamma)
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def _build_system(cfg):
     if cfg.netlist_path is not None:
-        with open(cfg.netlist_path) as fh:
-            net = circuits.parse_netlist(fh.read())
+        net = circuits.parse_netlist(_read(cfg.netlist_path))
     else:
         net = _builtin_netlist(cfg, cfg.topology)
     return coupled.assemble(*_basis_and_patches(cfg), net)
@@ -247,11 +251,7 @@ def run_command(argv):
             if args.command == "compare" and getattr(args, flag) is not None:
                 raise ParameterError(f"compare always runs the three built-in topologies; "
                                      f"--{flag} does not apply")
-        if args.config is not None:
-            with open(args.config) as fh:
-                cfg = load_config(fh.read())
-        else:
-            cfg = load_config("")
+        cfg = load_config(_read(args.config) if args.config is not None else "")
         if args.topology is not None:
             cfg.topology = args.topology
             cfg.netlist_path = None

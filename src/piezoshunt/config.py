@@ -47,6 +47,8 @@ from .beam import BeamSpec, modal_basis
 from .circuits import branch_fault, parse_si
 from .errors import ConfigError, ParameterError, integer_fault
 from .patches import uniform_layout
+from .reduction import _box_fault
+from .timesim import _time_fault
 
 TOPOLOGIES = ("single_shunt", "multi_shunt", "transmission_line")
 OBJECTIVES = ("min-damping-ratio", "hinf")
@@ -93,74 +95,62 @@ class ScenarioConfig:
         )
 
 
-def _number(value, section, line_no):
-    try:
-        return parse_si(value)
-    except ValueError as exc:
-        raise ConfigError(str(exc), section, line_no) from None
-
-
-def _integer(value, section, line_no):
-    num = _number(value, section, line_no)
+def _integer(value):
+    num = parse_si(value)
     if num != int(num):
-        raise ConfigError(f"expected an integer, got {value!r}", section, line_no)
+        raise ValueError(f"expected an integer, got {value!r}")
     return int(num)
 
 
-def _boolean(value, section, line_no):
+def _boolean(value):
     if value in ("true", "yes", "1"):
         return True
     if value in ("false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}", section, line_no)
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _auto_or_number(value, section, line_no):
-    if value == "auto":
-        return None
-    return _number(value, section, line_no)
+def _auto_or_number(value):
+    return None if value == "auto" else parse_si(value)
 
 
 def _choice(options):
-    def convert(value, section, line_no):
+    def convert(value):
         if value not in options:
-            raise ConfigError(f"expected one of {options}, got {value!r}", section, line_no)
+            raise ValueError(f"expected one of {options}, got {value!r}")
         return value
     return convert
 
 
-def _string(value, section, line_no):
-    return value
-
-
+# key -> (attribute, converter: text -> value, else ValueError); box keys have no attribute
 _SCHEMA = {
     "beam": {
-        "L": ("length", _number),
-        "EI": ("bending_stiffness", _number),
-        "rhoA": ("mass_per_length", _number),
-        "zeta": ("zeta", _number),
+        "L": ("length", parse_si),
+        "EI": ("bending_stiffness", parse_si),
+        "rhoA": ("mass_per_length", parse_si),
+        "zeta": ("zeta", parse_si),
         "M": ("n_modes", _integer),
     },
     "patches": {
         "N": ("n_patches", _integer),
-        "coverage": ("coverage", _number),
-        "Cp": ("cp", _number),
-        "gamma": ("gamma", _number),
+        "coverage": ("coverage", parse_si),
+        "Cp": ("cp", parse_si),
+        "gamma": ("gamma", parse_si),
     },
     "network": {
         "topology": ("topology", _choice(TOPOLOGIES)),
-        "netlist": ("netlist_path", _string),
-        "R": ("r", _number),
-        "L": ("l", _number),
+        "netlist": ("netlist_path", str),
+        "R": ("r", parse_si),
+        "L": ("l", parse_si),
         "termination": ("termination", _choice(("none", "both_ends"))),
     },
     "optimize": {
         "objective": ("objective", _choice(OBJECTIVES)),
         "target_mode": ("target_mode", _integer),
-        "R_min": ("_r_min", _number),
-        "R_max": ("_r_max", _number),
-        "L_min": ("_l_min", _number),
-        "L_max": ("_l_max", _number),
+        "R_min": (None, parse_si),
+        "R_max": (None, parse_si),
+        "L_min": (None, parse_si),
+        "L_max": (None, parse_si),
         "per_branch": ("per_branch", _boolean),
     },
     "simulate": {
@@ -169,7 +159,7 @@ _SCHEMA = {
         "initial": ("initial", _choice(INITIAL_KINDS)),
     },
     "output": {
-        "dir": ("outdir", _string),
+        "dir": ("outdir", str),
     },
 }
 
@@ -177,8 +167,9 @@ _SCHEMA = {
 def load_config(text):
     """Parse and validate scenario text, filling defaults for omitted keys."""
     cfg = ScenarioConfig()
-    extras = {}
+    box = {}
     section = None
+    seen = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -191,23 +182,29 @@ def load_config(text):
             continue
         if section is None:
             raise ConfigError(f"key outside any section: {line!r}", line_no=line_no)
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", section, line_no)
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r}", section, line_no)
-        attr, convert = _SCHEMA[section][key]
-        parsed = convert(value, section, line_no)
-        if attr.startswith("_"):
-            extras[attr] = parsed
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key = value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _SCHEMA[section]:
+                raise ValueError(f"unknown key {key!r}")
+            if (section, key) in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add((section, key))
+            attr, convert = _SCHEMA[section][key]
+            parsed = convert(value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), section, line_no) from None
+        if attr is None:
+            box[key] = parsed
         else:
             setattr(cfg, attr, parsed)
 
-    if extras:  # the search-box keys, the only underscored ones
-        if len(extras) < 4:
+    if box:
+        if len(box) < 4:
             raise ConfigError("R_min and R_max, L_min and L_max go together: give all four "
-                              f"or none, got only {sorted(k[1:] for k in extras)}", "optimize")
-        cfg.bounds = ((extras["_r_min"], extras["_r_max"]), (extras["_l_min"], extras["_l_max"]))
+                              f"or none, got only {sorted(box)}", "optimize")
+        cfg.bounds = ((box["R_min"], box["R_max"]), (box["L_min"], box["L_max"]))
 
     _validate(cfg)
     return cfg
@@ -227,9 +224,8 @@ def _validate(cfg):
         raise ConfigError(f"R, L: branch {fault}", "network")
     if fault := integer_fault(cfg.target_mode, 1, cfg.n_modes):
         raise ConfigError(f"target_mode {fault}", "optimize")
-    for key, value in (("dt", cfg.dt), ("T", cfg.t_final)):
-        if not (value is None or value > 0):
-            raise ConfigError(f"{key} must be positive or auto, got {value}", "simulate")
-    for x, (lo, hi) in zip("RL", cfg.bounds or ()):
-        if not 0 < lo < hi:
-            raise ConfigError(f"{x} bounds must satisfy 0 < {x}_min < {x}_max", "optimize")
+    for name, value in (("time step", cfg.dt), ("final time", cfg.t_final)):
+        if value is not None and (fault := _time_fault(name, value)):  # None is "auto"
+            raise ConfigError(fault, "simulate")
+    if cfg.bounds is not None and (fault := _box_fault(cfg.bounds)):
+        raise ConfigError(fault, "optimize")

@@ -314,8 +314,8 @@ def _frf_point(mat, rhs, phi_col):
 def frf(sys, omega):
     """Frequency response from the force input to the displacement output."""
     omega = np.asarray(omega, dtype=float)
-    if not np.all((0 < omega) & (omega < np.inf)):  # nan fails both
-        raise ParameterError("FRF grid must contain finite positive frequencies only")
+    if omega.ndim != 1 or not np.all((0 < omega) & (omega < np.inf)):  # nan fails both
+        raise ParameterError("FRF grid must be one-dimensional, of finite positive frequencies only")
     g, pole = _frf_values(_charge_form(sys), sys.nm.r_b, sys.nm.l_b, omega)
     return FRFTable(omega=omega, g=g, pole=pole)
 

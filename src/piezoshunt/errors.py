@@ -12,10 +12,10 @@ class NumericalError(RuntimeError):
 
 
 class NetlistError(ParameterError):
-    """Netlist text violates the dialect or a structural invariant."""
+    """Netlist text violates the dialect or a structural invariant; line_no None: no line."""
 
     def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -23,11 +23,8 @@ class ConfigError(ParameterError):
     """Scenario configuration is malformed or inconsistent."""
 
     def __init__(self, message, section=None, line_no=None):
-        loc = ""
-        if section is not None:
-            loc += f"[{section}] "
-        if line_no is not None:
-            loc += f"line {line_no}: "
+        loc = "" if section is None else f"[{section}] "
+        loc += "" if line_no is None else f"line {line_no}: "
         super().__init__(loc + message)
         self.section = section
         self.line_no = line_no

@@ -205,14 +205,13 @@ def reduce(sys, target_mode=1):
             row = sys.theta_tilde[j]
             c_eff += np.outer(row, row) / sys.basis.omega[j] ** 2
     ems = electrical_modes(sys.nm, c_eff)
-    mu_max = max(np.max(ems.mu), 1e-300)
-    nonzero = np.nonzero(ems.mu >= 1e-12 * mu_max)[0]
+    nonzero = np.nonzero(ems.mu > 0)[0]  # `electrical_modes` has set every zero mode to 0
     if nonzero.size == 0:
         raise ParameterError("all electrical modes are zero modes; reduction impossible")
 
     theta_row = sys.theta_tilde[target_mode - 1]
     # group degenerate eigenvalues so the selection is basis independent
-    groups = np.split(nonzero, np.nonzero(np.diff(ems.mu[nonzero]) > 1e-9 * mu_max)[0] + 1)
+    groups = np.split(nonzero, np.nonzero(np.diff(ems.mu[nonzero]) > 1e-9 * ems.mu.max())[0] + 1)
 
     best = None
     for group in groups:
@@ -517,6 +516,19 @@ def _real_pair(value):
     return None
 
 
+def _box_fault(bounds):
+    """Why `bounds` is no box ((R_min, R_max), (L_min, L_max)), 0 < min < max < inf, or None."""
+    box = [_real_pair(side) for side in _two(bounds) or ()]
+    if len(box) != 2 or None in box:
+        return (f"tuning bounds must be ((R_min, R_max), (L_min, L_max)) "
+                f"of real numbers, got {bounds!r}")
+    for x, (lo, hi) in zip("RL", box):
+        if not 0 < lo < hi < np.inf:  # chained: nan fails it too
+            return (f"{x} bounds must satisfy 0 < {x}_min < {x}_max < inf, "
+                    f"got R [{box[0][0]}, {box[0][1]}], L [{box[1][0]}, {box[1][1]}]")
+    return None
+
+
 def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
          bounds=None, per_branch=False):
     """Optimize branch scales (rbar, lbar) by multi-start simplex descent in log space.
@@ -532,8 +544,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
 
     With `per_branch` each branch b of a CoupledSystem gets its own scales,
     R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
-    box from the same starts; each start reports the geometric means of its
-    scales, and the result also holds the branch values.
+    box from the same starts; each start reports 10 to the mean log10 scale
+    of each kind, and the result also holds the branch values.
     """
     if objective not in ("min-damping-ratio", "hinf"):
         raise ParameterError(f"unknown objective {objective!r}")
@@ -563,8 +575,16 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     if (pair := _real_pair(seed)) is None:
         raise ParameterError(f"tuning seed must be a pair (R, L) of real numbers, got {seed!r}")
     r0, l0 = float(pair[0]), float(pair[1])
-    if not (0 < r0 < np.inf and 0 < l0 < np.inf):  # the search runs in log10 space
-        raise ParameterError(f"tuning seed must be finite and positive, got ({r0}, {l0})")
+    # log10 space needs finite positive starts and default box (Python float products never warn)
+    factors = ((BOUNDS_FACTORS_R, BOUNDS_FACTORS_L) if bounds is None else ((0.1, 10.0),) * 2)
+    spans = tuple((v * lo, v * hi) for v, (lo, hi) in zip((r0, l0), factors))
+    if not all(0 < lo and hi < np.inf for lo, hi in spans):
+        raise ParameterError(f"tuning seed must be finite and positive, and so must its starts "
+                             f"(0.1 to 10 times it){' and default box' if bounds is None else ''}, "
+                             f"got ({r0}, {l0})")
+    bounds = spans if bounds is None else bounds
+    if fault := _box_fault(bounds):
+        raise ParameterError(fault)
 
     def decode(rows):  # k points of 2n floats -> (rbar, lbar) rows, of k floats or (k, n) scales
         if per_branch:  # the vectorized power, elementwise over the stack
@@ -574,24 +594,10 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         # which moves the simplex path
         return [10.0 ** row[0] for row in rows], [10.0 ** row[1] for row in rows]
 
-    def summary(z):  # the (rbar, lbar) a start reports
-        r, l = decode([z.tolist()])
-        if per_branch:
-            return tuple(float(np.exp(np.mean(np.log(v[0])))) for v in (r, l))
-        return r[0], l[0]
+    def summary(z):  # the (rbar, lbar) a start reports; the mean of one value is that value
+        return tuple(10.0 ** float(np.mean(z[k:k + n])) for k in (0, n))
 
-    if bounds is None:
-        bounds = (np.multiply(BOUNDS_FACTORS_R, r0), np.multiply(BOUNDS_FACTORS_L, l0))
-    box = [_real_pair(side) for side in _two(bounds) or ()]
-    if len(box) != 2 or None in box:
-        raise ParameterError(f"tuning bounds must be ((R_min, R_max), (L_min, L_max)) "
-                             f"of real numbers, got {bounds!r}")
-    (r_lo, r_hi), (l_lo, l_hi) = box
-    if not (0 < r_lo < r_hi < np.inf and 0 < l_lo < l_hi < np.inf):
-        raise ParameterError(f"tuning box must satisfy 0 < lo < hi < inf for R and L, "
-                             f"got R [{r_lo}, {r_hi}], L [{l_lo}, {l_hi}]")
-    lo = np.repeat(np.log10([r_lo, l_lo]), n).tolist()
-    hi = np.repeat(np.log10([r_hi, l_hi]), n).tolist()
+    lo, hi = (np.repeat(np.log10(side), n).tolist() for side in zip(*bounds))  # [R, L] ends
 
     def costs(z):  # what the searches minimize: inf outside the box and where not finite
         rows = z.tolist()

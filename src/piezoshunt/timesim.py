@@ -37,6 +37,13 @@ def max_eigen_magnitude(sys):
     return float(np.max(np.abs(np.linalg.eigvals(state_matrix(sys)))))
 
 
+def _time_fault(name, value):
+    """Why `value`, the time step or the final time `name`, is not finite and positive, or None."""
+    if not 0 < value < np.inf:  # chained: nan fails it too
+        return f"{name} must be finite and positive, got {value}"
+    return None
+
+
 def integrate(sys, x0, forcing, dt, t_final):
     """Classical 4-stage Runge-Kutta over x' = A x + b u(t).
 
@@ -45,10 +52,8 @@ def integrate(sys, x0, forcing, dt, t_final):
     Raises ParameterError when dt exceeds the spectral bound and
     NumericalError (with the first bad sample index) on divergence.
     """
-    if not 0 < t_final < np.inf:  # chained: nan fails it too
-        raise ParameterError(f"final time must be finite and positive, got {t_final}")
-    if not 0 < dt < np.inf:
-        raise ParameterError(f"time step must be finite and positive, got {dt}")
+    if fault := _time_fault("final time", t_final) or _time_fault("time step", dt):
+        raise ParameterError(fault)
     lam_max = max_eigen_magnitude(sys)
     if lam_max > 0:
         dt_max = DT_FRACTION * 2.0 * np.pi / lam_max

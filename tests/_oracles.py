@@ -481,7 +481,7 @@ def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, b
 
     def summary(z):
         if per_branch:
-            return tuple(float(np.exp(np.mean(np.log(v)))) for v in decode(z))
+            return tuple(10.0 ** float(np.mean(v)) for v in (z[:n], z[n:]))
         return decode(z)
 
     if bounds is None:

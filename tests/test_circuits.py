@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import piezoshunt as ps
+from piezoshunt import circuits
 from piezoshunt.circuits import Branch, Netlist, parse_si
 from piezoshunt.errors import NetlistError, ParameterError
 
@@ -161,6 +162,32 @@ def test_parse_piezo_to_ground_rejected():
     text = "piezo 1 gnd\nbranch b1 n1 gnd R=1 L=1"
     with pytest.raises(NetlistError, match="line 1"):
         ps.parse_netlist(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "netlist needs at least one branch"),
+    ("# no piezo\nbranch b1 n1 gnd R=1 L=1", "netlist needs at least one piezo attachment"),
+], ids=["no_branch", "no_piezo"])
+def test_parse_netlist_wide_fault_names_no_line(text, message):
+    with pytest.raises(NetlistError) as info:
+        ps.parse_netlist(text)
+    assert str(info.value) == message
+    assert info.value.line_no is None
+
+
+def test_parse_runs_the_structural_check_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    validate = circuits._validate_structure
+    monkeypatch.setattr(circuits, "_validate_structure", counted)
+    net = ps.parse_netlist("piezo 1 n1\npiezo 2 n2\nbranch b1 n1 n2 R=1 L=1\n"
+                           "branch b2 n2 gnd R=1 L=1")
+    assert len(calls) == 1
+    assert net.nodes == ["n1", "n2"]
 
 
 def test_parse_malformed_number_and_directive():

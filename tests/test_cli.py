@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,17 @@ def test_config_rejects_key_outside_section():
 def test_config_bounds_must_pair():
     with pytest.raises(ConfigError, match="R_min and R_max"):
         load_config("[optimize]\nR_min = 1\n")
+    with pytest.raises(ConfigError, match=re.escape("got only ['L_max', 'R_min']")):
+        load_config("[optimize]\nR_min = 1\nL_max = 10\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[beam]\nM = 5\nM = 6\n", 3),
+    ("[beam]\nM = 5\n[patches]\nN = 2\n[beam]\nM = 6\n", 6),
+], ids=["same_header", "section_again"])
+def test_config_rejects_a_repeated_key_with_its_line(text, line):
+    with pytest.raises(ConfigError, match=rf"^\[beam\] line {line}: repeated key 'M'$"):
+        load_config(text)
 
 
 @pytest.mark.parametrize("keys", ["R_min = 1\nR_max = 10\n", "L_min = 1\nL_max = 10\n"],

@@ -317,6 +317,12 @@ def test_frf_rejects_nonpositive_grid(bench_m5):
         frf(bench_m5, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("grid", [[[1.0, 2.0]], 1.0], ids=["two_dim", "scalar"])
+def test_frf_rejects_a_grid_that_is_not_one_dimensional(bench_m5, grid):
+    with pytest.raises(ParameterError, match="FRF grid must be one-dimensional"):
+        frf(bench_m5, grid)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_frf_rejects_non_finite_grid(bench_m5, bad):
     # a non-finite sample is a bad input, not a pole

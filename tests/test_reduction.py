@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import piezoshunt as ps
 from piezoshunt import coupled, reduction
 from piezoshunt.circuits import branch_fault
+from piezoshunt.config import load_config
 from piezoshunt.coupled import state_matrix
-from piezoshunt.errors import ParameterError
+from piezoshunt.errors import ConfigError, ParameterError
 from piezoshunt.reduction import (
     BOUNDS_FACTORS_L,
     BOUNDS_FACTORS_R,
@@ -266,6 +267,33 @@ def test_tune_rejects_box_outside_log_space(bench_m1, r_box, l_box):
     (r_lo, r_hi), (l_lo, l_hi) = bounds
     with pytest.raises(ParameterError, match=re.escape(f"R [{r_lo}, {r_hi}], L [{l_lo}, {l_hi}]")):
         tune(rm, seed=(r0, l0), bounds=bounds)
+
+
+@pytest.mark.parametrize("r_box, l_box", [
+    ((10.0, 1.0), (1.0, 10.0)),
+    ((1.0, 10.0), (0.0, 10.0)),
+    ((-1.0, 10.0), (1.0, 10.0)),
+    ((1.0, 10.0), (5.0, 5.0)),
+], ids=["R_reversed", "L_zero", "R_negative", "L_empty"])
+def test_tune_and_config_share_the_box_rule(bench_m1, r_box, l_box):
+    with pytest.raises(ParameterError) as direct:
+        tune(ps.reduce(bench_m1, 1), bounds=(r_box, l_box))
+    text = "[optimize]\n" + "".join(f"{x}_{end} = {v}\n" for x, box in zip("RL", (r_box, l_box))
+                                      for end, v in zip(("min", "max"), box))
+    with pytest.raises(ConfigError) as loaded:
+        load_config(text)
+    assert str(loaded.value) == f"[optimize] {direct.value}"
+
+
+@pytest.mark.parametrize("seed, bounds", [
+    ((1e303, 1.0), None),                            # the default box overflows
+    ((1e-323, 1.0), ((1e-2, 1e2), (1e-2, 1e2))),     # the 0.1x start underflows to 0
+    ((1e308, 1.0), ((1e-2, 1e2), (1e-2, 1e2))),      # the 10x start overflows
+], ids=["default_box_overflow", "start_underflow", "start_overflow"])
+def test_tune_rejects_a_seed_whose_starts_or_box_leave_the_floats(bench_m1, seed, bounds):
+    # the suite turns a RuntimeWarning into an error, so none comes first
+    with pytest.raises(ParameterError, match=r"^tuning seed .*" + re.escape(f"got {seed}")):
+        tune(ps.reduce(bench_m1, 1), seed=seed, bounds=bounds)
 
 
 def test_tune_full_system_agrees_with_reduced(bench_m5):

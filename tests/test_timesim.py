@@ -8,7 +8,7 @@ import piezoshunt as ps
 from piezoshunt import cli
 from piezoshunt.config import load_config
 from piezoshunt.coupled import eigen, state_matrix
-from piezoshunt.errors import NumericalError, ParameterError
+from piezoshunt.errors import ConfigError, NumericalError, ParameterError
 from piezoshunt.timesim import energy_history, energy_residual, integrate, max_eigen_magnitude
 
 from _oracles import decay_rate, energy_pointwise, rk4_stepwise
@@ -46,6 +46,20 @@ def test_time_step_precondition_cites_bound(lossless_m1):
 def test_time_inputs_must_be_finite_and_positive(lossless_m1, dt, t_final, name):
     with pytest.raises(ParameterError, match=f"{name} must be finite and positive"):
         integrate(lossless_m1, np.zeros(4), None, dt, t_final)
+
+
+@pytest.mark.parametrize("key, dt, t_final", [
+    ("dt", 0.0, 2.0), ("dt", -0.5, 2.0), ("T", 0.01, 0.0), ("T", 0.01, -1.0),
+])
+def test_integrate_and_config_share_the_time_rule(lossless_m1, key, dt, t_final):
+    with pytest.raises(ParameterError) as direct:
+        integrate(lossless_m1, np.zeros(4), None, dt, t_final)
+    value = dt if key == "dt" else t_final
+    with pytest.raises(ConfigError) as loaded:
+        load_config(f"[simulate]\n{key} = {value}\n")
+    assert str(loaded.value) == f"[simulate] {direct.value}"
+    auto = load_config(f"[simulate]\n{key} = auto\n")
+    assert (auto.dt, auto.t_final) == (None, None)
 
 
 def test_divergence_reports_first_bad_sample(lossless_m1):
