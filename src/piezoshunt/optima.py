@@ -1,0 +1,198 @@
+"""Exact optima of the two-DOF absorber model (`reduction.ReducedModel`) by Newton.
+
+The two tuning objectives have optimality conditions in closed form.
+Pole placement is optimal where the two pole pairs coalesce (Krenk 2005,
+J. Struct. Eng. 131:1209): four polynomial coefficient equations.  The
+H-infinity optimum is the equal-peak point (Soltani, Kerschen, Tondreau &
+Deraemaeker 2014, Smart Mater. Struct. 23:125014): both peaks of |G| in
+the band are stationary, equal, and no change of the scales lowers both.
+`reduction.tune` solves them from the winner of its simplex, with
+derivatives written out by hand.  Everything is dimensionless:
+s = wm sigma, rho = wm R, eps = wm^2 E and omega^2 = wm^2 y.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+#: Newton polish: step cap and step tolerance relative to the point.
+NEWTON_MAX_STEPS, NEWTON_TOL = 20, 1e-10
+
+#: The pole-placement optimum lowers the double pole's R by this fraction, where
+#: `eigvals` resolves the two pairs (see `_coalescence`).
+COALESCENCE_OFFSET = 1e-8
+
+
+def _newton(system, u):
+    """Newton's method on `system`, u -> (residual, Jacobian), from the point u.
+
+    Returns the root once a step is below NEWTON_TOL relative to the point,
+    or None when the Jacobian is singular, a value is not finite or out of
+    the floats' range, or NEWTON_MAX_STEPS steps pass first.
+    """
+    u = np.asarray(u, dtype=float)
+    for _ in range(NEWTON_MAX_STEPS):
+        try:
+            residual, jacobian = system(u)
+            step = np.linalg.solve(jacobian, residual)
+        # math's overflow, domain and zero-division errors, or a singular Jacobian
+        except (ArithmeticError, ValueError, np.linalg.LinAlgError):
+            return None
+        with np.errstate(all="ignore"):  # a step that leaves the floats fails below
+            u = u - step
+        if not np.all(np.isfinite(u)):
+            return None
+        if np.all(np.abs(step) <= NEWTON_TOL * (1.0 + np.abs(u))):
+            return u
+    return None
+
+
+def _scales(rm, big_r, big_e):
+    """The branch scales (rbar, lbar) of the `_dimensionless` R and E."""
+    lbar = rm.mu_star / (big_e * rm.omega_m**2)
+    return float(big_r * rm.omega_m * lbar), float(lbar)
+
+
+def _dimensionless(rm, rbar, lbar):
+    """(R, E, z, k) at the scales (rbar, lbar): rho / wm, eps / wm^2, 2 zm and kappa^2."""
+    w = rm.omega_m
+    return rbar / lbar / w, rm.mu_star / lbar / (w * w), 2.0 * rm.zeta_m, rm.kappa**2
+
+
+def _coalescence(rm, rbar, lbar):
+    """The scales near (rbar, lbar) at which the two pole pairs coincide, or None.
+
+    In s = wm sigma, rho = wm R and eps = wm^2 E, the characteristic polynomial
+    (sigma^2 + 2 zm sigma + 1)(sigma^2 + R sigma + E) + kappa^2 sigma (sigma + R)
+    equals (sigma^2 + a sigma + b)^2: four coefficient equations in
+    (R, E, a, b), solved by Newton.  That double pair maximizes the smallest
+    damping ratio, a / (2 sqrt b) (Krenk 2005, J. Struct. Eng. 131:1209).
+
+    At the double pole `eigvals` errs by about sqrt(machine epsilon), 1.6e-7
+    in the damping ratio, and a complete model at the same scales errs
+    otherwise.  With R lowered by COALESCENCE_OFFSET the two pairs split in
+    frequency, `eigvals` resolves them, and the smallest damping ratio drops
+    by about that fraction; those are the scales returned.
+    """
+    big_r, big_e, z, k = _dimensionless(rm, rbar, lbar)
+
+    def system(u):
+        big_r, big_e, a, b = u.tolist()
+        residual = (big_r + z - 2.0 * a,
+                    big_e + z * big_r + 1.0 + k - a * a - 2.0 * b,
+                    z * big_e + (1.0 + k) * big_r - 2.0 * a * b,
+                    big_e - b * b)
+        jacobian = ((1.0, 0.0, -2.0, 0.0),
+                    (z, 1.0, -2.0 * a, -2.0),
+                    (1.0 + k, z, -2.0 * b, -2.0 * a),
+                    (0.0, 1.0, 0.0, -2.0 * b))
+        return np.array(residual), np.array(jacobian)
+
+    u = _newton(system, (big_r, big_e, 0.5 * (big_r + z), math.sqrt(big_e)))
+    return None if u is None else _scales(rm, u[0] * (1.0 - COALESCENCE_OFFSET), u[1])
+
+
+def _log_gain_derivatives(big_r, big_e, z, k, y):
+    """h = ln |G|^2 up to a constant, its gradient and its Hessian in (y, ln R, ln E).
+
+    y = omega^2 / wm^2, and (R, E, z, k) are `_dimensionless`.  |G|^2 is
+    proportional to N / D with N = (E - y)^2 + R^2 y and D = A^2 + y B^2,
+    A = (1 - y)(E - y) - (z R + k) y and B = (1 - y) R + z (E - y) + k R: the
+    quotient of `ReducedModel.gain_sq`.  The derivatives are written out, first
+    in (y, R, E) and then by d/d ln R = R d/dR; Python floats and lists.
+    """
+    e, w = big_e - y, 1.0 - y
+    n = e * e + big_r * big_r * y
+    a = w * e - (z * big_r + k) * y
+    b = w * big_r + z * e + k * big_r
+    d = a * a + y * b * b
+    n1 = (big_r * big_r - 2.0 * e, 2.0 * big_r * y, 2.0 * e)
+    n2 = ((2.0, 2.0 * big_r, -2.0), (2.0 * big_r, 2.0 * y, 0.0), (-2.0, 0.0, 2.0))
+    a1 = (-e - w - z * big_r - k, -z * y, w)
+    a2 = ((2.0, -z, -1.0), (-z, 0.0, 0.0), (-1.0, 0.0, 0.0))
+    b1 = (-big_r - z, w + k, z)
+    b2 = ((0.0, -1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    d1 = [2.0 * (a * a1[i] + y * b * b1[i]) for i in range(3)]
+    d1[0] += b * b
+    d2 = [[2.0 * (a1[i] * a1[j] + a * a2[i][j] + y * (b1[i] * b1[j] + b * b2[i][j])
+                  + b * ((i == 0) * b1[j] + (j == 0) * b1[i]))
+           for j in range(3)] for i in range(3)]
+    scale = (1.0, big_r, big_e)
+    grad = [n1[i] / n - d1[i] / d for i in range(3)]
+    hess = [[scale[i] * scale[j] * (n2[i][j] / n - n1[i] * n1[j] / (n * n)
+                                    - d2[i][j] / d + d1[i] * d1[j] / (d * d))
+             + (i == j and i > 0) * scale[i] * grad[i]
+             for j in range(3)] for i in range(3)]
+    return math.log(n / d), [g * c for g, c in zip(grad, scale)], hess
+
+
+def _equal_peaks(rm, rbar, lbar, grid):
+    """The scales near (rbar, lbar) at which the two peaks of |G| on the band are equal, or None.
+
+    Newton on h_y(y1) = h_y(y2) = 0, h(y1) = h(y2) and
+    det[grad_p h(y1), grad_p h(y2)] = 0 in (ln R, ln E, y1, y2), with
+    h = ln |G|^2 and p = (ln R, ln E) (`_log_gain_derivatives`): the two
+    peaks are stationary in frequency, equal, and no direction of p lowers
+    both (the equal-peak H-infinity optimum of Soltani, Kerschen, Tondreau
+    & Deraemaeker 2014, Smart Mater. Struct. 23:125014).  y1 and y2 start at
+    the two largest interior local maxima of |G| on `grid` at (rbar, lbar);
+    None when there are fewer than two.
+    """
+    gain_sq = rm.gain_sq(rbar, lbar, grid)
+    inner = gain_sq[1:-1]
+    peaks = np.nonzero((inner > gain_sq[:-2]) & (inner >= gain_sq[2:]))[0] + 1
+    if peaks.size < 2:
+        return None
+    y_start = np.sort((grid[peaks[np.argsort(gain_sq[peaks])[-2:]]] / rm.omega_m) ** 2)
+    _, _, z, k = _dimensionless(rm, rbar, lbar)
+    # ln R and ln E from the logs of the factors, which neither overflow nor underflow
+    log_w, log_l = math.log(rm.omega_m), math.log(lbar)
+    start = (math.log(rbar) - log_l - log_w, math.log(rm.mu_star) - log_l - 2.0 * log_w, *y_start)
+
+    def system(u):
+        log_r, log_e, y1, y2 = u.tolist()
+        big_r, big_e = math.exp(log_r), math.exp(log_e)
+        h1, (hy1, hu1, hv1), p1 = _log_gain_derivatives(big_r, big_e, z, k, y1)
+        h2, (hy2, hu2, hv2), p2 = _log_gain_derivatives(big_r, big_e, z, k, y2)
+        residual = (hy1, hy2, h1 - h2, hu1 * hv2 - hv1 * hu2)
+        jacobian = (
+            (p1[0][1], p1[0][2], p1[0][0], 0.0),
+            (p2[0][1], p2[0][2], 0.0, p2[0][0]),
+            (hu1 - hu2, hv1 - hv2, hy1, -hy2),
+            tuple(p1[1][j] * hv2 + hu1 * p2[2][j] - p1[2][j] * hu2 - hv1 * p2[1][j]
+                  for j in (1, 2)) + (p1[1][0] * hv2 - p1[2][0] * hu2,
+                                      hu1 * p2[2][0] - hv1 * p2[1][0]))
+        return np.array(residual), np.array(jacobian)
+
+    u = _newton(system, start)
+    return None if u is None else _scales(rm, math.exp(u[0]), math.exp(u[1]))
+
+
+def _band_peak(rm, rbar, lbar, grid):
+    """The largest |G| on [grid[0], grid[-1]] at the scales (rbar, lbar), inf at a pole
+    or where the quintic's coefficients overflow.
+
+    The candidates are the band ends and the stationary points of |G|^2 in
+    the band: the real roots in y = omega^2 / wm^2 of the quintic N' D - N D',
+    with N = y^2 + n1 y + n0 and D = y^4 + d3 y^3 + d2 y^2 + d1 y + d0 as in
+    `_log_gain_derivatives`, found as the eigenvalues of one companion
+    matrix.  A complex root's real part is one more sample.
+    """
+    big_r, big_e, z, k = _dimensionless(rm, rbar, lbar)
+    n1, n0 = big_r * big_r - 2.0 * big_e, big_e * big_e
+    a1, a0 = -(1.0 + big_e + z * big_r + k), big_e  # A = y^2 + a1 y + a0
+    b1, b0 = -(big_r + z), (1.0 + k) * big_r + z * big_e  # B = b1 y + b0
+    d3, d2 = 2.0 * a1 + b1 * b1, a1 * a1 + 2.0 * a0 + 2.0 * b1 * b0
+    d1, d0 = 2.0 * a1 * a0 + b0 * b0, a0 * a0
+    companion = np.eye(5, k=-1)
+    # the quintic divided by its leading coefficient -2, negated
+    companion[0] = (-0.5 * d3 - 1.5 * n1, -n1 * d3 - 2.0 * n0,
+                    0.5 * (d1 - n1 * d2 - 3.0 * n0 * d3), d0 - n0 * d2, 0.5 * (n1 * d0 - n0 * d1))
+    if not np.all(np.isfinite(companion)):  # scales so extreme that the coefficients overflow
+        return np.inf
+    y = np.linalg.eigvals(companion).real
+    y = y[(y > (grid[0] / rm.omega_m) ** 2) & (y < (grid[-1] / rm.omega_m) ** 2)]
+    peak = rm.gain_sq(rbar, lbar, np.concatenate([grid[[0, -1]], rm.omega_m * np.sqrt(y)])).max()
+    return float(np.sqrt(peak)) if np.isfinite(peak) else np.inf

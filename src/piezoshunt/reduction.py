@@ -17,8 +17,14 @@ max-coupling shape u* gives the two-DOF absorber model
 
 with dimensionless coupling kappa = |alpha| / wm.  Tuning maximizes either
 the minimum damping ratio over a band around the target mode (pole
-placement) or the negated FRF peak (hinf), via multi-start Nelder-Mead in
-(log rbar, log lbar).
+placement) or the negated FRF peak (hinf).  Its global stage is a
+multi-start Nelder-Mead in (log rbar, log lbar).  On the complete model
+that is the whole search.  On a ReducedModel the simplex stops at a loose
+tolerance and a Newton polish (`optima`) solves the optimality conditions
+exactly: the coalescence of the two pole pairs (Krenk 2005) for pole
+placement and the equal-peak point (Soltani et al. 2014) for hinf.  A
+failed polish falls back to the winning start run alone at the full
+simplex tolerance.
 """
 
 from __future__ import annotations
@@ -36,12 +42,22 @@ from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _nonz
                       _write_branch_rows, eigen)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
+from .optima import _band_peak, _coalescence, _equal_peaks
 
 #: Default tuning band around the target mode for the pole-placement objective.
 BAND_FACTORS = (0.5, 2.0)
 
 #: Nelder-Mead initial step (log10 units), iteration cap and relative size tolerance.
 NM_STEP, NM_MAX_ITER, NM_REL_TOL = 0.05, 500, 1e-6
+
+#: Simplex tolerance of a ReducedModel's global stage, which the Newton polish finishes.
+_GLOBAL_REL_TOL = 1e-3
+
+#: The nine starts: the seed scaled by every pair of these factors.
+START_FACTORS = (0.1, 1.0, 10.0)
+
+#: 10 ** log10(v) errs by less than this factor for every positive float v.
+_ROUND_TRIP = 1.0 + 1e-12
 
 #: Default hinf grid: linear samples over [0.5, 1.6] * target frequency.
 HINF_GRID_FACTORS = (0.5, 1.6)
@@ -282,9 +298,10 @@ class TuningResult:
     starts: tuple[StartRecord, ...]
     r_branches: np.ndarray | None = None
     l_branches: np.ndarray | None = None
+    polished: bool = False  # (r, l) came from the Newton polish, not its fallback
 
 
-def _nelder_mead(z0):
+def _nelder_mead(z0, rel_tol=NM_REL_TOL):
     """Minimize over R^d with a plain Nelder-Mead simplex, asking for values as it goes.
 
     A generator: each `yield` hands out the points the search needs next,
@@ -296,7 +313,7 @@ def _nelder_mead(z0):
     of equal value keep their order.  The arithmetic is that of one
     (d+1, d) array: the centroid is summed vertex by vertex from vertex 0,
     as `np.add.reduce` sums rows.  Converges when the simplex diameter drops
-    below NM_REL_TOL relative to the vertex magnitude, or after NM_MAX_ITER
+    below `rel_tol` relative to the vertex magnitude, or after NM_MAX_ITER
     iterations.  Returns (z_best, f_best, iterations, converged), z_best a
     fresh float array.
     """
@@ -319,7 +336,7 @@ def _nelder_mead(z0):
             simplex.insert(at, simplex.pop())
             values.insert(at, values.pop())
 
-        if _simplex_converged(simplex, bound):
+        if _simplex_converged(simplex, bound, rel_tol):
             converged = True
             break
 
@@ -360,15 +377,15 @@ def _nelder_mead(z0):
     return np.array(simplex[best]), float(values[best]), iterations, converged
 
 
-def _simplex_converged(simplex, bound):
-    """Whether every vertex of the sorted simplex lies within NM_REL_TOL * (1 + its largest
+def _simplex_converged(simplex, bound, rel_tol):
+    """Whether every vertex of the sorted simplex lies within rel_tol * (1 + its largest
     |coordinate|) of the best one, coordinate by coordinate; False when a coordinate is nan.
 
-    `bound` is at least every |coordinate|, so an offset of NM_REL_TOL * (1 + bound) or
+    `bound` is at least every |coordinate|, so an offset of rel_tol * (1 + bound) or
     more decides the test without scanning the whole simplex.
     """
     best = simplex[0]
-    loose = NM_REL_TOL * (1.0 + bound)
+    loose = rel_tol * (1.0 + bound)
     for vertex in simplex[1:]:
         for a, b in zip(vertex, best):
             if abs(a - b) >= loose:
@@ -377,10 +394,10 @@ def _simplex_converged(simplex, bound):
     if any(v != v for v in offsets):  # a nan coordinate makes an offset nan
         return False
     scale = 1.0 + max(abs(v) for v in chain.from_iterable(simplex))
-    return max(offsets) < NM_REL_TOL * scale
+    return max(offsets) < rel_tol * scale
 
 
-def _lockstep(batch, starts):
+def _lockstep(batch, starts, rel_tol=NM_REL_TOL):
     """Run one `_nelder_mead` search per start, all of them advancing together.
 
     Each round stacks the points every unfinished search asks for into one
@@ -388,9 +405,10 @@ def _lockstep(batch, starts):
     the k values; one `tolist` hands every search its values as Python
     floats.  When `batch` gives each row the value it gives that row alone,
     every search sees the values a separate run sees, so the results, in
-    start order, equal separate runs bit for bit.
+    start order, equal separate runs bit for bit.  Each search converges at
+    `rel_tol`.
     """
-    searches = [_nelder_mead(z0) for z0 in starts]
+    searches = [_nelder_mead(z0, rel_tol) for z0 in starts]
     results = [None] * len(searches)
     pending = [(j, search, next(search)) for j, search in enumerate(searches)]
     while pending:
@@ -500,6 +518,42 @@ def _objective_value(objective, model, r, l, band=None, grid=None):
     return float(_objective(model, objective, band, grid)(r, l)[0])
 
 
+def _reduced_value(rm, objective, rbar, lbar, grid):
+    """The objective `tune` reports for a ReducedModel at the scales (rbar, lbar).
+
+    "min-damping-ratio" is the smallest damping ratio of `eigvals` of the
+    state matrix; "hinf" is minus the `_band_peak` on the band of `grid`.
+    """
+    if objective == "hinf":
+        return -_band_peak(rm, rbar, lbar, grid)
+    return float(_min_damping(np.linalg.eigvals(rm.a_matrix(rbar, lbar)), None))
+
+
+def _polish(rm, objective, rbar, lbar, value, grid, bounds):
+    """(rbar, lbar, objective) of the exact optimum that Newton finds from the global
+    stage's winner (rbar, lbar), or None when the polish fails.
+
+    `value` is the winner's objective on the simplex (for hinf, the winner
+    is scored again by its `_band_peak`).  The polish fails when Newton
+    fails, when its point lies outside `bounds` or when it scores worse than
+    the winner.
+    """
+    if objective == "hinf":
+        value = _reduced_value(rm, objective, rbar, lbar, grid)
+        point = _equal_peaks(rm, rbar, lbar, grid)
+    else:
+        point = _coalescence(rm, rbar, lbar)
+    if point is None:
+        return None
+    # on the lattice 10 ** log10(v) that the simplex decodes: a tune seeded with the
+    # result starts its centre search exactly there
+    point = [10.0 ** z for z in np.log10(point).tolist()]
+    if not all(lo <= v <= hi for v, (lo, hi) in zip(point, bounds)):
+        return None
+    polished = _reduced_value(rm, objective, *point, grid)
+    return (*point, polished) if polished >= value else None
+
+
 def _two(value):
     """The items of `value` when it is a sequence of two, else None."""
     try:
@@ -523,7 +577,8 @@ def _box_fault(bounds):
         return (f"tuning bounds must be ((R_min, R_max), (L_min, L_max)) "
                 f"of real numbers, got {bounds!r}")
     for x, (lo, hi) in zip("RL", box):
-        if not 0 < lo < hi < np.inf:  # chained: nan fails it too
+        # chained: nan fails it too; the upper end keeps room for the log10 round trip
+        if not (0 < lo < hi and float(hi) * _ROUND_TRIP < np.inf):
             return (f"{x} bounds must satisfy 0 < {x}_min < {x}_max < inf, "
                     f"got R [{box[0][0]}, {box[0][1]}], L [{box[1][0]}, {box[1][1]}]")
     return None
@@ -531,16 +586,26 @@ def _box_fault(bounds):
 
 def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
          bounds=None, per_branch=False):
-    """Optimize branch scales (rbar, lbar) by multi-start simplex descent in log space.
+    """Optimize branch scales (rbar, lbar): a multi-start simplex in log space, then,
+    on a ReducedModel, an exact Newton polish.
 
     `model` is a ReducedModel or a CoupledSystem (for the latter the target
     mode, 1 by default, fixes the evaluation band and the seed comes from its
     own reduction).  A ReducedModel fixes its own mode: a `target_mode` given
     with one must equal `model.target_mode`.  The nine starts are the
-    closed-form seed scaled by the 3x3 factor grid {1/10, 1, 10}^2; the best
+    closed-form seed scaled by the factor grid START_FACTORS^2; the best
     final objective wins, ties broken by lexicographic (rbar, lbar).  The
     starts advance in lockstep, each round's points evaluated as one stack,
-    with the results of nine separate runs.
+    with the results of nine separate runs.  They converge at NM_REL_TOL on
+    a CoupledSystem, whose result is the winner.
+
+    On a ReducedModel the simplex is a global stage at the looser
+    _GLOBAL_REL_TOL, and `_polish` finishes its winner: the pole coalescence
+    (`_coalescence`) or the equal-peak point (`_equal_peaks`).  When the
+    polish fails, the winner's start runs again alone at NM_REL_TOL, and
+    `polished` is False.  `objective` is `_reduced_value` at the returned
+    (r, l): the smallest damping ratio of `eigvals`, or minus the exact band
+    peak (`_band_peak`); the StartRecords keep the simplex stage's values.
 
     With `per_branch` each branch b of a CoupledSystem gets its own scales,
     R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
@@ -575,13 +640,15 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     if (pair := _real_pair(seed)) is None:
         raise ParameterError(f"tuning seed must be a pair (R, L) of real numbers, got {seed!r}")
     r0, l0 = float(pair[0]), float(pair[1])
-    # log10 space needs finite positive starts and default box (Python float products never warn)
-    factors = ((BOUNDS_FACTORS_R, BOUNDS_FACTORS_L) if bounds is None else ((0.1, 10.0),) * 2)
+    # log10 space needs finite positive starts and default box, with room for the
+    # round trip 10 ** log10(v) (Python float products never warn)
+    low, high = START_FACTORS[0], START_FACTORS[-1]
+    factors = ((BOUNDS_FACTORS_R, BOUNDS_FACTORS_L) if bounds is None else ((low, high),) * 2)
     spans = tuple((v * lo, v * hi) for v, (lo, hi) in zip((r0, l0), factors))
-    if not all(0 < lo and hi < np.inf for lo, hi in spans):
+    if not all(0 < lo and hi * _ROUND_TRIP < np.inf for lo, hi in spans):
         raise ParameterError(f"tuning seed must be finite and positive, and so must its starts "
-                             f"(0.1 to 10 times it){' and default box' if bounds is None else ''}, "
-                             f"got ({r0}, {l0})")
+                             f"({low:g} to {high:g} times it)"
+                             f"{' and default box' if bounds is None else ''}, got ({r0}, {l0})")
     bounds = spans if bounds is None else bounds
     if fault := _box_fault(bounds):
         raise ParameterError(fault)
@@ -612,15 +679,17 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         return np.array(out)
 
     z_starts = np.array([np.log10(np.repeat([r0 * fr, l0 * fl], n))
-                         for fr in (0.1, 1.0, 10.0) for fl in (0.1, 1.0, 10.0)])
+                         for fr in START_FACTORS for fl in START_FACTORS])
     # the seed and the starts in one stack; like the seed, a start is evaluated
     # also outside the box
     seed_rows = (np.full(n, r0), np.full(n, l0)) if per_branch else (r0, l0)
     r_starts, l_starts = ([v0, *v] for v0, v in zip(seed_rows, decode(z_starts.tolist())))
     seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
+    reduced = isinstance(model, ReducedModel)
     runs = []
     for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
-            z_starts, start_objectives, _lockstep(costs, z_starts)):
+            z_starts, start_objectives,
+            _lockstep(costs, z_starts, _GLOBAL_REL_TOL if reduced else NM_REL_TOL)):
         (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
         rec = StartRecord(
             r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
@@ -629,18 +698,28 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
             # a simplex that shrank outside the box found no feasible point
             converged=converged and bool(np.isfinite(f_opt)),
         )
-        runs.append((rec, z_opt))
+        runs.append((rec, z_opt, z_start))
 
-    winner, z_opt = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt, run[0].l_opt))
-    records = tuple(rec for rec, _ in runs)
+    winner, z_opt, z_start = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt,
+                                                        run[0].l_opt))
+    records = tuple(rec for rec, *_ in runs)
+    r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
+    if reduced:
+        finish = _polish(model, objective, r, l, value, grid, bounds)
+        if finish is None:  # the winner's start alone, at the full tolerance
+            ((z_opt, f_opt, _, _),) = _lockstep(costs, [z_start])
+            r, l = summary(z_opt)
+            value = _reduced_value(model, objective, r, l, grid) if f_opt < np.inf else -np.inf
+        else:
+            (r, l, value), polished = finish, True
     r_branches, l_branches = ((v[0] * model.s_shape for v in decode([z_opt.tolist()])) if per_branch
                               else (None, None))
-    improving = winner.objective > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
+    improving = value > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(
-        r=winner.r_opt, l=winner.l_opt, objective=winner.objective,
+        r=r, l=l, objective=value,
         kind=objective, converged=any(r.converged for r in records),
         improving=improving, seed=(r0, l0), starts=records,
-        r_branches=r_branches, l_branches=l_branches,
+        r_branches=r_branches, l_branches=l_branches, polished=polished,
     )
 
 
@@ -651,7 +730,7 @@ class ValidationReport:
     r: float
     l: float
     pole_error: float          # worst relative distance, reduced pair -> full pole
-    reduced_objective: float   # tr.kind objective of the reduced model, band-free
+    reduced_objective: float   # tr.kind objective of the reduced model, as `tune` reports it
     full_objective: float      # the same on the complete model (min damping: in its band)
     mode_table: tuple[tuple, ...]  # (mode, omega_k, re, im, zeta) per low mode
 
@@ -670,7 +749,7 @@ def validate_reduction(sys, rm, tr):
                      default=0.0)
 
     grid = hinf_grid(rm.omega_m) if tr.kind == "hinf" else None
-    reduced_objective = _objective_value(tr.kind, rm, r, l, grid=grid)
+    reduced_objective = _reduced_value(rm, tr.kind, r, l, grid)
     full_objective = _objective_value(tr.kind, sys, r, l, _band(rm.omega_m), grid)
 
     table = []

@@ -7,6 +7,7 @@ trajectories.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ def max_eigen_magnitude(sys):
 
 
 def _time_fault(name, value):
-    """Why `value`, the time step or the final time `name`, is not finite and positive, or None."""
+    """Why `value`, the time step or the final time `name`, is no finite positive real number
+    (a bool is none), or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{name} must be a real number, got {value!r}"
     if not 0 < value < np.inf:  # chained: nan fails it too
         return f"{name} must be finite and positive, got {value}"
     return None

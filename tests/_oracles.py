@@ -294,7 +294,7 @@ def tags_pointwise(sys, values, vectors, zero_rtol=1e-9):
     return tuple(tags)
 
 
-def nelder_mead_lists(f, z0, steps=None, sorted_values=None):
+def nelder_mead_lists(f, z0, steps=None, sorted_values=None, rel_tol=NM_REL_TOL):
     """Nelder-Mead with the simplex as a Python list of vertex arrays.
 
     The list-based loop `reduction._nelder_mead` ran before its simplex became
@@ -302,7 +302,8 @@ def nelder_mead_lists(f, z0, steps=None, sorted_values=None):
     converged).  Vertices are sorted stably: vertices of equal value keep
     their order.  A `steps` list, when given, receives the name of the step
     each iteration takes: "expand", "reflect", "contract" or "shrink"; a
-    `sorted_values` list receives the vertex values after each sort.
+    `sorted_values` list receives the vertex values after each sort.  The
+    simplex converges at diameter `rel_tol` relative to the vertex magnitude.
     """
     steps = [] if steps is None else steps
     sorted_values = [] if sorted_values is None else sorted_values
@@ -324,7 +325,7 @@ def nelder_mead_lists(f, z0, steps=None, sorted_values=None):
 
         diameter = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
         scale = 1.0 + max(np.max(np.abs(v)) for v in simplex)
-        if diameter < NM_REL_TOL * scale:
+        if diameter < rel_tol * scale:
             converged = True
             break
 
@@ -360,12 +361,12 @@ def nelder_mead_lists(f, z0, steps=None, sorted_values=None):
     return simplex[best], values[best], iterations, converged
 
 
-def nelder_mead_array(f, z0):
+def nelder_mead_array(f, z0, rel_tol=NM_REL_TOL):
     """Nelder-Mead with the simplex as one array, calling `f` once per point.
 
     The loop `reduction._nelder_mead` ran before its searches were driven in
-    lockstep; same steps, constants and return value (z, f, iterations,
-    converged) as `nelder_mead_lists`.
+    lockstep; same steps, constants, tolerance and return value (z, f,
+    iterations, converged) as `nelder_mead_lists`.
     """
     z0 = np.asarray(z0, dtype=float)
     d = len(z0)
@@ -381,7 +382,7 @@ def nelder_mead_array(f, z0):
 
         diameter = np.abs(simplex[1:] - simplex[0]).max()
         scale = 1.0 + np.abs(simplex).max()
-        if diameter < NM_REL_TOL * scale:
+        if diameter < rel_tol * scale:
             converged = True
             break
 
@@ -455,14 +456,15 @@ def objective_pointwise(objective, model, r, l, band, grid):
 
 
 def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, bounds=None,
-                    per_branch=False, nelder_mead=nelder_mead_array):
+                    per_branch=False, nelder_mead=nelder_mead_array, rel_tol=NM_REL_TOL):
     """(starts, r_branches, l_branches) of `reduction.tune`, one start after another.
 
     The multi-start loop `tune` ran before its starts advanced in lockstep:
     the nine starts of the 3x3 factor grid around the closed-form seed, each
     a separate `nelder_mead` run over log10 scales in the box, one
-    `objective_pointwise` call per point.  `starts` holds one `StartRecord`
-    per start, in start order; the branch values are None unless `per_branch`.
+    `objective_pointwise` call per point, each run converging at `rel_tol`.
+    `starts` holds one `StartRecord` per start, in start order; the branch
+    values are None unless `per_branch`.
     """
     if isinstance(model, ReducedModel):
         omega_t, band, n, rm = model.omega_m, None, 1, model
@@ -501,7 +503,7 @@ def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, b
         for fl in (0.1, 1.0, 10.0):
             z_start = np.log10(np.repeat([r0 * fr, l0 * fl], n))
             start_obj = objective_pointwise(objective, model, *decode(z_start), band, grid)
-            z_opt, f_opt, iterations, converged = nelder_mead(cost, z_start)
+            z_opt, f_opt, iterations, converged = nelder_mead(cost, z_start, rel_tol=rel_tol)
             (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
             rec = StartRecord(r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
                               objective=-f_opt, seed_objective=start_obj,

@@ -48,6 +48,16 @@ def test_time_inputs_must_be_finite_and_positive(lossless_m1, dt, t_final, name)
         integrate(lossless_m1, np.zeros(4), None, dt, t_final)
 
 
+@pytest.mark.parametrize("dt, t_final, name", [
+    (None, 2.0, "time step"), ("0.01", 2.0, "time step"), (True, 2.0, "time step"),
+    (0.01, None, "final time"), (0.01, [2.0], "final time"),
+])
+def test_time_inputs_must_be_real_numbers(lossless_m1, dt, t_final, name):
+    # None is the config's "auto", which the CLI resolves before integrating
+    with pytest.raises(ParameterError, match=f"^{name} must be a real number, got "):
+        integrate(lossless_m1, np.zeros(4), None, dt, t_final)
+
+
 @pytest.mark.parametrize("key, dt, t_final", [
     ("dt", 0.0, 2.0), ("dt", -0.5, 2.0), ("T", 0.01, 0.0), ("T", 0.01, -1.0),
 ])
