@@ -224,9 +224,10 @@ class NetworkMatrices:
     node_names are sorted; branch order follows declaration order.  Column j
     of b_inc holds +1 at the branch's departure node and -1 at its arrival
     node, with the ground row dropped.  r_b and l_b hold the diagonal branch
-    resistances and inductances.  s_shape, the branch inductance pattern with
-    the first branch normalized to 1, is computed once from l_b on
-    construction, also by `dataclasses.replace`.
+    resistances and inductances.  Computed on construction, also by `replace`:
+    s_shape = l_b / l_b[0]; floating, the ground-free components, each holding
+    its charge (P - rank b_inc = P - B + loops); zero_modes, floating plus the
+    loops of R = 0 branches, each holding its flux: the coupled model's zeros.
     """
 
     node_names: tuple[str, ...]
@@ -235,9 +236,13 @@ class NetworkMatrices:
     r_b: np.ndarray
     l_b: np.ndarray
     s_shape: np.ndarray = field(init=False, repr=False, compare=False)
+    floating: int = field(init=False, repr=False, compare=False)
+    zero_modes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s_shape", self.l_b / self.l_b[0])
+        object.__setattr__(self, "floating", self.n_nodes - self.n_branches + _loops(self.b_inc))
+        object.__setattr__(self, "zero_modes", self.floating + _loops(self.b_inc[:, self.r_b == 0]))
 
     @property
     def n_nodes(self):
@@ -246,6 +251,15 @@ class NetworkMatrices:
     @property
     def n_branches(self):
         return len(self.branch_names)
+
+
+def _loops(b_inc):
+    """Independent loops of the branches `b_inc` (columns), gnd a vertex, by union-find."""
+    label = list(range(len(b_inc) + 1))  # vertex len(b_inc) is gnd
+    for col in b_inc.T:
+        a, b = (*np.flatnonzero(col).tolist(), len(b_inc))[:2]
+        label = [label[b] if x == label[a] else x for x in label]
+    return b_inc.shape[1] - len(label) + len(set(label))
 
 
 def network_matrices(net, n_patches):

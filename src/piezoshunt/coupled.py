@@ -32,20 +32,9 @@ from .circuits import branch_fault, network_matrices, per_branch
 from .errors import NumericalError, ParameterError
 from .patches import coupling_matrix
 
-#: Relative magnitude below which an eigenvalue is tagged as a zero/rigid mode.
-ZERO_MODE_RTOL = 1e-9
-
 #: Frequencies per stacked FRF solve: enough to amortize the per-call overhead,
 #: few enough that the complex matrix stack stays small (1.4 MB at order 37).
 _FRF_CHUNK = 64
-
-
-def _nonzero_modes(freq, scale):
-    """Where the eigenvalue magnitudes `freq` are no zero mode: positive and at least
-    ZERO_MODE_RTOL of `scale`, the largest magnitude of their spectrum; False for nan."""
-    keep = freq >= ZERO_MODE_RTOL * scale
-    keep &= freq > 0
-    return keep
 
 
 @dataclass(frozen=True)
@@ -181,7 +170,8 @@ class EigenSolution:
 
 
 def eigen(sys):
-    """Complex eigenstructure of the assembled system."""
+    """Complex eigenstructure of the assembled system.  Its k = `nm.zero_modes` smallest
+    |lambda|, a count from the network graph, are tagged "zero" with zeta = 0, as is an exact 0."""
     a = state_matrix(sys)
     try:
         values, vectors = np.linalg.eig(a)
@@ -192,18 +182,17 @@ def eigen(sys):
         ) from exc
 
     order = np.lexsort((values.real, -values.imag, np.abs(values)))
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = values[order], vectors[:, order]
 
     freq = np.abs(values)
-    nonzero = _nonzero_modes(freq, freq.max())
-    zeta = np.where(nonzero, -values.real / np.where(nonzero, freq, 1.0), 0.0)
+    k = sys.nm.zero_modes  # the first k: `values` are sorted by |lambda|
+    zeta = np.divide(-values.real, freq, out=np.zeros(len(freq)), where=freq > 0)
+    zeta[:k] = 0.0
 
     # a C-ordered copy: row sums of the transposed view may differ in the last ulp
     kin, strain, cap, ind, _ = _energy_terms(sys, np.abs(vectors).T.copy())
-    tags = np.where(nonzero,
-                    np.where(0.5 * (kin + strain) > 0.5 * (cap + ind), "mechanical", "electrical"),
-                    "zero")
+    tags = np.where(0.5 * (kin + strain) > 0.5 * (cap + ind), "mechanical", "electrical")
+    tags[:k] = "zero"
     return EigenSolution(values=values, vectors=vectors, freq=freq, zeta=zeta,
                          tags=tuple(tags.tolist()))
 

@@ -38,8 +38,8 @@ from operator import add, gt, lt
 import numpy as np
 
 from .beam import eval_mode
-from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _nonzero_modes,
-                      _write_branch_rows, eigen)
+from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _write_branch_rows,
+                      eigen)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
 from .optima import _band_peak, _coalescence, _equal_peaks
@@ -83,6 +83,7 @@ def electrical_modes(nm, cap):
     symmetric positive-definite matrix (symmetric to 1e-12 of its largest
     entry).  C = Lc Lc^T (Cholesky) turns it into
     Lc^-1 K Lc^-T y = mu y with u = Lc^-T y (Golub & Van Loan, sec. 8.7).
+    The `nm.floating` smallest mu, one per ground-free component, are set to 0.
     """
     cap = np.asarray(cap, dtype=float)
     c_mat = np.diag(cap) if cap.ndim == 1 else cap
@@ -101,7 +102,7 @@ def electrical_modes(nm, cap):
     except np.linalg.LinAlgError as exc:
         raise NumericalError("electrical eigenproblem failed") from exc
     shapes = inv.T @ y
-    mu = np.where(np.abs(mu) < 1e-12 * max(np.max(np.abs(mu)), 1e-300), 0.0, mu)
+    mu[:nm.floating] = 0.0  # eigh sorts mu ascending
     if np.any(mu < 0):
         raise NumericalError(f"negative electrical eigenvalue {mu.min():.3e}")
     # canonical sign: largest-magnitude component positive (in place, exact)
@@ -221,9 +222,7 @@ def reduce(sys, target_mode=1):
             row = sys.theta_tilde[j]
             c_eff += np.outer(row, row) / sys.basis.omega[j] ** 2
     ems = electrical_modes(sys.nm, c_eff)
-    nonzero = np.nonzero(ems.mu > 0)[0]  # `electrical_modes` has set every zero mode to 0
-    if nonzero.size == 0:
-        raise ParameterError("all electrical modes are zero modes; reduction impossible")
+    nonzero = np.arange(sys.nm.floating, len(ems.mu))  # never empty: b_inc has rank >= 1
 
     theta_row = sys.theta_tilde[target_mode - 1]
     # group degenerate eigenvalues so the selection is basis independent
@@ -425,18 +424,19 @@ def _lockstep(batch, starts, rel_tol=NM_REL_TOL):
 
 
 def _min_damping(values, band):
-    """Smallest damping ratio over non-zero eigenvalues inside the band.
+    """Smallest damping ratio -Re/|lambda| over the eigenvalues |lambda| > 0 inside the band.
 
     Reduces along the last axis, so a stack of spectra gives one ratio per
-    spectrum; -inf for a spectrum with no eigenvalue to keep.
+    spectrum; -inf for a spectrum with no eigenvalue to keep.  With band None it is
+    for spectra without zero modes, as the two-DOF model's (det A = wm^2 mu*/lbar > 0);
+    a CoupledSystem's band, from 0.5 times the target frequency, excludes them.
     """
     freq = np.abs(values)
-    scale = freq.max(axis=-1, keepdims=True)
-    keep = _nonzero_modes(freq, scale)
+    keep = freq > 0
     if band is not None:
         keep &= freq >= band[0]
         keep &= freq <= band[1]
-    keep &= values.imag >= -1e-12 * scale  # one representative per pair
+    keep &= values.imag >= -1e-12 * freq.max(axis=-1, keepdims=True)  # one per conjugate pair
     ratio = np.divide(-values.real, freq, out=np.full(freq.shape, np.inf), where=keep)
     return np.where(keep.any(axis=-1), ratio.min(axis=-1), -np.inf)[()]
 
@@ -622,12 +622,9 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     elif per_branch:
         raise ParameterError("per-branch tuning needs the full coupled system")
     elif isinstance(model, ReducedModel):
-        if target_mode is not None:
-            fault = integer_fault(target_mode, 1)
-            if fault is None and target_mode != model.target_mode:
-                fault = f"must be the reduced model's mode {model.target_mode}, got {target_mode}"
-            if fault:
-                raise ParameterError(f"target mode {fault}")
+        if target_mode is not None and (
+                fault := integer_fault(target_mode, model.target_mode, model.target_mode)):
+            raise ParameterError(f"target mode {fault}")
         omega_t, band, n = model.omega_m, None, 1
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")
@@ -753,12 +750,12 @@ def validate_reduction(sys, rm, tr):
     full_objective = _objective_value(tr.kind, sys, r, l, _band(rm.omega_m), grid)
 
     table = []
-    upper = sol.values[sol.values.imag >= 0]
+    upper = np.flatnonzero(sol.values.imag >= 0)
     for k in range(1, min(3, sys.basis.m) + 1):
         omega_k = float(sys.basis.omega[k - 1])
-        nearest = upper[np.argmin(np.abs(upper - 1j * omega_k))]
-        zeta = float(-nearest.real / abs(nearest)) if abs(nearest) > 0 else 0.0
-        table.append((k, omega_k, float(nearest.real), float(nearest.imag), zeta))
+        j = upper[np.argmin(np.abs(sol.values[upper] - 1j * omega_k))]
+        table.append((k, omega_k, float(sol.values[j].real), float(sol.values[j].imag),
+                      float(sol.zeta[j])))
 
     return ValidationReport(
         r=r, l=l,

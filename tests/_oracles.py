@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from piezoshunt.beam import _raw_shape, eval_mode, modal_force_vector, solve_wavenumbers
-from piezoshunt.coupled import ZERO_MODE_RTOL, CoupledSystem, frf, state_matrix
+from piezoshunt.coupled import CoupledSystem, frf, state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (BOUNDS_FACTORS_L, BOUNDS_FACTORS_R, NM_MAX_ITER, NM_REL_TOL,
                                   NM_STEP, ReducedModel, StartRecord, _band, closed_form_seed,
@@ -271,18 +271,42 @@ def energy_pointwise(sys, states):
     return h, p_diss
 
 
-def tags_pointwise(sys, values, vectors, zero_rtol=1e-9):
+def conserved_charges(nm):
+    """Orthonormal basis (P x k) of the node vectors y with y^T b_inc = 0: one
+    indicator per ground-free component, whose total charge no branch changes."""
+    return scipy.linalg.null_space(nm.b_inc.T)
+
+
+def loop_currents(nm):
+    """Orthonormal basis (B x k) of the branch vectors c on the R = 0 branches with
+    b_inc c = 0: the loops of those branches, gnd a vertex, whose flux is conserved."""
+    lossless = np.asarray(nm.r_b) == 0
+    loops = np.zeros((nm.n_branches, 0))
+    if lossless.any():
+        null = scipy.linalg.null_space(nm.b_inc[:, lossless])
+        loops = np.zeros((nm.n_branches, null.shape[1]))
+        loops[lossless] = null
+    return loops
+
+
+def zero_mode_count(nm):
+    """Zero eigenvalues of the coupled model from the null spaces of the incidence
+    matrix: a conserved charge per ground-free component plus a flux per loop."""
+    return conserved_charges(nm).shape[1] + loop_currents(nm).shape[1]
+
+
+def tags_pointwise(sys, values, vectors):
     """Dominance tag per eigenpair, one eigenvector at a time.
 
-    "zero" below `zero_rtol` times the largest |lambda|; otherwise
+    "zero" for the `zero_mode_count` smallest |lambda|; otherwise
     "mechanical" if the modal kinetic plus strain energy of |w| exceeds the
     capacitive plus inductive energy, else "electrical".
     """
     m, p = sys.basis.m, sys.nm.n_nodes
-    scale = np.max(np.abs(values))
+    zero = set(np.argsort(np.abs(values), kind="stable")[:zero_mode_count(sys.nm)].tolist())
     tags = []
-    for j, lam in enumerate(values):
-        if abs(lam) < zero_rtol * scale:
+    for j in range(len(values)):
+        if j in zero:
             tags.append("zero")
             continue
         w = vectors[:, j]
@@ -416,13 +440,11 @@ def nelder_mead_array(f, z0, rel_tol=NM_REL_TOL):
 
 def min_damping_pointwise(values, band):
     """Smallest damping ratio -Re/|lambda| of one spectrum, over the eigenvalues
-    above ZERO_MODE_RTOL of the largest |lambda|, inside `band` (None: all) and
-    with Im >= 0 (one per conjugate pair); -inf when none is left."""
+    |lambda| > 0 inside `band` (None: all) and with Im >= 0 (one per conjugate
+    pair); -inf when none is left."""
     freq = np.abs(values)
     scale = freq.max()
-    if scale == 0:
-        return -np.inf
-    keep = freq >= ZERO_MODE_RTOL * scale
+    keep = freq > 0
     if band is not None:
         keep &= (freq >= band[0]) & (freq <= band[1])
     keep &= values.imag >= -1e-12 * scale

@@ -9,12 +9,13 @@ import piezoshunt as ps
 from piezoshunt import cli, coupled, reduction
 from piezoshunt.beam import modal_force_vector
 from piezoshunt.config import load_config
-from piezoshunt.coupled import _nonzero_modes, eigen, frf, state_matrix, total_energy
+from piezoshunt.circuits import GROUND, Branch, Netlist, parse_netlist
+from piezoshunt.coupled import eigen, frf, state_matrix, total_energy
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import ReducedModel, _a_stack, _min_damping, _objective, hinf_grid
 
-from _oracles import (char_poly_roots, frf_mpmath, frf_pointwise, match_spectra, tags_pointwise,
-                      tip_compliance)
+from _oracles import (char_poly_roots, conserved_charges, frf_mpmath, frf_pointwise, loop_currents,
+                      match_spectra, tags_pointwise, tip_compliance, zero_mode_count)
 
 
 def _mechanical_poles(basis):
@@ -186,15 +187,22 @@ def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r,
 
 
 def test_zero_tags_and_min_damping_filter_agree_on_the_floating_line(basis5, patches5):
-    sol = eigen(ps.assemble(basis5, patches5, ps.build_transmission_line(5, 100.0, 1e5)))
+    sys_ = ps.assemble(basis5, patches5, ps.build_transmission_line(5, 100.0, 1e5))
+    sol = eigen(sys_)
     zero = np.array(sol.tags) == "zero"
-    assert zero.sum() == 1 and sol.zeta[zero] == 0.0  # as documented for a zero mode
-    np.testing.assert_array_equal(~_nonzero_modes(sol.freq, sol.freq.max()), zero)
-    # the filter drops the tagged mode and nothing else: it is a tiny positive real
-    # eigenvalue, whose -Re/|lambda| = -1 would be the minimum
+    assert sys_.nm.zero_modes == zero.sum() == 1  # the graph's count: one floating component
+    assert zero[0] and sol.zeta[zero] == 0.0  # the smallest |lambda|, as documented
+    # the tagged mode is a tiny positive real eigenvalue: with band None, for spectra
+    # without zero modes, its -Re/|lambda| = -1 would be the minimum
     assert sol.values[zero].real > 0 and sol.values[zero].imag == 0
+    assert _min_damping(sol.values, None) == -1.0
     upper = sol.values.imag >= -1e-12 * sol.freq.max()
-    assert _min_damping(sol.values, None) == np.min(sol.zeta[~zero & upper])
+    assert _min_damping(sol.values[~zero], None) == np.min(sol.zeta[~zero & upper])
+    # the complete model's band excludes it
+    band = reduction._band(sys_.basis.omega[0])
+    inside = (sol.freq >= band[0]) & (sol.freq <= band[1])
+    assert not inside[zero].any()
+    assert _min_damping(sol.values, band) == np.min(sol.zeta[inside & upper])
 
 
 def test_char_poly_cross_check(unit_beam):
@@ -349,6 +357,72 @@ def _full_systems(draw):
     patches = ps.uniform_layout(beam, n, coverage=0.9, cp=100e-9,
                                 gamma=draw(st.sampled_from([-1e-3, 1e-4, 1e-3])))
     return ps.assemble(basis, patches, net)
+
+
+@st.composite
+def _random_networks(draw):
+    """(netlist, assembled system) on an arbitrary valid netlist: branches between random
+    vertices of P nodes and gnd, each node an endpoint with at least one piezo,
+    R in {0} U [1e-2, 1e6] and L in [1e-3, 1e5], parallel branches allowed."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(p, 5))
+    nodes = [f"n{i}" for i in range(1, p + 1)]
+    ends = [(node, draw(st.sampled_from([v for v in nodes + [GROUND] if v != node])))
+            for node in nodes]
+    ends += draw(st.lists(st.lists(st.sampled_from(nodes + [GROUND]), min_size=2, max_size=2,
+                                   unique=True), max_size=4))
+    resistance = st.one_of(st.just(0.0), st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e))
+    inductance = st.floats(-3.0, 5.0).map(lambda e: 10.0 ** e)
+    branches = [Branch(f"b{j}", a, b, draw(resistance), draw(inductance))
+                for j, (a, b) in enumerate(ends)]
+    piezo = {i: nodes[i - 1] if i <= p else draw(st.sampled_from(nodes)) for i in range(1, n + 1)}
+    beam = ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=1.0,
+                       zeta=draw(st.sampled_from([0.0, 0.01])))
+    patches = ps.uniform_layout(beam, n, coverage=0.9, cp=100e-9,
+                                gamma=draw(st.sampled_from([-1e-3, 1e-4, 1e-3])))
+    net = Netlist(branches=tuple(branches), piezo=piezo)
+    return net, ps.assemble(ps.modal_basis(beam, draw(st.integers(1, 3))), patches, net)
+
+
+def _netlist_text(net):
+    return "".join([f"piezo {i} {node}\n" for i, node in net.piezo.items()]
+                   + [f"branch {b.name} {b.node_a} {b.node_b} R={b.r!r} L={b.l!r}\n"
+                      for b in net.branches])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_random_networks())
+def test_physics_invariants_hold_on_random_networks(case):
+    net, sys_ = case
+    assert parse_netlist(_netlist_text(net)) == net
+    m, p = sys_.basis.m, sys_.nm.n_nodes
+    a = state_matrix(sys_)
+    # energy identity Q A + A^T Q = -2 D, Q = diag(w^2, 1, C, L_b), D = diag(0, 2 zeta w, 0, R_b)
+    q = np.diag(np.concatenate((sys_.basis.omega**2, np.ones(m), sys_.cap, sys_.nm.l_b)))
+    d = np.diag(np.concatenate((np.zeros(m), 2.0 * sys_.basis.zeta * sys_.basis.omega,
+                                np.zeros(p), sys_.nm.r_b)))
+    qa = q @ a
+    np.testing.assert_allclose(qa + qa.T, -2.0 * d, rtol=0.0, atol=1e-13 * np.abs(qa).max())
+    sol = eigen(sys_)
+    assert sol.values.real.max() <= 1e-9 * sol.freq.max()  # passive
+    assert np.array_equal(np.sort_complex(sol.values), np.sort_complex(np.conj(sol.values)))
+    # the graph's count is the null spaces' count, and it alone sets the zero tags: no gap
+    # between the tagged modes and the rest is asserted, since slow real relaxation modes
+    # of a stiff network can lie as close to 0 as the rounded zeros
+    k = zero_mode_count(sys_.nm)
+    assert sys_.nm.zero_modes == k and sys_.nm.floating == conserved_charges(sys_.nm).shape[1]
+    assert sol.tags.count("zero") == k and set(sol.tags[:k]) <= {"zero"}
+    assert np.all(sol.zeta[:k] == 0.0)
+    mu = reduction.electrical_modes(sys_.nm, sys_.cap).mu  # its zeros: the floating count
+    assert np.all(mu[:sys_.nm.floating] == 0.0) and np.all(mu[sys_.nm.floating:] > 0.0)
+    # each conserved charge (Thetat y, 0, C y, 0) and loop flux (0, 0, 0, L_b c) is a
+    # left null vector of A
+    charges = [np.concatenate((sys_.theta_tilde @ y, np.zeros(m), sys_.cap * y,
+                               np.zeros(sys_.nm.n_branches))) for y in conserved_charges(sys_.nm).T]
+    fluxes = [np.concatenate((np.zeros(2 * m + p), sys_.nm.l_b * c))
+              for c in loop_currents(sys_.nm).T]
+    for w in charges + fluxes:
+        assert np.abs(w @ a).max() <= 1e-13 * np.abs(w).max() * np.abs(a).max()
 
 
 @settings(max_examples=60, deadline=None)

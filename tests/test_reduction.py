@@ -401,7 +401,7 @@ def test_tune_rejects_target_mode_out_of_range(bench_m1, target_mode, seed):
 def test_tune_reduced_accepts_only_its_own_target_mode(bench_m5):
     rm = reduce(bench_m5, 1)
     for target_mode, match in [(7.5, "must be an integer"), (0, "must lie in"),
-                               (2, "must be the reduced model's mode 1")]:
+                               (2, r"must lie in \[1, 1\], got 2")]:
         with pytest.raises(ParameterError, match=f"target mode {match}"):
             tune(rm, target_mode=target_mode)
     assert tune(rm, target_mode=1) == tune(rm)
@@ -1002,3 +1002,51 @@ def test_stacked_min_damping_equals_one_spectrum_at_a_time():
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
         assert [float(_min_damping(v, band)).hex() for v in spectra] == [v.hex() for v in want]
     assert _min_damping(stack[-1], (0.5, 5.0)) == -np.inf
+
+
+# -- the corner (1e6 r0, 1e-4 l0) of the default search box ------------------
+
+def _default_system(topology):
+    cfg = load_config("")
+    return ps.assemble(*cli._basis_and_patches(cfg), cli._builtin_netlist(cfg, topology))
+
+
+@pytest.mark.parametrize("topology", TOPOLOGY_IDS)
+def test_reduced_min_damping_at_the_box_corner_is_its_smallest_pole_damping(topology):
+    # a magnitude threshold once dropped the lightly damped pair there, next to a
+    # relaxation pole of |lambda| ~ 6e9, and the objective read its best value 1.0
+    rm = reduce(_default_system(topology), 1)
+    r0, l0 = closed_form_seed(rm)
+    r, l = r0 * BOUNDS_FACTORS_R[1], l0 * BOUNDS_FACTORS_L[0]
+    poles = np.linalg.eigvals(rm.a_matrix(r, l))
+    upper = poles[poles.imag >= 0]
+    want = np.min(-upper.real / np.abs(upper))
+    assert want < 1e-6
+    for got in (_objective_value("min-damping-ratio", rm, r, l),
+                reduction._reduced_value(rm, "min-damping-ratio", r, l, None)):
+        assert got != 1.0 and got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("topology", TOPOLOGY_IDS)
+def test_full_min_damping_at_the_box_corner_is_the_in_band_minimum(topology):
+    sys_ = _default_system(topology)
+    rm = reduce(sys_, 1)
+    r0, l0 = closed_form_seed(rm)
+    r, l = r0 * BOUNDS_FACTORS_R[1], l0 * BOUNDS_FACTORS_L[0]
+    poles = np.linalg.eigvals(state_matrix(sys_.rescaled(r, l)))
+    freq = np.abs(poles)
+    lo, hi = _band(rm.omega_m)
+    inside = (freq >= lo) & (freq <= hi) & (poles.imag >= 0)
+    want = np.min(-poles.real[inside] / freq[inside])
+    got = _objective_value("min-damping-ratio", sys_, r, l, (lo, hi))
+    assert np.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("topology, zeros", [("single_shunt", 0), ("multi_shunt", 0),
+                                             ("transmission_line", 1)])
+@pytest.mark.parametrize("factors", [(1e6, 1e-4), (1e5, 1e-3)], ids=["corner", "near_corner"])
+def test_zero_tags_near_the_box_corner_count_the_floating_components(topology, zeros, factors):
+    sys_ = _default_system(topology)
+    r0, l0 = closed_form_seed(reduce(sys_, 1))
+    sol = coupled.eigen(sys_.rescaled(r0 * factors[0], l0 * factors[1]))
+    assert sol.tags.count("zero") == zeros
