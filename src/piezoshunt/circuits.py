@@ -60,7 +60,7 @@ class Netlist:
         object.__setattr__(self, "branches", tuple(self.branches))
         object.__setattr__(self, "piezo", dict(self.piezo))
         if fault := _validate_structure(self.branches, self.piezo):
-            raise ParameterError(fault[1])
+            raise NetlistError(None, fault[1], subject=fault[0])
 
     @property
     def nodes(self):
@@ -95,8 +95,8 @@ def _validate_structure(branches, piezo):
     """First violated structural invariant as (subject, message), or None.
 
     `subject` names the item at fault: ("branch", position), ("piezo", index),
-    ("node", name), or None for a netlist-wide fault.  `Netlist` raises the
-    message; the parser also attaches the line that declared the subject.
+    ("node", name), or None for a netlist-wide fault.  `Netlist` raises both
+    as a NetlistError; the parser adds the line that declared the subject.
     """
     if not branches:
         return None, "netlist needs at least one branch"
@@ -212,9 +212,8 @@ def parse_netlist(text):
 
     try:
         return Netlist(branches=tuple(branches), piezo=piezo)  # runs the structural check
-    except ParameterError:  # a failed parse asks again, for the subject's line
-        subject, message = _validate_structure(branches, piezo)
-        raise NetlistError(lines.get(subject), message) from None
+    except NetlistError as exc:
+        raise NetlistError(lines.get(exc.subject), str(exc)) from None
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,13 @@ from .errors import NumericalError, ParameterError
 from .patches import uniform_layout
 
 
-def _fmt(value):
-    """Serialize a number with 9 significant digits."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.9g}"
-
-
-#: %-format of a column by its numpy dtype kind, rendering each cell as `_fmt` does
-#: (a bool as str(int(value)), a float as f"{value:.9g}").
+#: %-format of a CSV column by its numpy dtype kind: a float with 9 significant digits.
 _COLUMN_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.9g", "U": "%s"}
+
+
+def _fmt(value):
+    """A float as a CSV cell holds it, for the standard output."""
+    return _COLUMN_FORMATS["f"] % value
 
 #: Rows formatted per write.
 _CSV_BLOCK = 1024

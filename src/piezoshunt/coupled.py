@@ -93,10 +93,6 @@ class CoupledSystem:
 
 def _admitted(r_b, l_b):
     """(r_b, l_b) unchanged, or ParameterError unless every branch passes `branch_fault`."""
-    if type(r_b) is list:  # the simplex's float lists: builtins, no array round trip
-        total = sum(r_b) + sum(l_b)  # finite only when every value is
-        if total - total == 0.0 and min(r_b) >= 0.0 and min(l_b) > 0.0:
-            return r_b, l_b
     r, l = np.asarray(r_b), np.asarray(l_b)  # the methods cost half of np.min and np.max
     # each rule is an interval, and min/max propagate nan: no per-branch loop
     if fault := branch_fault(r.min(), l.min()) or branch_fault(r.max(), l.max()):

@@ -12,11 +12,13 @@ class NumericalError(RuntimeError):
 
 
 class NetlistError(ParameterError):
-    """Netlist text violates the dialect or a structural invariant; line_no None: no line."""
+    """A netlist violates the dialect or a structural invariant; line_no None: no line.
+    `subject` is the item at fault that `circuits._validate_structure` names, or None."""
 
-    def __init__(self, line_no, message):
+    def __init__(self, line_no, message, subject=None):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
+        self.subject = subject
 
 
 class ConfigError(ParameterError):

@@ -130,6 +130,7 @@ class ReducedModel:
 
         Arrays of scales give a stack of matrices along their (broadcast) axes.
         """
+        _admitted(rbar, lbar)
         a = np.empty(np.broadcast_shapes(np.shape(rbar), np.shape(lbar)) + (4, 4))
         a[...] = self._a_template()
         return self._write_scales(a, rbar, lbar)
@@ -143,9 +144,8 @@ class ReducedModel:
                          (0.0, 0.0, 0.0, 0.0)))
 
     def _write_scales(self, a, rbar, lbar):
-        """Write the entries that the admitted scales (arrays or float lists) set into
-        the (..., 4, 4) template copies `a`; returns `a`."""
-        _admitted(rbar, lbar)
+        """Write the entries that the scales (arrays or float lists) set into the
+        (..., 4, 4) template copies `a`, without the admission; returns `a`."""
         lbar = np.asarray(lbar)
         a[..., 3, 2] = self.mu_star / lbar
         a[..., 3, 3] = -np.asarray(rbar) / lbar
@@ -430,13 +430,16 @@ def _min_damping(values, band):
     spectrum; -inf for a spectrum with no eigenvalue to keep.  With band None it is
     for spectra without zero modes, as the two-DOF model's (det A = wm^2 mu*/lbar > 0);
     a CoupledSystem's band, from 0.5 times the target frequency, excludes them.
+    Of each conjugate pair the member with Im >= 0 is kept: numpy's real
+    eigensolvers return exact conjugates and an exact 0 imaginary part for a real
+    eigenvalue, and both members of a pair have the same ratio.
     """
     freq = np.abs(values)
     keep = freq > 0
     if band is not None:
         keep &= freq >= band[0]
         keep &= freq <= band[1]
-    keep &= values.imag >= -1e-12 * freq.max(axis=-1, keepdims=True)  # one per conjugate pair
+    keep &= values.imag >= 0
     ratio = np.divide(-values.real, freq, out=np.full(freq.shape, np.inf), where=keep)
     return np.where(keep.any(axis=-1), ratio.min(axis=-1), -np.inf)[()]
 
@@ -492,7 +495,10 @@ def _objective(model, objective, band=None, grid=None):
     for all poles); "hinf" is the negated largest |G| on `grid`, the
     `hinf_grid` of the target frequency, and -inf when a sample is a pole.
     Each row gets the value it gets alone: LAPACK factors every matrix of a
-    stack as it would a single one.
+    stack as it would a single one.  A ReducedModel's kernels admit nothing:
+    `tune`'s seed rule and box admit every scale they see.  A CoupledSystem's
+    branch values are products with `s_shape` that may leave the floats, so
+    `_branch_values` admits them.
     """
     if objective == "min-damping-ratio":
         a_matrix = _a_stack(model)
@@ -501,7 +507,6 @@ def _objective(model, objective, band=None, grid=None):
         x, m, gain2 = model._grid_terms(grid)
 
         def values(r, l):
-            _admitted(r, l)
             gain_sq = model._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
             peak = gain_sq.max(axis=-1)
             return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
@@ -513,20 +518,15 @@ def _objective(model, objective, band=None, grid=None):
 
 
 def _objective_value(objective, model, r, l, band=None, grid=None):
-    """`_objective` at the one point (r, l), scalar or per-branch scales, as a float."""
+    """The objective `tune` reports at the one point (r, l), scalar or per-branch scales.
+
+    For a ReducedModel, "hinf" is minus the exact `_band_peak` on the band of
+    `grid`; every other case is `_objective` at that point.  Returns a float.
+    """
+    if objective == "hinf" and isinstance(model, ReducedModel):
+        return -_band_peak(model, r, l, grid)
     r, l = (np.asarray(v, dtype=float)[None].tolist() for v in (r, l))
     return float(_objective(model, objective, band, grid)(r, l)[0])
-
-
-def _reduced_value(rm, objective, rbar, lbar, grid):
-    """The objective `tune` reports for a ReducedModel at the scales (rbar, lbar).
-
-    "min-damping-ratio" is the smallest damping ratio of `eigvals` of the
-    state matrix; "hinf" is minus the `_band_peak` on the band of `grid`.
-    """
-    if objective == "hinf":
-        return -_band_peak(rm, rbar, lbar, grid)
-    return float(_min_damping(np.linalg.eigvals(rm.a_matrix(rbar, lbar)), None))
 
 
 def _polish(rm, objective, rbar, lbar, value, grid, bounds):
@@ -539,7 +539,7 @@ def _polish(rm, objective, rbar, lbar, value, grid, bounds):
     the winner.
     """
     if objective == "hinf":
-        value = _reduced_value(rm, objective, rbar, lbar, grid)
+        value = _objective_value(objective, rm, rbar, lbar, grid=grid)
         point = _equal_peaks(rm, rbar, lbar, grid)
     else:
         point = _coalescence(rm, rbar, lbar)
@@ -550,7 +550,7 @@ def _polish(rm, objective, rbar, lbar, value, grid, bounds):
     point = [10.0 ** z for z in np.log10(point).tolist()]
     if not all(lo <= v <= hi for v, (lo, hi) in zip(point, bounds)):
         return None
-    polished = _reduced_value(rm, objective, *point, grid)
+    polished = _objective_value(objective, rm, *point, grid=grid)
     return (*point, polished) if polished >= value else None
 
 
@@ -603,7 +603,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     _GLOBAL_REL_TOL, and `_polish` finishes its winner: the pole coalescence
     (`_coalescence`) or the equal-peak point (`_equal_peaks`).  When the
     polish fails, the winner's start runs again alone at NM_REL_TOL, and
-    `polished` is False.  `objective` is `_reduced_value` at the returned
+    `polished` is False.  `objective` is `_objective_value` at the returned
     (r, l): the smallest damping ratio of `eigvals`, or minus the exact band
     peak (`_band_peak`); the StartRecords keep the simplex stage's values.
 
@@ -706,7 +706,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         if finish is None:  # the winner's start alone, at the full tolerance
             ((z_opt, f_opt, _, _),) = _lockstep(costs, [z_start])
             r, l = summary(z_opt)
-            value = _reduced_value(model, objective, r, l, grid) if f_opt < np.inf else -np.inf
+            value = _objective_value(objective, model, r, l, grid=grid) if f_opt < np.inf else -np.inf
         else:
             (r, l, value), polished = finish, True
     r_branches, l_branches = ((v[0] * model.s_shape for v in decode([z_opt.tolist()])) if per_branch
@@ -734,19 +734,23 @@ class ValidationReport:
 
 def validate_reduction(sys, rm, tr):
     """Evaluate the reduced-model tuning on the complete model; runs no optimizer.  A re-tune
-    gap needs `tune(sys, tr.kind, target_mode=rm.target_mode, seed=(tr.r, tr.l))`."""
+    gap needs `tune(sys, tr.kind, target_mode=rm.target_mode, seed=(tr.r, tr.l))`.
+
+    The pole error compares each reduced pole with Im > 0, one per conjugate pair
+    (the reduced eigenvalues are exact conjugates), with the nearest complete-model pole.
+    """
     if tr.r_branches is not None:  # its geometric-mean scales were never tuned
         raise ParameterError("cannot validate a per-branch tuning result")
     r, l = tr.r, tr.l
     sol = eigen(sys.rescaled(r, l))
 
     red_vals = np.linalg.eigvals(rm.a_matrix(r, l))
-    red_pairs = red_vals[red_vals.imag > 1e-12 * np.max(np.abs(red_vals))]
+    red_pairs = red_vals[red_vals.imag > 0]
     pole_error = max((float(np.min(np.abs(sol.values - lam)) / abs(lam)) for lam in red_pairs),
                      default=0.0)
 
     grid = hinf_grid(rm.omega_m) if tr.kind == "hinf" else None
-    reduced_objective = _reduced_value(rm, tr.kind, r, l, grid)
+    reduced_objective = _objective_value(tr.kind, rm, r, l, grid=grid)
     full_objective = _objective_value(tr.kind, sys, r, l, _band(rm.omega_m), grid)
 
     table = []

@@ -188,6 +188,13 @@ def test_parse_runs_the_structural_check_once(monkeypatch):
                            "branch b2 n2 gnd R=1 L=1")
     assert len(calls) == 1
     assert net.nodes == ["n1", "n2"]
+    # a failure too: the constructor's error names the subject whose line the parser adds
+    calls.clear()
+    with pytest.raises(NetlistError) as info:
+        ps.parse_netlist("piezo 1 n1\nbranch b1 n1 gnd R=1 L=1\nbranch b2 n2 gnd R=1 L=0")
+    assert len(calls) == 1
+    assert str(info.value) == "line 3: branch 'b2' needs finite positive inductance, got 0.0"
+    assert info.value.line_no == 3
 
 
 def test_parse_malformed_number_and_directive():

@@ -10,8 +10,8 @@ import pytest
 import piezoshunt as ps
 from piezoshunt import timesim
 from piezoshunt.cli import run_command
-from piezoshunt.config import load_config
-from piezoshunt.errors import ConfigError
+from piezoshunt.config import TOPOLOGIES, load_config
+from piezoshunt.errors import ConfigError, NumericalError
 
 
 def test_empty_config_applies_defaults():
@@ -336,9 +336,13 @@ def test_csv_writer_matches_the_per_value_join(tmp_path):
     cli._write_csv(path, list(columns), list(columns.values()))
     cells = [[v.item() if isinstance(v, np.generic) else v for v in col]
              for col in columns.values()]
+
+    def cell(v):  # the per-value reference, independent of the writer's formats
+        if isinstance(v, str):
+            return v
+        return str(int(v)) if isinstance(v, int) else f"{v:.9g}"  # a bool is an int
     expected = ",".join(columns) + "\n" + "".join(
-        ",".join(cli._fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
-        for row in zip(*cells))
+        ",".join(map(cell, row)) + "\n" for row in zip(*cells))
     assert path.read_text() == expected
     cli._write_csv(path, ["a", "b"], [[], np.array([])])
     assert path.read_text() == "a,b\n"
@@ -374,3 +378,39 @@ def test_per_branch_optimize_reduces_the_system_once(tmp_path, monkeypatch):
                    "[optimize]\nper_branch = true\n")
     assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_numerical_error_exits_2_with_its_message(tmp_path, capsys, monkeypatch):
+    from piezoshunt import coupled
+
+    def fail(sys_):
+        raise NumericalError("eigenproblem failed")
+    monkeypatch.setattr(coupled, "eigen", fail)
+    assert run_command(["eig", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: eigenproblem failed\n" and captured.out == ""
+    assert not (tmp_path / "eig.csv").exists()
+
+
+@pytest.mark.parametrize("command, table, warnings", [
+    ("optimize", "optimize_trace.csv",
+     ["no start converged within the iteration cap; best found returned"]),
+    ("compare", "compare.csv", [f"{topology}: {objective} tuning did not converge"
+                                for topology in TOPOLOGIES
+                                for objective in ("min-damping-ratio", "hinf")]),
+])
+def test_unconverged_tuning_warns_and_still_writes_its_csv(tmp_path, capsys, monkeypatch,
+                                                           command, table, warnings):
+    from piezoshunt import reduction
+
+    monkeypatch.setattr(reduction, "NM_MAX_ITER", 1)  # no simplex can shrink in one step
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n")
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("warning: ")] == [
+        f"warning: {message}" for message in warnings]
+    header, *rows = (tmp_path / table).read_text().splitlines()
+    flags = [j for j, name in enumerate(header.split(",")) if name.endswith("converged")]
+    assert len(rows) == (9 if command == "optimize" else len(TOPOLOGIES))
+    assert {row.split(",")[j] for row in rows for j in flags} == {"0"}

@@ -163,18 +163,19 @@ def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
                                          (np.inf, 1.0, "resistance, got inf")],
                          ids=["L_nan", "L_inf", "L_zero", "R_negative", "R_nan", "R_inf"])
 def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r, l, fault):
-    # one branch rule with one message: both models' matrices and objective
-    # kernels, the reduced model's closed-form gain and the system copies
-    # (bench_m5 is a single shunt: its branch pattern is 1, so rescaling keeps the values)
+    # one branch rule with one message: both models' public matrices, the reduced
+    # model's closed-form gain, the system copies and the complete model's objective
+    # kernels, whose branch values are products with s_shape that may leave the floats
+    # (bench_m5 is a single shunt: its branch pattern is 1, so rescaling keeps the values).
+    # The reduced model's kernels admit nothing: `tune` admits every scale they see.
     rm = ps.reduce(bench_m5, 1)
     stacked = _a_stack(bench_m5)
     grid = hinf_grid(rm.omega_m)
     calls = [lambda: rm.a_matrix(r, l), lambda: stacked([r], [l]), lambda: rm.gain_sq(r, l, grid),
              lambda: bench_m5.rescaled(r, l), lambda: bench_m5.with_branch_values(r, l)]
-    for model in (rm, bench_m5):
-        for objective in ("min-damping-ratio", "hinf"):
-            kernel = _objective(model, objective, grid=grid)
-            calls.append(lambda kernel=kernel: kernel([r], [l]))
+    for objective in ("min-damping-ratio", "hinf"):
+        kernel = _objective(bench_m5, objective, grid=grid)
+        calls.append(lambda kernel=kernel: kernel([r], [l]))
     messages = set()
     for call in calls:
         with pytest.raises(ParameterError) as got:
@@ -196,7 +197,7 @@ def test_zero_tags_and_min_damping_filter_agree_on_the_floating_line(basis5, pat
     # without zero modes, its -Re/|lambda| = -1 would be the minimum
     assert sol.values[zero].real > 0 and sol.values[zero].imag == 0
     assert _min_damping(sol.values, None) == -1.0
-    upper = sol.values.imag >= -1e-12 * sol.freq.max()
+    upper = sol.values.imag >= 0
     assert _min_damping(sol.values[~zero], None) == np.min(sol.zeta[~zero & upper])
     # the complete model's band excludes it
     band = reduction._band(sys_.basis.omega[0])

@@ -520,7 +520,7 @@ def test_hinf_objective_is_minus_inf_on_a_pole_sample():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gain_sq = rm.gain_sq(0.0, 1.0, grid)
-        objective = _objective_value("hinf", rm, 0.0, 1.0, grid=grid)
+        (objective,) = reduction._objective(rm, "hinf", grid=grid)([0.0], [1.0])
     assert not np.isfinite(gain_sq[1]) and np.all(np.isfinite(gain_sq[[0, 2]]))
     assert objective == -np.inf
     _, pole = frf_pointwise(rm.a_matrix(0.0, 1.0), rm.force_map, rm.output_map, grid)
@@ -619,7 +619,7 @@ def test_polish_outside_the_box_falls_back_to_the_full_tolerance_simplex(bench_m
     full = tune_sequential(rm, objective, bounds=bounds)[0][winner]
     assert (tr.r, tr.l) == (full.r_opt, full.l_opt)
     grid = hinf_grid(rm.omega_m)
-    assert tr.objective == reduction._reduced_value(rm, objective, tr.r, tr.l, grid)
+    assert tr.objective == _objective_value(objective, rm, tr.r, tr.l, grid=grid)
 
 
 def test_hinf_polish_survives_scales_whose_quintic_overflows(bench_m1):
@@ -846,15 +846,8 @@ def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
             l[j] = value
         elif value != 0.0:  # R = 0 is admissible
             r[j] = value
-    hinf = reduction._objective(rm, "hinf", grid=grid)
-    mdr = reduction._objective(rm, "min-damping-ratio")
-
     fault = branch_fault(np.min(r), np.min(l)) or branch_fault(np.max(r), np.max(l))
-    if fault:
-        for kernel in (hinf, mdr):
-            with pytest.raises(ParameterError) as got:
-                kernel(r, l)
-            assert str(got.value) == f"branch rescaling: each branch {fault}"
+    if fault:  # the public entries admit; the kernels only ever see what `tune` admitted
         for public in (lambda: rm.a_matrix(np.array(r), np.array(l)),
                        lambda: rm.gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid)):
             with pytest.raises(ParameterError) as got:
@@ -862,6 +855,8 @@ def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
             assert str(got.value) == f"branch rescaling: each branch {fault}"
         return
 
+    hinf = reduction._objective(rm, "hinf", grid=grid)
+    mdr = reduction._objective(rm, "min-damping-ratio")
     x, m, gain2 = rm._grid_terms(grid)
     stacked = rm._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
     a_stack = reduction._a_stack(rm)(r, l)
@@ -878,6 +873,19 @@ def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
     assert [float(v).hex() for v in mdr(r, l)] == [float(v).hex() for v in want_mdr]
     if pole:
         assert hinf(r, l)[-1] == -np.inf
+
+
+@pytest.mark.parametrize("objective", ["min-damping-ratio", "hinf"])
+def test_reduced_tune_admits_its_scales_where_they_enter_not_every_round(monkeypatch, objective):
+    # the seed rule and the search box admit every scale the simplex evaluates, so
+    # only the public matrix and gain calls of the polish admit: a count that does
+    # not grow with the lockstep rounds (one call per round would be about 90 and 400)
+    calls = []
+    admitted = reduction._admitted
+    monkeypatch.setattr(reduction, "_admitted", lambda *args: calls.append(1) or admitted(*args))
+    tr = tune(reduce(_default_system("single_shunt"), 1), objective)
+    assert tr.polished and sum(s.iterations for s in tr.starts) > 50
+    assert len(calls) <= 3
 
 
 TUNE_FIELDS = ("r0", "l0", "r_opt", "l_opt", "objective", "seed_objective")
@@ -1022,9 +1030,10 @@ def test_reduced_min_damping_at_the_box_corner_is_its_smallest_pole_damping(topo
     upper = poles[poles.imag >= 0]
     want = np.min(-upper.real / np.abs(upper))
     assert want < 1e-6
-    for got in (_objective_value("min-damping-ratio", rm, r, l),
-                reduction._reduced_value(rm, "min-damping-ratio", r, l, None)):
-        assert got != 1.0 and got == pytest.approx(want, rel=1e-12)
+    got = _objective_value("min-damping-ratio", rm, r, l)
+    assert got != 1.0 and got == pytest.approx(want, rel=1e-12)
+    # the stacked kernel at one point gives the bits of the public matrix's spectrum
+    assert got.hex() == float(_min_damping(np.linalg.eigvals(rm.a_matrix(r, l)), None)).hex()
 
 
 @pytest.mark.parametrize("topology", TOPOLOGY_IDS)
