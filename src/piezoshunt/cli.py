@@ -146,7 +146,8 @@ def _cmd_optimize(cfg, outdir):
     print(f"achieved value   = {_fmt(tr.objective)}")
     print(f"converged        = {tr.converged}   improving = {tr.improving}")
     if not tr.converged:
-        print("warning: no start converged within the iteration cap; best found returned")
+        print("warning: the returned optimum did not converge within the iteration cap; "
+              "best found returned")
     return 0
 
 
@@ -244,16 +245,18 @@ def run_command(argv):
     """Run one subcommand; returns 0 on success, 1 on validation error, 2 on numerical error."""
     args = _parser().parse_args(argv)
     try:
-        for flag in ("topology", "netlist"):
-            if args.command == "compare" and getattr(args, flag) is not None:
-                raise ParameterError(f"compare always runs the three built-in topologies; "
-                                     f"--{flag} does not apply")
         cfg = load_config(_read(args.config) if args.config is not None else "")
         if args.topology is not None:
             cfg.topology = args.topology
             cfg.netlist_path = None
         if args.netlist is not None:
             cfg.netlist_path = args.netlist
+        if args.command == "compare":
+            for source, value in (("--topology", args.topology), ("--netlist", args.netlist),
+                                  ("[network] netlist", cfg.netlist_path)):
+                if value is not None:
+                    raise ParameterError(f"compare always runs the three built-in topologies; "
+                                         f"{source} does not apply")
         outdir = args.out if args.out is not None else cfg.outdir
         os.makedirs(outdir, exist_ok=True)
         return _COMMANDS[args.command](cfg, outdir)

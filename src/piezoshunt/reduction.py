@@ -39,7 +39,7 @@ import numpy as np
 
 from .beam import eval_mode
 from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _write_branch_rows,
-                      eigen)
+                      eigen, frf)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
 from .optima import _band_peak, _coalescence, _equal_peaks
@@ -212,8 +212,13 @@ def reduce(sys, target_mode=1):
     sum_{j != k} Thetat[j]^T Thetat[j] / w_j^2.  That correction is folded
     into the capacitance metric of the electrical eigenproblem; without it
     the reduced-model optimum sits measurably off the complete model's
-    optimum.  For a single retained mode the correction vanishes and the
-    reduction is exact.
+    optimum.  With one beam mode (M = 1) the correction vanishes, but the
+    reduction is exact only when the network also has one nonzero
+    electrical mode and no floating component: the dropped electrical modes
+    are treated as shorted, while a floating network's zero mode acts as an
+    open circuit.  Tuned with one beam mode and two patches, a single shunt
+    has a pole error of 2.8e-12, a floating line 2.2e-2 and a line grounded
+    at both ends 1.4e-2 (ROADMAP.md, item 1).
     """
     omega_m = _target_omega(sys, target_mode)
     c_eff = np.diag(sys.cap).copy()
@@ -285,7 +290,13 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class TuningResult:
-    """Optimized branch scales with achieved objective and run provenance."""
+    """Optimized branch scales with achieved objective and run provenance.
+
+    `converged` describes the returned (r, l): True when the Newton polish
+    gave it, or when the search that produced it converged, that is the
+    fallback run of a failed polish or, on a CoupledSystem, the winner's
+    own simplex.  A start's `StartRecord.converged` describes its simplex only.
+    """
 
     r: float
     l: float
@@ -489,8 +500,10 @@ def _a_stack(model):
 def _objective(model, objective, band=None, grid=None):
     """(r, l) -> `objective` of a ReducedModel or CoupledSystem at k rows of scales; larger is better.
 
-    What does not depend on the scales is prepared here, once.  The rows are
-    lists of k floats or, for a CoupledSystem, (k, B) per-branch scales.
+    The kernel of `tune`'s rounds; values reported at one point come from
+    `_objective_value` and `validate_reduction`, which read the public
+    definitions.  What does not depend on the scales is prepared here, once.
+    The rows are lists of k floats or, for a CoupledSystem, (k, B) per-branch scales.
     "min-damping-ratio" is the smallest damping ratio inside `band` (None
     for all poles); "hinf" is the negated largest |G| on `grid`, the
     `hinf_grid` of the target frequency, and -inf when a sample is a pole.
@@ -517,16 +530,16 @@ def _objective(model, objective, band=None, grid=None):
                                   for r_b, l_b in zip(*_branch_values(model.s_shape, r, l))])
 
 
-def _objective_value(objective, model, r, l, band=None, grid=None):
-    """The objective `tune` reports at the one point (r, l), scalar or per-branch scales.
+def _objective_value(objective, rm, r, l, grid=None):
+    """The objective `tune` reports for the ReducedModel `rm` at the one point (r, l).
 
-    For a ReducedModel, "hinf" is minus the exact `_band_peak` on the band of
-    `grid`; every other case is `_objective` at that point.  Returns a float.
+    "hinf" is minus the exact `_band_peak` on the band of `grid`;
+    "min-damping-ratio" is the smallest damping ratio of the spectrum of
+    `rm.a_matrix(r, l)`.  Returns a float.
     """
-    if objective == "hinf" and isinstance(model, ReducedModel):
-        return -_band_peak(model, r, l, grid)
-    r, l = (np.asarray(v, dtype=float)[None].tolist() for v in (r, l))
-    return float(_objective(model, objective, band, grid)(r, l)[0])
+    if objective == "hinf":
+        return -_band_peak(rm, r, l, grid)
+    return float(_min_damping(np.linalg.eigvals(rm.a_matrix(r, l)), None))
 
 
 def _polish(rm, objective, rbar, lbar, value, grid, bounds):
@@ -606,6 +619,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     `polished` is False.  `objective` is `_objective_value` at the returned
     (r, l): the smallest damping ratio of `eigvals`, or minus the exact band
     peak (`_band_peak`); the StartRecords keep the simplex stage's values.
+    `converged` is that of the search that gave (r, l); see TuningResult.
 
     With `per_branch` each branch b of a CoupledSystem gets its own scales,
     R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
@@ -701,20 +715,22 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
                                                         run[0].l_opt))
     records = tuple(rec for rec, *_ in runs)
     r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
+    converged = winner.converged
     if reduced:
         finish = _polish(model, objective, r, l, value, grid, bounds)
         if finish is None:  # the winner's start alone, at the full tolerance
-            ((z_opt, f_opt, _, _),) = _lockstep(costs, [z_start])
+            ((z_opt, f_opt, _, converged),) = _lockstep(costs, [z_start])
+            converged = converged and f_opt < np.inf  # as a StartRecord's
             r, l = summary(z_opt)
             value = _objective_value(objective, model, r, l, grid=grid) if f_opt < np.inf else -np.inf
         else:
-            (r, l, value), polished = finish, True
+            (r, l, value), polished, converged = finish, True, True
     r_branches, l_branches = ((v[0] * model.s_shape for v in decode([z_opt.tolist()])) if per_branch
                               else (None, None))
     improving = value > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(
         r=r, l=l, objective=value,
-        kind=objective, converged=any(r.converged for r in records),
+        kind=objective, converged=converged,
         improving=improving, seed=(r0, l0), starts=records,
         r_branches=r_branches, l_branches=l_branches, polished=polished,
     )
@@ -736,22 +752,31 @@ def validate_reduction(sys, rm, tr):
     """Evaluate the reduced-model tuning on the complete model; runs no optimizer.  A re-tune
     gap needs `tune(sys, tr.kind, target_mode=rm.target_mode, seed=(tr.r, tr.l))`.
 
+    Every number is read from the public definitions at (tr.r, tr.l): the
+    complete model's `eigen` spectrum (minimum damping inside `_band`) or its
+    `frf` on the `hinf_grid` (minus the largest magnitude), and the reduced
+    model's `a_matrix` spectrum or exact band peak, as `tune` reports them.
     The pole error compares each reduced pole with Im > 0, one per conjugate pair
     (the reduced eigenvalues are exact conjugates), with the nearest complete-model pole.
     """
     if tr.r_branches is not None:  # its geometric-mean scales were never tuned
         raise ParameterError("cannot validate a per-branch tuning result")
     r, l = tr.r, tr.l
-    sol = eigen(sys.rescaled(r, l))
+    tuned = sys.rescaled(r, l)
+    sol = eigen(tuned)
 
     red_vals = np.linalg.eigvals(rm.a_matrix(r, l))
     red_pairs = red_vals[red_vals.imag > 0]
     pole_error = max((float(np.min(np.abs(sol.values - lam)) / abs(lam)) for lam in red_pairs),
                      default=0.0)
 
-    grid = hinf_grid(rm.omega_m) if tr.kind == "hinf" else None
-    reduced_objective = _objective_value(tr.kind, rm, r, l, grid=grid)
-    full_objective = _objective_value(tr.kind, sys, r, l, _band(rm.omega_m), grid)
+    if tr.kind == "hinf":
+        grid = hinf_grid(rm.omega_m)
+        reduced_objective = -_band_peak(rm, r, l, grid)
+        full_objective = -float(np.max(frf(tuned, grid).magnitude))
+    else:
+        reduced_objective = float(_min_damping(red_vals, None))
+        full_objective = float(_min_damping(sol.values, _band(rm.omega_m)))
 
     table = []
     upper = np.flatnonzero(sol.values.imag >= 0)

@@ -360,11 +360,23 @@ def test_compare_rejects_the_network_flags(tmp_path, capsys, flag, value):
 def test_compare_accepts_the_shared_network_config_keys(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n[network]\ntopology = multi_shunt\n"
-                   f"netlist = {tmp_path / 'missing.lst'}\n")
+                   "termination = both_ends\n")
     assert run_command(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["single_shunt", "multi_shunt",
                                                    "transmission_line"]
+
+
+def test_compare_rejects_the_netlist_config_key(tmp_path, capsys):
+    # a netlist from the config would be silently ignored, as the flag once was
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[beam]\nM = 2\n[patches]\nN = 2\n[network]\n"
+                   f"netlist = {tmp_path / 'missing.lst'}\n")
+    rc = run_command(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: compare always runs the three built-in "
+                                       "topologies; [network] netlist does not apply\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_per_branch_optimize_reduces_the_system_once(tmp_path, monkeypatch):
@@ -394,7 +406,7 @@ def test_numerical_error_exits_2_with_its_message(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("command, table, warnings", [
     ("optimize", "optimize_trace.csv",
-     ["no start converged within the iteration cap; best found returned"]),
+     ["the returned optimum did not converge within the iteration cap; best found returned"]),
     ("compare", "compare.csv", [f"{topology}: {objective} tuning did not converge"
                                 for topology in TOPOLOGIES
                                 for objective in ("min-damping-ratio", "hinf")]),
@@ -403,9 +415,13 @@ def test_unconverged_tuning_warns_and_still_writes_its_csv(tmp_path, capsys, mon
                                                            command, table, warnings):
     from piezoshunt import reduction
 
+    # cases without a Newton polish, which would certify the returned point: optimize
+    # tunes per branch, and compare's reduced tunes meet a failed polish
     monkeypatch.setattr(reduction, "NM_MAX_ITER", 1)  # no simplex can shrink in one step
+    monkeypatch.setattr(reduction, "_polish", lambda *args: None)
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n")
+    cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n[network]\ntopology = multi_shunt\n"
+                   "[optimize]\nper_branch = true\n")
     assert run_command([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("warning: ")] == [

@@ -3,7 +3,7 @@
 Float columns must agree to rtol 1e-6; the start index, the converged flags
 and the string columns must match exactly.  A golden file is regenerated only
 for an intended change of results, by running the subcommand with the config
-given below (the default scenario for modes, eig, frf and compare).
+given below (the default scenario for modes.csv, eig.csv, frf.csv and compare.csv).
 """
 
 import os
@@ -56,3 +56,12 @@ def test_optimize_trace_matches_golden(tmp_path, golden, config):
 def test_default_scenario_matches_golden(tmp_path, command):
     assert run_command([command, "--out", str(tmp_path)]) == 0
     _assert_matches_golden(tmp_path / f"{command}.csv", f"{command}.csv")
+
+
+def test_compare_on_a_grounded_line_at_mode_2_matches_golden(tmp_path):
+    # damped beam, M = 6, N = 3, the line grounded at both ends, tuned to mode 2
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("[beam]\nzeta = 0.002\nM = 6\n[patches]\nN = 3\n"
+                   "[network]\ntermination = both_ends\n[optimize]\ntarget_mode = 2\n")
+    assert run_command(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _assert_matches_golden(tmp_path / "compare.csv", "compare_m6_both_ends.csv")

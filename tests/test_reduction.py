@@ -20,6 +20,7 @@ from piezoshunt.reduction import (
     ReducedModel,
     _band,
     _min_damping,
+    _objective,
     _objective_value,
     closed_form_seed,
     electrical_modes,
@@ -343,6 +344,49 @@ def test_validate_reduction_runs_no_optimizer(bench_m5, monkeypatch):
     assert report.full_objective == expected.full_objective
 
 
+@pytest.mark.parametrize("objective", ["min-damping-ratio", "hinf"])
+def test_validate_reduction_reads_one_spectrum_per_model(bench_m5, monkeypatch, objective):
+    # the two spectra that the pole error needs give the min damping too, and the
+    # complete hinf is the public FRF: no tuner kernel is built
+    rm = ps.reduce(bench_m5, 1)
+    tr = tune(rm, objective)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for mod, name in ((np.linalg, "eig"), (np.linalg, "eigvals"), (coupled, "state_matrix"),
+                      (reduction, "state_matrix"), (coupled, "frf"), (reduction, "frf"),
+                      (reduction, "_objective")):
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    validate_reduction(bench_m5, rm, tr)
+    assert "_objective" not in calls and calls.count("eig") == 1
+    if objective == "hinf":
+        assert calls.count("frf") == 1
+    else:
+        assert calls.count("eigvals") == 1 and calls.count("state_matrix") == 1
+        assert "frf" not in calls
+
+
+@pytest.mark.parametrize("objective", ["min-damping-ratio", "hinf"])
+@pytest.mark.parametrize("topology", ["single_shunt", "multi_shunt", "transmission_line"])
+def test_validated_objectives_are_the_tuners_definitions_bit_for_bit(topology, objective):
+    sys_ = _default_system(topology)
+    rm = reduce(sys_, 1)
+    tr = tune(rm, objective)
+    report = validate_reduction(sys_, rm, tr)
+    band, grid = _band(rm.omega_m), hinf_grid(rm.omega_m)
+    point = ([tr.r], [tr.l])
+    full = float(_objective(sys_, objective, band, grid)(*point)[0])
+    reduced = float(_objective(rm, objective, None, grid)(*point)[0])
+    assert report.full_objective.hex() == full.hex()
+    assert report.reduced_objective.hex() == tr.objective.hex()
+    if objective == "hinf":  # the exact band peak, which no sample of the grid exceeds
+        assert report.reduced_objective == -optima._band_peak(rm, tr.r, tr.l, grid) <= reduced
+    else:
+        assert report.reduced_objective.hex() == reduced.hex()
+
+
 def test_validate_rejects_per_branch_result(unit_beam):
     # the geometric-mean scales tr.r, tr.l are not the tuned branch values
     basis = ps.modal_basis(unit_beam, 2)
@@ -620,6 +664,23 @@ def test_polish_outside_the_box_falls_back_to_the_full_tolerance_simplex(bench_m
     assert (tr.r, tr.l) == (full.r_opt, full.l_opt)
     grid = hinf_grid(rm.omega_m)
     assert tr.objective == _objective_value(objective, rm, tr.r, tr.l, grid=grid)
+
+
+@pytest.mark.parametrize("objective", ["min-damping-ratio", "hinf"])
+def test_converged_describes_the_search_that_returned_the_point(bench_m1, monkeypatch, objective):
+    # a box without the polished point: the winner's start runs again at NM_REL_TOL
+    rm = reduce(bench_m1)
+    r0, l0 = closed_form_seed(rm)
+    bounds = ((0.95 * r0, 1.1 * r0), (0.9 * l0, 1.1 * l0))
+    tr = tune(rm, objective, bounds=bounds)
+    assert not tr.polished and tr.converged
+    # a cap that the global stage's winner meets but its full-tolerance rerun does not
+    winner = _winner(tr.starts)
+    assert winner.converged
+    monkeypatch.setattr(reduction, "NM_MAX_ITER", winner.iterations + 1)
+    capped = tune(rm, objective, bounds=bounds)
+    assert _winner(capped.starts) == winner and not capped.polished
+    assert not capped.converged
 
 
 def test_hinf_polish_survives_scales_whose_quintic_overflows(bench_m1):
@@ -1032,8 +1093,8 @@ def test_reduced_min_damping_at_the_box_corner_is_its_smallest_pole_damping(topo
     assert want < 1e-6
     got = _objective_value("min-damping-ratio", rm, r, l)
     assert got != 1.0 and got == pytest.approx(want, rel=1e-12)
-    # the stacked kernel at one point gives the bits of the public matrix's spectrum
-    assert got.hex() == float(_min_damping(np.linalg.eigvals(rm.a_matrix(r, l)), None)).hex()
+    # the tuner's stacked kernel at one point gives the bits of the public matrix's spectrum
+    assert float(_objective(rm, "min-damping-ratio")([r], [l])[0]).hex() == got.hex()
 
 
 @pytest.mark.parametrize("topology", TOPOLOGY_IDS)
@@ -1047,7 +1108,8 @@ def test_full_min_damping_at_the_box_corner_is_the_in_band_minimum(topology):
     lo, hi = _band(rm.omega_m)
     inside = (freq >= lo) & (freq <= hi) & (poles.imag >= 0)
     want = np.min(-poles.real[inside] / freq[inside])
-    got = _objective_value("min-damping-ratio", sys_, r, l, (lo, hi))
+    # the complete model's public definition, the one `validate_reduction` reports
+    got = float(_min_damping(coupled.eigen(sys_.rescaled(r, l)).values, (lo, hi)))
     assert np.isfinite(got) and got == pytest.approx(want, rel=1e-12)
 
 
