@@ -212,15 +212,16 @@ def reduce(sys, target_mode=1):
     sum_{j != k} Thetat[j]^T Thetat[j] / w_j^2.  That correction is folded
     into the capacitance metric of the electrical eigenproblem; without it
     the reduced-model optimum sits measurably off the complete model's
-    optimum.  With one beam mode (M = 1) the correction vanishes, but the
-    reduction is exact only when the network also has one nonzero
-    electrical mode and no floating component: the dropped electrical modes
-    are treated as shorted, while a floating network's zero mode acts as an
-    open circuit.  Tuned with one beam mode and two patches, a single shunt
-    has a pole error of 2.8e-12, a floating line 2.2e-2 and a line grounded
-    at both ends 1.4e-2 (ROADMAP.md, item 1).
+    optimum.  The dropped nonzero electrical modes act as shorts, but the
+    `nm.floating` zero modes u0 hold their charge, an open circuit: their
+    voltage -alpha0 eta, alpha0 = Thetat[k] u0, adds sum alpha0^2 to the
+    modal stiffness.  It is folded into `omega_m`, so every closed form
+    carries it, and `zeta_m` keeps the damping 2 zeta_k w_k of the beam mode.
+    At M = 1 the reduction is then exact for one nonzero electrical mode,
+    floating or not (tuned, two patches: a single shunt and a floating line
+    have pole errors of about 4e-12, a line grounded at both ends 1.4e-2).
     """
-    omega_m = _target_omega(sys, target_mode)
+    omega_k = _target_omega(sys, target_mode)
     c_eff = np.diag(sys.cap).copy()
     for j in range(sys.basis.m):
         if j != target_mode - 1:
@@ -247,11 +248,13 @@ def reduce(sys, target_mode=1):
             best = (strength, mu_g, u)
 
     alpha, mu_star, u_star = best
+    alpha0 = ems.shapes[:, :sys.nm.floating].T @ theta_row
+    omega_m = float(np.sqrt(omega_k**2 + alpha0 @ alpha0))  # omega_k bit for bit when grounded
     tip_gain = eval_mode(sys.basis, target_mode, sys.basis.beam.length)
     return ReducedModel(
         target_mode=target_mode,
         omega_m=omega_m,
-        zeta_m=float(sys.basis.zeta[target_mode - 1]),
+        zeta_m=float(sys.basis.zeta[target_mode - 1]) * (omega_k / omega_m),
         u_star=u_star,
         mu_star=mu_star,
         alpha=alpha,
@@ -467,16 +470,18 @@ def _band(omega_t):
 
 
 def _branch_values(s_shape, r, l):
-    """The admitted (k, B) branch values R_b, L_b of k rows of scales, as `_objective` takes them."""
-    return _admitted(*(np.reshape(v, (len(v), -1)) * s_shape for v in (r, l)))
+    """The (k, B) branch values R_b, L_b of k rows of scales, as `_objective` takes them.
+
+    Products with `s_shape`, as `rescaled` forms them; `tune` admits them where they enter.
+    """
+    return tuple(np.reshape(v, (len(v), -1)) * s_shape for v in (r, l))
 
 
 def _a_stack(model):
     """(r, l) -> the state matrices of a ReducedModel or CoupledSystem at k rows of scales.
 
-    The rows are as `_objective` takes them.  A stack of template copies, grown
-    to the largest k so far, is reused: each call rewrites only the entries the
-    scales set and returns a view valid until the next call, bit for bit
+    The rows are as `_objective` takes them.  Each call writes the entries the
+    scales set into a fresh stack of template copies, bit for bit
     `model.a_matrix(r_j, l_j)` or `state_matrix(model.rescaled(r_j, l_j))`.
     """
     if isinstance(model, ReducedModel):
@@ -487,14 +492,7 @@ def _a_stack(model):
         def write(a, r, l):
             _write_branch_rows(a, b_inc, *_branch_values(s_shape, r, l))
             return a
-    stack = np.empty((0,) + template.shape)
-
-    def a_matrix(r, l):
-        nonlocal stack
-        if len(r) > len(stack):
-            stack = np.repeat(template[None], len(r), axis=0)
-        return write(stack[:len(r)], r, l)
-    return a_matrix
+    return lambda r, l: write(np.repeat(template[None], len(r), axis=0), r, l)
 
 
 def _objective(model, objective, band=None, grid=None):
@@ -508,10 +506,8 @@ def _objective(model, objective, band=None, grid=None):
     for all poles); "hinf" is the negated largest |G| on `grid`, the
     `hinf_grid` of the target frequency, and -inf when a sample is a pole.
     Each row gets the value it gets alone: LAPACK factors every matrix of a
-    stack as it would a single one.  A ReducedModel's kernels admit nothing:
-    `tune`'s seed rule and box admit every scale they see.  A CoupledSystem's
-    branch values are products with `s_shape` that may leave the floats, so
-    `_branch_values` admits them.
+    stack as it would a single one.  The kernels admit nothing: `tune`
+    admits every scale and branch value they see where it enters.
     """
     if objective == "min-damping-ratio":
         a_matrix = _a_stack(model)
@@ -612,6 +608,11 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     with the results of nine separate runs.  They converge at NM_REL_TOL on
     a CoupledSystem, whose result is the winner.
 
+    Scales are admitted where they enter, never per round: by the seed rule
+    and the box.  A CoupledSystem's branch values, products with `s_shape`,
+    may leave the floats, so `rescaled`'s rule admits its seed (before the
+    seed rule), the stack of seed and starts, and the box's corners.
+
     On a ReducedModel the simplex is a global stage at the looser
     _GLOBAL_REL_TOL, and `_polish` finishes its winner: the pole coalescence
     (`_coalescence`) or the equal-peak point (`_equal_peaks`).  When the
@@ -642,15 +643,19 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         omega_t, band, n = model.omega_m, None, 1
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")
-    grid = hinf_grid(omega_t) if objective == "hinf" else None
-    evaluate = _objective(model, objective, band, grid)
-
+    reduced = isinstance(model, ReducedModel)
     if seed is None:
-        rm = model if isinstance(model, ReducedModel) else reduce(model, target_mode)
-        seed = closed_form_seed(rm)
+        seed = closed_form_seed(model if reduced else reduce(model, target_mode))
     if (pair := _real_pair(seed)) is None:
         raise ParameterError(f"tuning seed must be a pair (R, L) of real numbers, got {seed!r}")
     r0, l0 = float(pair[0]), float(pair[1])
+
+    def admit(r, l):  # a complete model's branch values at k rows of scales; an inf is refused
+        with np.errstate(over="ignore"):
+            _admitted(*_branch_values(model.s_shape, r, l))
+
+    if not reduced:  # its seed is first a pair of branch scales, as in `rescaled`
+        admit([r0], [l0])
     # log10 space needs finite positive starts and default box, with room for the
     # round trip 10 ** log10(v) (Python float products never warn)
     low, high = START_FACTORS[0], START_FACTORS[-1]
@@ -695,8 +700,13 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     # also outside the box
     seed_rows = (np.full(n, r0), np.full(n, l0)) if per_branch else (r0, l0)
     r_starts, l_starts = ([v0, *v] for v0, v in zip(seed_rows, decode(z_starts.tolist())))
+    if not reduced:  # this stack, and the box's corners widened for the log round trip:
+        # every in-box row lies between them
+        admit(r_starts, l_starts)
+        admit(*([end[0] / _ROUND_TRIP, end[1] * _ROUND_TRIP] for end in bounds))
+    grid = hinf_grid(omega_t) if objective == "hinf" else None
+    evaluate = _objective(model, objective, band, grid)
     seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
-    reduced = isinstance(model, ReducedModel)
     runs = []
     for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
             z_starts, start_objectives,
@@ -756,6 +766,8 @@ def validate_reduction(sys, rm, tr):
     complete model's `eigen` spectrum (minimum damping inside `_band`) or its
     `frf` on the `hinf_grid` (minus the largest magnitude), and the reduced
     model's `a_matrix` spectrum or exact band peak, as `tune` reports them.
+    Each model's band comes from its own mode, as in `tune`: the beam mode's
+    (`_target_omega`) or `rm.omega_m`, which a floating network stiffens.
     The pole error compares each reduced pole with Im > 0, one per conjugate pair
     (the reduced eigenvalues are exact conjugates), with the nearest complete-model pole.
     """
@@ -770,13 +782,13 @@ def validate_reduction(sys, rm, tr):
     pole_error = max((float(np.min(np.abs(sol.values - lam)) / abs(lam)) for lam in red_pairs),
                      default=0.0)
 
+    omega_t = _target_omega(sys, rm.target_mode)
     if tr.kind == "hinf":
-        grid = hinf_grid(rm.omega_m)
-        reduced_objective = -_band_peak(rm, r, l, grid)
-        full_objective = -float(np.max(frf(tuned, grid).magnitude))
+        reduced_objective = -_band_peak(rm, r, l, hinf_grid(rm.omega_m))
+        full_objective = -float(np.max(frf(tuned, hinf_grid(omega_t)).magnitude))
     else:
         reduced_objective = float(_min_damping(red_vals, None))
-        full_objective = float(_min_damping(sol.values, _band(rm.omega_m)))
+        full_objective = float(_min_damping(sol.values, _band(omega_t)))
 
     table = []
     upper = np.flatnonzero(sol.values.imag >= 0)

@@ -164,18 +164,18 @@ def test_branch_lists_of_wrong_length_rejected(basis5, patches5):
                          ids=["L_nan", "L_inf", "L_zero", "R_negative", "R_nan", "R_inf"])
 def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r, l, fault):
     # one branch rule with one message: both models' public matrices, the reduced
-    # model's closed-form gain, the system copies and the complete model's objective
-    # kernels, whose branch values are products with s_shape that may leave the floats
+    # model's closed-form gain, the system copies and `tune`'s entry, where a complete
+    # model's seed is admitted as branch scales before the log-space seed rule
     # (bench_m5 is a single shunt: its branch pattern is 1, so rescaling keeps the values).
-    # The reduced model's kernels admit nothing: `tune` admits every scale they see.
+    # No objective kernel admits: `tune` admits every value they see where it enters.
     rm = ps.reduce(bench_m5, 1)
-    stacked = _a_stack(bench_m5)
     grid = hinf_grid(rm.omega_m)
-    calls = [lambda: rm.a_matrix(r, l), lambda: stacked([r], [l]), lambda: rm.gain_sq(r, l, grid),
+    calls = [lambda: rm.a_matrix(r, l), lambda: rm.gain_sq(r, l, grid),
              lambda: bench_m5.rescaled(r, l), lambda: bench_m5.with_branch_values(r, l)]
-    for objective in ("min-damping-ratio", "hinf"):
-        kernel = _objective(bench_m5, objective, grid=grid)
-        calls.append(lambda kernel=kernel: kernel([r], [l]))
+    for objective, per_branch in (("min-damping-ratio", False), ("hinf", False),
+                                  ("min-damping-ratio", True)):
+        calls.append(lambda objective=objective, per_branch=per_branch: ps.tune(
+            bench_m5, objective, seed=(r, l), per_branch=per_branch))
     messages = set()
     for call in calls:
         with pytest.raises(ParameterError) as got:
@@ -184,7 +184,7 @@ def test_both_a_matrix_implementations_admit_the_same_branch_values(bench_m5, r,
     (message,) = messages
     assert message.startswith("branch rescaling: each branch needs ") and message.endswith(fault)
     assert np.all(np.isfinite(rm.a_matrix(0.0, 1.0)))
-    assert np.all(np.isfinite(stacked([0.0], [1.0])))
+    assert np.all(np.isfinite(_a_stack(bench_m5)([0.0], [1.0])))
 
 
 def test_zero_tags_and_min_damping_filter_agree_on_the_floating_line(basis5, patches5):
@@ -416,6 +416,14 @@ def test_physics_invariants_hold_on_random_networks(case):
     assert np.all(sol.zeta[:k] == 0.0)
     mu = reduction.electrical_modes(sys_.nm, sys_.cap).mu  # its zeros: the floating count
     assert np.all(mu[:sys_.nm.floating] == 0.0) and np.all(mu[sys_.nm.floating:] > 0.0)
+    if m == 1 and len(mu) == sys_.nm.floating + 1:
+        # one beam mode and one nonzero electrical mode, floating or not: the reduction is
+        # exact where every branch has the same R/L, for parallel branches then act as one
+        r0, l0 = sys_.nm.r_b[0], sys_.nm.l_b[0]
+        full = eigen(sys_.rescaled(r0, l0)).values
+        reduced = np.linalg.eigvals(reduction.reduce(sys_).a_matrix(r0, l0))
+        for lam in reduced:
+            assert np.min(np.abs(full - lam)) <= 1e-9 * abs(lam)
     # each conserved charge (Thetat y, 0, C y, 0) and loop flux (0, 0, 0, L_b c) is a
     # left null vector of A
     charges = [np.concatenate((sys_.theta_tilde @ y, np.zeros(m), sys_.cap * y,
@@ -591,25 +599,43 @@ def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):
 
 @pytest.mark.parametrize("r, l", [(np.nan, 1e5), (-1.0, 1e5), (np.inf, 1e5),
                                   (100.0, np.nan), (100.0, -1.0), (100.0, np.inf)])
-def test_rewritten_branch_rows_admit_what_rescaled_admits(unit_beam, r, l):
+def test_rewritten_branch_rows_admit_what_rescaled_admits(unit_beam, monkeypatch, r, l):
+    # the tuner's path admits at `tune`'s entry, before any kernel is built: the seed's
+    # branch values are the products with s_shape that `rescaled` forms
     sys_ = _branch_systems(unit_beam)["parsed_unequal"]
-    stacked = _a_stack(sys_)  # the tuner's path: a stack of rows admitted at once
-    for r_b, l_b in ((r, l), (np.array([100.0, r, 100.0]), np.array([1e5, l, 1e5]))):
-        with pytest.raises(ParameterError) as want:
-            sys_.rescaled(r_b, l_b)
-        # the same scales as the first row of a stack whose other row is admissible
-        rows = (np.array([r_b, np.full(np.shape(r_b), 100.0)]),
-                np.array([l_b, np.full(np.shape(l_b), 1e5)]))
+    with pytest.raises(ParameterError) as want:
+        sys_.rescaled(r, l)
+    assert str(want.value).startswith("branch rescaling: each branch ")
+    monkeypatch.setattr(reduction, "_objective", None)  # a kernel build fails with TypeError
+    for per_branch in (False, True):
         with pytest.raises(ParameterError) as got:
-            stacked(*rows)
+            ps.tune(sys_, seed=(r, l), per_branch=per_branch)
         assert str(got.value) == str(want.value)
-        assert str(want.value).startswith("branch rescaling: each branch ")
+
+
+@pytest.mark.parametrize("kind", ["R", "L"])
+def test_tune_admits_the_box_corners_times_the_branch_pattern(unit_beam, monkeypatch, kind):
+    # the box's upper end is a float with room for the log round trip, but times the
+    # largest s_shape entry it leaves the floats: refused at entry, not at the first
+    # round that reaches it
+    sys_ = _branch_systems(unit_beam)["parsed_unequal"]
+    assert sys_.s_shape.max() > 2.0
+    huge = 1e308
+    bounds = ((50.0, huge), (1e4, 1e6)) if kind == "R" else ((50.0, 500.0), (1e4, huge))
+    with pytest.raises(ParameterError) as want, np.errstate(over="ignore"):
+        sys_.rescaled(*[end[1] * reduction._ROUND_TRIP for end in bounds])
+    monkeypatch.setattr(reduction, "_objective", None)  # a kernel build fails with TypeError
+    for per_branch in (False, True):
+        with pytest.raises(ParameterError) as got:
+            ps.tune(sys_, seed=(100.0, 1e5), bounds=bounds, per_branch=per_branch)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("got inf")
 
 
 @pytest.mark.parametrize("case", ["reduced", "scalar_rows", "per_branch_rows"])
 def test_reused_stack_equals_fresh_builds(unit_beam, monkeypatch, case):
-    # one row, rows A (k = 3), then B (k = 9), then A again: the stack grows and
-    # is rewritten in place, and each matrix is what a fresh build gives
+    # one row, rows A (k = 3), then B (k = 9), then A again: each matrix is what a
+    # fresh build gives, and the template is never written
     sys_ = _branch_systems(unit_beam)["parsed_unequal"]
     templates = []
     if case == "reduced":
@@ -641,8 +667,6 @@ def test_reused_stack_equals_fresh_builds(unit_beam, monkeypatch, case):
             _assert_bitwise_equal(a, fresh(r_j, l_j))
         _assert_bitwise_equal(template, pristine)  # never written
         assert not np.shares_memory(stacks[-1], template)
-    # not a new array per call: the last call rewrote the stack of the one before
-    assert np.shares_memory(stacks[2], stacks[3])
 
 
 def test_stacked_branch_rows_equal_one_matrix_at_a_time(unit_beam):

@@ -22,6 +22,7 @@ from piezoshunt.reduction import (
     _min_damping,
     _objective,
     _objective_value,
+    _target_omega,
     closed_form_seed,
     electrical_modes,
     hinf_grid,
@@ -329,6 +330,25 @@ def test_validate_exact_for_single_mode(bench_m1):
     assert 0.0 <= retune_gap < 1e-4  # optimizer re-polish only
 
 
+@pytest.mark.parametrize("zeta", [0.0, 0.01])
+@pytest.mark.parametrize("objective", ["min-damping-ratio", "hinf"])
+def test_validate_exact_for_a_floating_line_with_one_mode(objective, zeta):
+    # one beam mode, two patches on a floating line: one nonzero electrical mode and a
+    # zero mode whose held charge stiffens the beam mode, so the reduction is exact
+    # (undamped, without that stiffness the pole errors were 2.2e-2 and 7.7e-3; damped,
+    # with it but at the beam mode's damping ratio, 2.5e-3 and 7.2e-5)
+    beam = ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=1.0, zeta=zeta)
+    patches = ps.uniform_layout(beam, 2, coverage=0.9, cp=100e-9, gamma=1e-4)
+    sys_ = ps.assemble(ps.modal_basis(beam, 1), patches,
+                       ps.build_transmission_line(2, 100.0, 1e5))
+    assert sys_.nm.floating == 1
+    rm = reduce(sys_, 1)
+    report = validate_reduction(sys_, rm, tune(rm, objective))
+    assert report.pole_error < 1e-9
+    if objective == "min-damping-ratio":
+        assert report.full_objective == pytest.approx(report.reduced_objective, rel=1e-10)
+
+
 def test_validate_reduction_runs_no_optimizer(bench_m5, monkeypatch):
     rm = ps.reduce(bench_m5, 1)
     tr = tune(rm, "min-damping-ratio")
@@ -375,9 +395,10 @@ def test_validated_objectives_are_the_tuners_definitions_bit_for_bit(topology, o
     rm = reduce(sys_, 1)
     tr = tune(rm, objective)
     report = validate_reduction(sys_, rm, tr)
-    band, grid = _band(rm.omega_m), hinf_grid(rm.omega_m)
+    omega_t = _target_omega(sys_, rm.target_mode)  # each model's band from its own mode
+    band, full_grid, grid = _band(omega_t), hinf_grid(omega_t), hinf_grid(rm.omega_m)
     point = ([tr.r], [tr.l])
-    full = float(_objective(sys_, objective, band, grid)(*point)[0])
+    full = float(_objective(sys_, objective, band, full_grid)(*point)[0])
     reduced = float(_objective(rm, objective, None, grid)(*point)[0])
     assert report.full_objective.hex() == full.hex()
     assert report.reduced_objective.hex() == tr.objective.hex()
@@ -616,11 +637,19 @@ def test_pole_placement_optimum_is_the_coalescence_point(build, basis5, patches5
 
 
 def _dense_peaks(rm, r, l, points=1_000_001):
-    """(largest value, sorted local maxima) of |G| on a dense linear grid over the hinf band."""
+    """(largest value, sorted local maxima) of |G| on a dense linear grid over the hinf band.
+
+    The largest value is refined on 1001 samples between the neighbours of the best
+    sample: a peak falls short of the exact one by about the square of the spacing.
+    """
     grid = hinf_grid(rm.omega_m)
-    gain = np.sqrt(rm.gain_sq(r, l, np.linspace(grid[0], grid[-1], points)))
+    omega = np.linspace(grid[0], grid[-1], points)
+    gain = np.sqrt(rm.gain_sq(r, l, omega))
     inner = gain[1:-1]
-    return gain.max(), np.sort(inner[(inner > gain[:-2]) & (inner >= gain[2:])])
+    best = np.argmax(gain)
+    fine = np.linspace(omega[max(best - 1, 0)], omega[min(best + 1, points - 1)], 1001)
+    peak = max(gain[best], np.sqrt(rm.gain_sq(r, l, fine)).max())
+    return peak, np.sort(inner[(inner > gain[:-2]) & (inner >= gain[2:])])
 
 
 def _winner(starts):
@@ -946,6 +975,25 @@ def test_reduced_tune_admits_its_scales_where_they_enter_not_every_round(monkeyp
     monkeypatch.setattr(reduction, "_admitted", lambda *args: calls.append(1) or admitted(*args))
     tr = tune(reduce(_default_system("single_shunt"), 1), objective)
     assert tr.polished and sum(s.iterations for s in tr.starts) > 50
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("case", ["uniform-mdr", "uniform-hinf", "per_branch-mdr"])
+def test_complete_model_tune_admits_its_branch_values_where_they_enter(unit_beam, monkeypatch,
+                                                                      case):
+    # the seed, the stack of seed and starts, and the box's corners: three admissions
+    # whatever the number of lockstep rounds (one per round would be well over a hundred)
+    kind, objective = case.split("-")
+    sys_ = _small_system(unit_beam, ps.build_multi_shunt)
+    r0, l0 = closed_form_seed(reduce(sys_))
+    # a 400-point FRF per evaluation: a box that holds one start of the nine keeps it short
+    bounds = ((0.5 * r0, 2.0 * r0), (0.5 * l0, 2.0 * l0)) if objective == "hinf" else None
+    calls = []
+    admitted = reduction._admitted
+    monkeypatch.setattr(reduction, "_admitted", lambda *args: calls.append(1) or admitted(*args))
+    tr = tune(sys_, "hinf" if objective == "hinf" else "min-damping-ratio", bounds=bounds,
+              per_branch=kind == "per_branch")
+    assert sum(s.iterations for s in tr.starts) > 20
     assert len(calls) <= 3
 
 
