@@ -78,8 +78,6 @@ def _initial_state(sys, kind):
     x0 = np.zeros(sys.n_states)
     m = sys.basis.m
     phi_tip = modal_force_vector(sys.basis)
-    if kind == "zero":
-        return x0
     if kind == "tip_displacement":
         # quasistatic shape under a tip load, scaled to unit tip displacement
         eta = phi_tip / sys.basis.omega**2
@@ -171,10 +169,10 @@ def _cmd_simulate(cfg, outdir):
 def _compare_row(cfg, sys_, topology):
     rm = reduction.reduce(sys_, cfg.target_mode)
 
-    tr = reduction.tune(rm, "min-damping-ratio", target_mode=cfg.target_mode, bounds=cfg.bounds)
+    tr = reduction.tune(rm, "min-damping-ratio", bounds=cfg.bounds)
     report = reduction.validate_reduction(sys_, rm, tr)
 
-    tr_hinf = reduction.tune(rm, "hinf", target_mode=cfg.target_mode, bounds=cfg.bounds)
+    tr_hinf = reduction.tune(rm, "hinf", bounds=cfg.bounds)
     peak = -reduction.validate_reduction(sys_, rm, tr_hinf).full_objective
 
     warn = []

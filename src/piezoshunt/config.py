@@ -29,7 +29,7 @@ Example::
     [simulate]
     dt = auto
     T = auto
-    initial = tip_displacement      # zero | tip_displacement | tip_impulse
+    initial = tip_displacement      # tip_displacement | tip_impulse
 
     [output]
     dir = out
@@ -52,7 +52,7 @@ from .timesim import _time_fault
 
 TOPOLOGIES = ("single_shunt", "multi_shunt", "transmission_line")
 OBJECTIVES = ("min-damping-ratio", "hinf")
-INITIAL_KINDS = ("zero", "tip_displacement", "tip_impulse")
+INITIAL_KINDS = ("tip_displacement", "tip_impulse")
 
 
 @dataclass

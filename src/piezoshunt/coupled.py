@@ -41,17 +41,19 @@ _FRF_CHUNK = 64
 class CoupledSystem:
     """Assembled beam + patch array + RL network model.
 
-    The dataclass is frozen and caches nothing, so derived quantities such as
-    `state_matrix` always follow its fields, also after `dataclasses.replace`.
-    `rescaled` returns a copy with branch parameters R_b = rbar * s_shape,
-    L_b = lbar * s_shape, where s_shape is the branch inductance pattern
-    normalized by the first branch.
+    The equations read `basis` (w_k, zeta_k and the tip force vector), `nm`
+    (B_inc, R_b, L_b), `theta_tilde` and `cap`.  `patches` is the array that
+    `assemble` built them from: `coupling_matrix(basis, patches)` rebuilds
+    the per-patch coupling Theta.  The dataclass is frozen and caches
+    nothing, so derived quantities such as `state_matrix` always follow its
+    fields, also after `dataclasses.replace`.  `rescaled` returns a copy with
+    branch parameters R_b = rbar * s_shape, L_b = lbar * s_shape, where
+    s_shape is the branch inductance pattern normalized by the first branch.
     """
 
     basis: object
     patches: object
     nm: object
-    theta: np.ndarray        # M x N patch coupling
     theta_tilde: np.ndarray  # M x P node-accumulated coupling
     cap: np.ndarray          # P node capacitances
 
@@ -113,8 +115,7 @@ def assemble(basis, patches, net):
         p = node_index[node]
         theta_tilde[:, p] += theta[:, idx - 1]
         cap[p] += patches.cp[idx - 1]
-    return CoupledSystem(basis=basis, patches=patches, nm=nm, theta=theta,
-                         theta_tilde=theta_tilde, cap=cap)
+    return CoupledSystem(basis=basis, patches=patches, nm=nm, theta_tilde=theta_tilde, cap=cap)
 
 
 def state_matrix(sys):

@@ -183,14 +183,6 @@ class ReducedModel:
             num = e * e + rho * rho * x
             return gain2 * num / (re * re + im * im)
 
-    @property
-    def force_map(self):
-        return np.array([0.0, self.in_gain, 0.0, 0.0])
-
-    @property
-    def output_map(self):
-        return np.array([self.out_gain, 0.0, 0.0, 0.0])
-
 
 def _target_omega(sys, target_mode):
     """Natural frequency of beam mode `target_mode`, an integer checked to lie in [1, M]."""
@@ -608,6 +600,10 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     with the results of nine separate runs.  They converge at NM_REL_TOL on
     a CoupledSystem, whose result is the winner.
 
+    A CoupledSystem's band and hinf grid sit on the beam mode's w_k, which
+    the target poles of a strongly coupled floating network leave (M = 1,
+    N = 2, gamma = 1e-3: tuned poles at 2.156 w_k; see `validate_reduction`).
+
     Scales are admitted where they enter, never per round: by the seed rule
     and the box.  A CoupledSystem's branch values, products with `s_shape`,
     may leave the floats, so `rescaled`'s rule admits its seed (before the
@@ -748,10 +744,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Reduced-vs-complete model comparison at the tuned parameters."""
+    """Reduced-vs-complete model comparison at the tuned parameters (tr.r, tr.l)."""
 
-    r: float
-    l: float
     pole_error: float          # worst relative distance, reduced pair -> full pole
     reduced_objective: float   # tr.kind objective of the reduced model, as `tune` reports it
     full_objective: float      # the same on the complete model (min damping: in its band)
@@ -768,6 +762,10 @@ def validate_reduction(sys, rm, tr):
     model's `a_matrix` spectrum or exact band peak, as `tune` reports them.
     Each model's band comes from its own mode, as in `tune`: the beam mode's
     (`_target_omega`) or `rm.omega_m`, which a floating network stiffens.
+    The complete model's band and grid therefore miss target poles that a
+    strongly coupled floating network moves off the beam mode: at M = 1,
+    N = 2, gamma = 1e-3 the tuned line's poles sit at 2.156 w_k and its
+    `full_objective` reads -inf, though the reduction is exact there.
     The pole error compares each reduced pole with Im > 0, one per conjugate pair
     (the reduced eigenvalues are exact conjugates), with the nearest complete-model pole.
     """
@@ -799,7 +797,6 @@ def validate_reduction(sys, rm, tr):
                       float(sol.zeta[j])))
 
     return ValidationReport(
-        r=r, l=l,
         pole_error=pole_error,
         reduced_objective=reduced_objective,
         full_objective=full_objective,

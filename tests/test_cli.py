@@ -236,6 +236,20 @@ def test_simulate_command_reports_energy_residual(tmp_path, capsys):
     assert len(lines) > 100
 
 
+def test_simulate_refuses_a_run_from_rest(tmp_path, capsys):
+    # simulate applies no force, so a run from rest would be all zeros
+    text = "[simulate]\ninitial = zero\n"
+    message = "[simulate] line 2: expected one of ('tip_displacement', 'tip_impulse'), got 'zero'"
+    with pytest.raises(ConfigError) as info:
+        load_config(text)
+    assert str(info.value) == message
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_builder_error_surfaced_with_config_location(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[patches]\nN = 1\n\n[network]\ntopology = transmission_line\n")

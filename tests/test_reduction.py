@@ -128,7 +128,8 @@ def test_electrical_modes_reject_asymmetric_capacitance():
 def test_single_shunt_reduction_is_exact_m1(bench_m1):
     rm = ps.reduce(bench_m1, 1)
     total_cp = np.sum(bench_m1.patches.cp)
-    expected_alpha = np.sum(bench_m1.theta[0]) / np.sqrt(total_cp)
+    theta = ps.coupling_matrix(bench_m1.basis, bench_m1.patches)
+    expected_alpha = np.sum(theta[0]) / np.sqrt(total_cp)
     assert rm.alpha == pytest.approx(expected_alpha, rel=1e-12)
     assert rm.kappa == pytest.approx(0.1, rel=1e-12)
     full = np.linalg.eigvals(state_matrix(bench_m1.rescaled(123.0, 2.0)))
@@ -349,6 +350,49 @@ def test_validate_exact_for_a_floating_line_with_one_mode(objective, zeta):
         assert report.full_objective == pytest.approx(report.reduced_objective, rel=1e-10)
 
 
+@st.composite
+def _floating_pairs(draw):
+    """One beam mode on a floating two-node network: 1-3 parallel n1-n2 branches of
+    random shape and 2-5 patches, each with its own Cp, signed gamma and coverage, split
+    over both nodes."""
+    zeta = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.02)))
+    beam = ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=1.0, zeta=zeta)
+    n = draw(st.integers(2, 5))
+    cell = 1.0 / n
+    half = [0.5 * cell * draw(st.floats(0.1, 1.0)) for _ in range(n)]
+    centers = (np.arange(n) + 0.5) * cell
+    patches = ps.PatchArray(
+        a=centers - half, b=centers + half,
+        cp=[10.0 ** draw(st.floats(-8.0, -6.0)) for _ in range(n)],
+        gamma=[draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-5.0, -3.0))
+               for _ in range(n)])
+    sides = draw(st.lists(st.sampled_from(["n1", "n2"]), min_size=n, max_size=n)
+                 .filter(lambda s: len(set(s)) == 2))
+    branches = [ps.circuits.Branch(f"b{j}", "n1", "n2", 1.0, 10.0 ** draw(st.floats(-1.0, 1.0)))
+                for j in range(draw(st.integers(1, 3)))]
+    net = ps.Netlist(branches=branches, piezo={i + 1: side for i, side in enumerate(sides)})
+    return ps.assemble(ps.modal_basis(beam, 1), patches, net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sys_=_floating_pairs(), decades=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_reduction_is_exact_on_random_floating_pairs(sys_, decades):
+    # one nonzero electrical mode and one zero mode: at M = 1 the reduction is exact, and
+    # the zero mode, uniform in the node voltages, stiffens the beam mode by
+    # alpha0^2 = (sum_p Thetat[0,p])^2 / sum_p C_p, at the beam mode's damping 2 zeta w
+    assert sys_.nm.floating == 1 and sys_.nm.n_nodes == 2
+    rm = reduce(sys_)
+    r0, l0 = closed_form_seed(rm)
+    r, l = r0 * 10.0 ** decades[0], l0 * 10.0 ** decades[1]
+    full = ps.eigen(sys_.rescaled(r, l)).values
+    for lam in np.linalg.eigvals(rm.a_matrix(r, l)):
+        assert np.min(np.abs(full - lam)) <= 1e-9 * abs(lam)
+    omega_1, zeta_1 = sys_.basis.omega[0], sys_.basis.zeta[0]
+    expected = np.sqrt(omega_1**2 + sys_.theta_tilde[0].sum() ** 2 / sys_.cap.sum())
+    assert rm.omega_m == pytest.approx(expected, rel=1e-12)
+    assert rm.zeta_m * rm.omega_m == pytest.approx(zeta_1 * omega_1, rel=1e-12)
+
+
 def test_validate_reduction_runs_no_optimizer(bench_m5, monkeypatch):
     rm = ps.reduce(bench_m5, 1)
     tr = tune(rm, "min-damping-ratio")
@@ -539,7 +583,8 @@ TOPOLOGY_IDS = ["single_shunt", "multi_shunt", "transmission_line"]
 
 def _frf_gain_sq(rm, r, l, omega):
     """|G|^2 from a dense solve of the state resolvent per point: the oracle of `ReducedModel.gain_sq`."""
-    g, _ = frf_pointwise(rm.a_matrix(r, l), rm.force_map, rm.output_map, omega)
+    b, c = np.array([0.0, rm.in_gain, 0.0, 0.0]), np.array([rm.out_gain, 0.0, 0.0, 0.0])
+    g, _ = frf_pointwise(rm.a_matrix(r, l), b, c, omega)
     return np.abs(g) ** 2
 
 
@@ -588,7 +633,8 @@ def test_hinf_objective_is_minus_inf_on_a_pole_sample():
         (objective,) = reduction._objective(rm, "hinf", grid=grid)([0.0], [1.0])
     assert not np.isfinite(gain_sq[1]) and np.all(np.isfinite(gain_sq[[0, 2]]))
     assert objective == -np.inf
-    _, pole = frf_pointwise(rm.a_matrix(0.0, 1.0), rm.force_map, rm.output_map, grid)
+    b, c = np.array([0.0, rm.in_gain, 0.0, 0.0]), np.array([rm.out_gain, 0.0, 0.0, 0.0])
+    _, pole = frf_pointwise(rm.a_matrix(0.0, 1.0), b, c, grid)
     assert pole.tolist() == [False, True, False]
 
 
