@@ -141,6 +141,9 @@ def _cmd_optimize(cfg, outdir):
     print(f"target mode      = {cfg.target_mode}  (kappa = {_fmt(rm.kappa)})")
     print(f"seed (R, L)      = ({_fmt(tr.seed[0])}, {_fmt(tr.seed[1])})")
     print(f"optimum (R, L)   = ({_fmt(tr.r)}, {_fmt(tr.l)})")
+    if cfg.per_branch:  # the scales above are geometric means; these were tuned
+        print(f"branch R (ohm)   = {', '.join(map(_fmt, tr.r_branches))}")
+        print(f"branch L (H)     = {', '.join(map(_fmt, tr.l_branches))}")
     print(f"achieved value   = {_fmt(tr.objective)}")
     print(f"converged        = {tr.converged}   improving = {tr.improving}")
     if not tr.converged:

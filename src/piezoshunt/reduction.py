@@ -113,17 +113,19 @@ def electrical_modes(nm, cap):
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Two-DOF electromechanical absorber model around one beam mode."""
+    """Two-DOF electromechanical absorber model around one beam mode.
+
+    The force enters and the displacement is read at the tip, so one gain,
+    phi_k at the tip, scales both the input and the output.
+    """
 
     target_mode: int
     omega_m: float
     zeta_m: float
-    u_star: np.ndarray
     mu_star: float
     alpha: float      # modal coupling, >= 0 by shape-sign convention
     kappa: float      # alpha / omega_m
-    in_gain: float    # phi_k at the force location
-    out_gain: float   # phi_k at the observation location
+    tip_gain: float   # phi_k at the tip
 
     def a_matrix(self, rbar, lbar):
         """State matrix of (eta, eta', vbar, ibar) at branch scales (rbar, lbar).
@@ -155,9 +157,9 @@ class ReducedModel:
         """|G(j omega)|^2 from the force input to the output at branch scales (rbar, lbar).
 
         Closed form of the RL-shunt absorber (Thomas, Ducarne & Deu 2012):
-        with rho = rbar/lbar and eps = mu*/lbar,
+        with rho = rbar/lbar, eps = mu*/lbar and g the tip gain,
 
-            G(s) = g_in g_out (s^2 + rho s + eps)
+            G(s) = g^2 (s^2 + rho s + eps)
                    / [(s^2 + 2 zm wm s + wm^2)(s^2 + rho s + eps) + alpha^2 s (s + rho)],
 
         evaluated in real arithmetic in x = omega^2.  A sample at an exact
@@ -168,9 +170,9 @@ class ReducedModel:
         return self._gain_sq(rbar, lbar, omega, *self._grid_terms(omega))
 
     def _grid_terms(self, omega):
-        """The terms of `gain_sq` the scales leave alone: x = omega^2, wm^2 - x and (g_in g_out)^2."""
+        """The terms of `gain_sq` the scales leave alone: x = omega^2, wm^2 - x and g^4."""
         x = omega * omega
-        return x, self.omega_m * self.omega_m - x, (self.in_gain * self.out_gain) ** 2
+        return x, self.omega_m * self.omega_m - x, (self.tip_gain * self.tip_gain) ** 2
 
     def _gain_sq(self, rbar, lbar, omega, x, m, gain2):
         """`gain_sq` from the `_grid_terms` (x, m, gain2) of `omega`, without the admission."""
@@ -228,31 +230,21 @@ def reduce(sys, target_mode=1):
 
     best = None
     for group in groups:
-        u_basis = ems.shapes[:, group]
-        t = u_basis.T @ theta_row
-        strength = float(np.linalg.norm(t))
-        if strength > 0:
-            u = u_basis @ (t / strength)
-        else:
-            u = u_basis[:, 0]
-        mu_g = float(np.mean(ems.mu[group]))
+        strength = float(np.linalg.norm(ems.shapes[:, group].T @ theta_row))
         if best is None or strength > best[0] + 1e-15 * abs(best[0]):
-            best = (strength, mu_g, u)
+            best = (strength, float(np.mean(ems.mu[group])))
 
-    alpha, mu_star, u_star = best
+    alpha, mu_star = best
     alpha0 = ems.shapes[:, :sys.nm.floating].T @ theta_row
     omega_m = float(np.sqrt(omega_k**2 + alpha0 @ alpha0))  # omega_k bit for bit when grounded
-    tip_gain = eval_mode(sys.basis, target_mode, sys.basis.beam.length)
     return ReducedModel(
         target_mode=target_mode,
         omega_m=omega_m,
         zeta_m=float(sys.basis.zeta[target_mode - 1]) * (omega_k / omega_m),
-        u_star=u_star,
         mu_star=mu_star,
         alpha=alpha,
         kappa=alpha / omega_m,
-        in_gain=tip_gain,
-        out_gain=tip_gain,
+        tip_gain=eval_mode(sys.basis, target_mode, sys.basis.beam.length),
     )
 
 
@@ -744,12 +736,13 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Reduced-vs-complete model comparison at the tuned parameters (tr.r, tr.l)."""
+    """Reduced-vs-complete model comparison at the tuned parameters (tr.r, tr.l).
 
-    pole_error: float          # worst relative distance, reduced pair -> full pole
-    reduced_objective: float   # tr.kind objective of the reduced model, as `tune` reports it
-    full_objective: float      # the same on the complete model (min damping: in its band)
-    mode_table: tuple[tuple, ...]  # (mode, omega_k, re, im, zeta) per low mode
+    The reduced model's objective there is `tr.objective`.
+    """
+
+    pole_error: float      # worst relative distance, reduced pair -> full pole
+    full_objective: float  # tr.kind objective of the complete model (min damping: in its band)
 
 
 def validate_reduction(sys, rm, tr):
@@ -759,10 +752,10 @@ def validate_reduction(sys, rm, tr):
     Every number is read from the public definitions at (tr.r, tr.l): the
     complete model's `eigen` spectrum (minimum damping inside `_band`) or its
     `frf` on the `hinf_grid` (minus the largest magnitude), and the reduced
-    model's `a_matrix` spectrum or exact band peak, as `tune` reports them.
-    Each model's band comes from its own mode, as in `tune`: the beam mode's
-    (`_target_omega`) or `rm.omega_m`, which a floating network stiffens.
-    The complete model's band and grid therefore miss target poles that a
+    model's `a_matrix` spectrum.  The complete model's band and grid sit on
+    the beam mode (`_target_omega`), as in `tune`, while the reduced model's
+    `tr.objective` sits on `rm.omega_m`, which a floating network stiffens.
+    So the complete model's band and grid miss target poles that a
     strongly coupled floating network moves off the beam mode: at M = 1,
     N = 2, gamma = 1e-3 the tuned line's poles sit at 2.156 w_k and its
     `full_objective` reads -inf, though the reduction is exact there.
@@ -782,23 +775,7 @@ def validate_reduction(sys, rm, tr):
 
     omega_t = _target_omega(sys, rm.target_mode)
     if tr.kind == "hinf":
-        reduced_objective = -_band_peak(rm, r, l, hinf_grid(rm.omega_m))
         full_objective = -float(np.max(frf(tuned, hinf_grid(omega_t)).magnitude))
     else:
-        reduced_objective = float(_min_damping(red_vals, None))
         full_objective = float(_min_damping(sol.values, _band(omega_t)))
-
-    table = []
-    upper = np.flatnonzero(sol.values.imag >= 0)
-    for k in range(1, min(3, sys.basis.m) + 1):
-        omega_k = float(sys.basis.omega[k - 1])
-        j = upper[np.argmin(np.abs(sol.values[upper] - 1j * omega_k))]
-        table.append((k, omega_k, float(sol.values[j].real), float(sol.values[j].imag),
-                      float(sol.zeta[j])))
-
-    return ValidationReport(
-        pole_error=pole_error,
-        reduced_objective=reduced_objective,
-        full_objective=full_objective,
-        mode_table=tuple(table),
-    )
+    return ValidationReport(pole_error=pole_error, full_objective=full_objective)

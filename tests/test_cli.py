@@ -169,10 +169,12 @@ def test_module_entry_point_runs_a_subcommand(tmp_path):
 
 
 def test_package_imports_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only reference, and
-    # numpy.polynomial (quadrature nodes, fits) is only the tests' oracles' business
+    # numpy is the only runtime dependency; scipy, sympy and mpmath are test-only
+    # references, and numpy.polynomial (quadrature nodes, fits) is only the tests'
+    # oracles' business.  Only a fresh interpreter shows it: the suite imports them.
     proc = _python_with_package("-c", "import piezoshunt, piezoshunt.cli, sys; "
-                                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                                "top = {m.split('.')[0] for m in sys.modules}; "
+                                "assert not top & {'scipy', 'sympy', 'mpmath'}, top; "
                                 "assert not [m for m in sys.modules "
                                 "if m.startswith('numpy.polynomial')], 'numpy.polynomial'")
     assert proc.returncode == 0, proc.stderr
@@ -220,6 +222,7 @@ def test_optimize_command_trace(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "kappa" in out and "optimum" in out
+    assert "branch" not in out  # a uniform tuning has no branch values to print
     lines = (tmp_path / "optimize_trace.csv").read_text().splitlines()
     assert len(lines) == 10  # header + 9 starts
     assert lines[0].startswith("start,R0,L0,R_opt,L_opt")
@@ -404,6 +407,28 @@ def test_per_branch_optimize_reduces_the_system_once(tmp_path, monkeypatch):
                    "[optimize]\nper_branch = true\n")
     assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_per_branch_optimize_prints_the_tuned_branch_values(tmp_path, capsys):
+    # its "optimum (R, L)" are geometric-mean scales; the branch values are the answer
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\ncoverage = 0.9\nCp = 1e-7\ngamma = 1e-4\n"
+                   "[network]\ntopology = multi_shunt\nR = 8e4\nL = 1.6e5\n"
+                   "[optimize]\nper_branch = true\n")
+    assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+
+    beam = ps.BeamSpec(length=1.0, bending_stiffness=1.0, mass_per_length=1.0)
+    sys_ = ps.assemble(ps.modal_basis(beam, 2),
+                       ps.uniform_layout(beam, 2, coverage=0.9, cp=1e-7, gamma=1e-4),
+                       ps.build_multi_shunt(2, 8e4, 1.6e5))
+    tr = ps.tune(sys_, "min-damping-ratio", seed=ps.closed_form_seed(ps.reduce(sys_, 1)),
+                 per_branch=True)
+    assert len(tr.r_branches) == 2
+    r_line, l_line = (", ".join("%.9g" % v for v in values)
+                      for values in (tr.r_branches, tr.l_branches))
+    at = next(j for j, line in enumerate(out) if line.startswith("optimum (R, L)"))
+    assert out[at + 1:at + 3] == [f"branch R (ohm)   = {r_line}", f"branch L (H)     = {l_line}"]
 
 
 def test_numerical_error_exits_2_with_its_message(tmp_path, capsys, monkeypatch):
