@@ -11,6 +11,7 @@ with unit mass on the left.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,40 +42,26 @@ class BeamSpec:
         Flexural rigidity EI in N*m^2.
     mass_per_length : float
         Mass per unit length rho*A in kg/m.
-    zeta : float or sequence of float
-        Modal damping ratio(s).  A scalar is shared by every mode; a sequence
-        supplies per-mode values (must cover all retained modes).
+    zeta : float
+        Modal damping ratio in [0, 1), shared by every mode.  Per-mode ratios
+        are set on the basis: ``dataclasses.replace(basis, zeta=...)``, whose
+        `zeta` the equations of motion read.
     """
 
     length: float
     bending_stiffness: float
     mass_per_length: float
-    zeta: float | tuple[float, ...] = 0.0
+    zeta: float = 0.0
 
     def __post_init__(self):
         for name, value in (("length L", self.length), ("stiffness EI", self.bending_stiffness),
                             ("mass per length rhoA", self.mass_per_length)):
             if not 0 < value < np.inf:  # chained: nan fails it too
                 raise ParameterError(f"beam {name} must be finite and positive, got {value}")
-        zeta = self.zeta
-        if np.isscalar(zeta):
-            zeta = (float(zeta),)
-        else:
-            zeta = tuple(float(z) for z in zeta)
-        for z in zeta:
-            if not 0.0 <= z < 1.0:
-                raise ParameterError(f"modal damping ratio must lie in [0, 1), got {z}")
-        object.__setattr__(self, "zeta", zeta)
-
-    def modal_damping(self, m):
-        """Per-mode damping ratios for the first `m` modes."""
-        if len(self.zeta) == 1:
-            return np.full(m, self.zeta[0])
-        if len(self.zeta) < m:
-            raise ParameterError(
-                f"{m} modes requested but only {len(self.zeta)} damping ratios given"
-            )
-        return np.asarray(self.zeta[:m])
+        if not (isinstance(self.zeta, numbers.Real) and 0.0 <= self.zeta < 1.0):
+            raise ParameterError(f"modal damping ratio must be one number in [0, 1), "
+                                 f"got {self.zeta!r}")
+        object.__setattr__(self, "zeta", float(self.zeta))
 
 
 def solve_wavenumbers(m):
@@ -116,7 +103,8 @@ class ModalBasis:
     norm : ndarray, shape (m,)
         Scale factors 1/sqrt(rhoA*L), which make the modal mass of every mode 1.
     zeta : ndarray, shape (m,)
-        Per-mode damping ratios resolved from the beam spec.
+        Per-mode damping ratios, which the equations read; `modal_basis`
+        sets each to the beam spec's `zeta`.
     """
 
     beam: BeamSpec
@@ -131,7 +119,7 @@ def modal_basis(beam, m):
     """Build the first `m` mass-normalized cantilever modes of `beam`."""
     beta_l = np.asarray(solve_wavenumbers(m))
     omega = beta_l**2 * np.sqrt(beam.bending_stiffness / beam.mass_per_length) / beam.length**2
-    zeta = beam.modal_damping(m)
+    zeta = np.full(m, beam.zeta)
 
     # the raw shape cosh - cos - sigma*(sinh - sin) has integral of its square over
     # [0, L] equal to L (Blevins 1979, table 8-1), so every modal mass is rhoA*L
@@ -165,8 +153,6 @@ def eval_mode(basis, k, x, order=0):
     return float(val) if np.isscalar(x) else val
 
 
-def modal_force_vector(basis, x_f=None):
-    """Modal projection of a transverse point force at `x_f` (default: tip)."""
-    if x_f is None:
-        x_f = basis.beam.length
-    return np.array([eval_mode(basis, k, x_f) for k in range(1, basis.m + 1)])
+def modal_force_vector(basis):
+    """Modal projection phi_k(L) of a transverse point force at the tip, the one load point."""
+    return np.array([eval_mode(basis, k, basis.beam.length) for k in range(1, basis.m + 1)])

@@ -62,8 +62,11 @@ def _basis_and_patches(cfg):
 
 
 def _read(path):
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def _build_system(cfg):
@@ -89,36 +92,36 @@ def _initial_state(sys, kind):
     raise ParameterError(f"unknown initial condition {kind!r}")
 
 
-def _cmd_modes(cfg, outdir):
+def _cmd_modes(cfg, out):
     basis = modal_basis(cfg.beam_spec(), cfg.n_modes)
-    _write_csv(os.path.join(outdir, "modes.csv"),
+    _write_csv(os.path.join(out, "modes.csv"),
                ["mode", "betaL", "omega_rad_s", "zeta", "norm"],
                [np.arange(1, basis.m + 1), basis.beta_l, basis.omega, basis.zeta, basis.norm])
-    print(f"wrote {basis.m} modes to {os.path.join(outdir, 'modes.csv')}")
+    print(f"wrote {basis.m} modes to {os.path.join(out, 'modes.csv')}")
     return 0
 
 
-def _cmd_eig(cfg, outdir):
+def _cmd_eig(cfg, out):
     sol = coupled.eigen(_build_system(cfg))
-    _write_csv(os.path.join(outdir, "eig.csv"),
+    _write_csv(os.path.join(out, "eig.csv"),
                ["re", "im", "freq_rad_s", "damping_ratio", "tag"],
                [sol.values.real, sol.values.imag, sol.freq, sol.zeta, sol.tags])
-    print(f"wrote {len(sol.values)} eigenvalues to {os.path.join(outdir, 'eig.csv')}")
+    print(f"wrote {len(sol.values)} eigenvalues to {os.path.join(out, 'eig.csv')}")
     return 0
 
 
-def _cmd_frf(cfg, outdir):
+def _cmd_frf(cfg, out):
     sys_ = _build_system(cfg)
     omega = np.linspace(0.1 * sys_.basis.omega[0], 1.2 * sys_.basis.omega[-1], 2000)
     table = coupled.frf(sys_, omega)
-    _write_csv(os.path.join(outdir, "frf.csv"),
+    _write_csv(os.path.join(out, "frf.csv"),
                ["omega_rad_s", "mag_m_per_N", "phase_rad"],
                [table.omega, table.magnitude, table.phase])
-    print(f"wrote {len(omega)} FRF samples to {os.path.join(outdir, 'frf.csv')}")
+    print(f"wrote {len(omega)} FRF samples to {os.path.join(out, 'frf.csv')}")
     return 0
 
 
-def _cmd_optimize(cfg, outdir):
+def _cmd_optimize(cfg, out):
     sys_ = _build_system(cfg)
     rm = reduction.reduce(sys_, cfg.target_mode)
     tr = reduction.tune(
@@ -134,7 +137,7 @@ def _cmd_optimize(cfg, outdir):
          s.iterations, int(s.converged))
         for j, s in enumerate(tr.starts)
     ]
-    _write_csv(os.path.join(outdir, "optimize_trace.csv"),
+    _write_csv(os.path.join(out, "optimize_trace.csv"),
                ["start", "R0", "L0", "R_opt", "L_opt", "seed_objective",
                 "objective", "iterations", "converged"], list(zip(*rows)))
     print(f"objective        = {cfg.objective}")
@@ -152,7 +155,7 @@ def _cmd_optimize(cfg, outdir):
     return 0
 
 
-def _cmd_simulate(cfg, outdir):
+def _cmd_simulate(cfg, out):
     sys_ = _build_system(cfg)
     lam_max = timesim.max_eigen_magnitude(sys_)
     dt = cfg.dt if cfg.dt is not None else 0.8 * timesim.DT_FRACTION * 2.0 * np.pi / lam_max
@@ -161,10 +164,10 @@ def _cmd_simulate(cfg, outdir):
     traj = timesim.integrate(sys_, x0, None, dt, t_final)
     tip = traj.states @ sys_.output_map
     h, p_diss = timesim.energy_history(sys_, traj)
-    _write_csv(os.path.join(outdir, "trajectory.csv"),
+    _write_csv(os.path.join(out, "trajectory.csv"),
                ["t_s", "tip_m", "energy_J"], [traj.times, tip, h])
     resid = timesim._energy_residual(h, p_diss, traj.dt)
-    print(f"wrote {len(traj.times)} samples to {os.path.join(outdir, 'trajectory.csv')}")
+    print(f"wrote {len(traj.times)} samples to {os.path.join(out, 'trajectory.csv')}")
     print(f"energy_residual = {_fmt(resid)}")
     return 0
 
@@ -191,7 +194,7 @@ def _compare_row(cfg, sys_, topology):
     return row, warn
 
 
-def _cmd_compare(cfg, outdir):
+def _cmd_compare(cfg, out):
     header = [
         "topology", "kappa", "R_opt", "L_opt", "reduced_objective",
         "full_objective", "pole_error", "hinf_R_opt", "hinf_L_opt",
@@ -205,8 +208,8 @@ def _cmd_compare(cfg, outdir):
         row, warn = _compare_row(cfg, sys_, topology)
         rows.append(row)
         warnings.extend(warn)
-    _write_csv(os.path.join(outdir, "compare.csv"), header, list(zip(*rows)))
-    print(f"wrote comparison for {len(rows)} topologies to {os.path.join(outdir, 'compare.csv')}")
+    _write_csv(os.path.join(out, "compare.csv"), header, list(zip(*rows)))
+    print(f"wrote comparison for {len(rows)} topologies to {os.path.join(out, 'compare.csv')}")
     for row in rows:
         print(
             f"{row[0]}: kappa = {_fmt(row[1])}, min damping ratio (full) = {_fmt(row[5])}, "
@@ -236,31 +239,26 @@ def _parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="scenario configuration file")
-        p.add_argument("--out", help="output directory (overrides [output] dir)")
-        p.add_argument("--topology", choices=TOPOLOGIES, help="override the network topology")
-        p.add_argument("--netlist", help="netlist file overriding the topology")
+        p.add_argument("--out", default="out", help="output directory")
     return parser
 
 
 def run_command(argv):
-    """Run one subcommand; returns 0 on success, 1 on validation error, 2 on numerical error."""
+    """Run one subcommand; returns 0 on success, 1 on validation error, 2 on numerical error.
+
+    The config file describes the run; the options say only where it is and
+    where the CSVs go.
+    """
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(_read(args.config) if args.config is not None else "")
-        if args.topology is not None:
-            cfg.topology = args.topology
-            cfg.netlist_path = None
-        if args.netlist is not None:
-            cfg.netlist_path = args.netlist
-        if args.command == "compare":
-            for source, value in (("--topology", args.topology), ("--netlist", args.netlist),
-                                  ("[network] netlist", cfg.netlist_path)):
-                if value is not None:
-                    raise ParameterError(f"compare always runs the three built-in topologies; "
-                                         f"{source} does not apply")
-        outdir = args.out if args.out is not None else cfg.outdir
-        os.makedirs(outdir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, outdir)
+        if cfg.netlist_path is not None:
+            if args.command == "compare":
+                raise ParameterError("compare always runs the three built-in topologies; "
+                                     "[network] netlist does not apply")
+            cfg.netlist_path = os.path.join(os.path.dirname(args.config), cfg.netlist_path)
+        os.makedirs(args.out, exist_ok=True)
+        return _COMMANDS[args.command](cfg, args.out)
     except ParameterError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -31,12 +31,10 @@ Example::
     T = auto
     initial = tip_displacement      # tip_displacement | tip_impulse
 
-    [output]
-    dir = out
-
 Every section and key is optional; omitted keys take the defaults above.
 Unknown sections or keys are rejected with their line number.  A `netlist`
-key in [network] points at a netlist file and overrides `topology`.
+key in [network] names a netlist file, a relative path from the config
+file's directory, and overrides `topology`.
 """
 
 from __future__ import annotations
@@ -83,8 +81,6 @@ class ScenarioConfig:
     dt: float | None = None      # None = auto from the spectral bound
     t_final: float | None = None  # None = 20 periods of mode 1
     initial: str = "tip_displacement"
-    # output
-    outdir: str = "out"
 
     def beam_spec(self):
         return BeamSpec(
@@ -157,9 +153,6 @@ _SCHEMA = {
         "dt": ("dt", _auto_or_number),
         "T": ("t_final", _auto_or_number),
         "initial": ("initial", _choice(INITIAL_KINDS)),
-    },
-    "output": {
-        "dir": ("outdir", str),
     },
 }
 

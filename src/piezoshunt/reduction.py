@@ -37,7 +37,7 @@ from operator import add, gt, lt
 
 import numpy as np
 
-from .beam import eval_mode
+from .beam import modal_force_vector
 from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _write_branch_rows,
                       eigen, frf)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
@@ -244,7 +244,7 @@ def reduce(sys, target_mode=1):
         mu_star=mu_star,
         alpha=alpha,
         kappa=alpha / omega_m,
-        tip_gain=eval_mode(sys.basis, target_mode, sys.basis.beam.length),
+        tip_gain=float(modal_force_vector(sys.basis)[target_mode - 1]),
     )
 
 
@@ -658,12 +658,12 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         raise ParameterError(fault)
 
     def decode(rows):  # k points of 2n floats -> (rbar, lbar) rows, of k floats or (k, n) scales
-        if per_branch:  # the vectorized power, elementwise over the stack
-            powers = 10.0 ** np.array(rows)
-            return powers[:, :n], powers[:, n:]
-        # scalar powers: the vectorized power may differ in the last ulp,
-        # which moves the simplex path
-        return [10.0 ** row[0] for row in rows], [10.0 ** row[1] for row in rows]
+        # scalar powers: numpy's vectorized power may differ from them in the last
+        # ulp, by CPU, which moves the simplex path
+        powers = [[10.0 ** v for v in row] for row in rows]
+        if per_branch:
+            return [p[:n] for p in powers], [p[n:] for p in powers]
+        return [p[0] for p in powers], [p[1] for p in powers]
 
     def summary(z):  # the (rbar, lbar) a start reports; the mean of one value is that value
         return tuple(10.0 ** float(np.mean(z[k:k + n])) for k in (0, n))

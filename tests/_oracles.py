@@ -500,7 +500,8 @@ def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, b
 
     def decode(z):
         if per_branch:
-            return 10.0 ** z[:n], 10.0 ** z[n:]
+            return (np.array([10.0 ** v for v in z[:n].tolist()]),
+                    np.array([10.0 ** v for v in z[n:].tolist()]))
         return 10.0 ** z[0], 10.0 ** z[1]
 
     def summary(z):

@@ -9,8 +9,8 @@ import pytest
 
 import piezoshunt as ps
 from piezoshunt import timesim
-from piezoshunt.cli import run_command
-from piezoshunt.config import TOPOLOGIES, load_config
+from piezoshunt.cli import _COMMANDS, _parser, run_command
+from piezoshunt.config import _SCHEMA, TOPOLOGIES, load_config
 from piezoshunt.errors import ConfigError, NumericalError
 
 
@@ -69,6 +69,9 @@ def test_config_rejects_unknown_key_with_location():
 def test_config_rejects_unknown_section():
     with pytest.raises(ConfigError, match="unknown section"):
         load_config("[plasma]\nx = 1\n")
+    # the output directory is the command line's --out
+    with pytest.raises(ConfigError, match=r"line 1: unknown section \[output\]"):
+        load_config("[output]\ndir = out\n")
 
 
 def test_config_rejects_malformed_number():
@@ -100,9 +103,8 @@ def test_non_finite_netlist_is_validation_error(tmp_path, capsys):
     netlist = tmp_path / "net.lst"
     netlist.write_text("piezo 1 n1\nbranch b1 n1 gnd R=1 L=nan\n")
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("[patches]\nN = 1\n")
-    rc = run_command(["simulate", "--config", str(cfg), "--netlist", str(netlist),
-                      "--out", str(tmp_path)])
+    cfg.write_text(f"[patches]\nN = 1\n[network]\nnetlist = {netlist}\n")
+    rc = run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     assert "line 2: malformed number" in capsys.readouterr().err
 
@@ -268,18 +270,26 @@ def test_missing_config_file_is_validation_error(tmp_path, capsys):
 
 
 def test_topology_override_flag(tmp_path):
-    rc = run_command(["eig", "--topology", "multi_shunt", "--out", str(tmp_path)])
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[network]\ntopology = multi_shunt\n")
+    rc = run_command(["eig", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     rows = (tmp_path / "eig.csv").read_text().splitlines()[1:]
     assert len(rows) == 20  # 2*5 + 5 + 5 states
 
 
+#: Five grounded branches, one per default patch: 20 states, where the default
+#: single shunt has 12 and the default-size transmission line 19.
+FIVE_BRANCH_NETLIST = "\n".join([f"piezo {i} n{i}" for i in range(1, 6)]
+                                + [f"branch b{i} n{i} gnd R=100 L=160k" for i in range(1, 6)])
+
+
 def test_netlist_override_flag(tmp_path):
     netlist = tmp_path / "net.lst"
-    lines = [f"piezo {i} n{i}" for i in range(1, 6)]
-    lines += [f"branch b{i} n{i} gnd R=100 L=160k" for i in range(1, 6)]
-    netlist.write_text("\n".join(lines))
-    rc = run_command(["eig", "--netlist", str(netlist), "--out", str(tmp_path)])
+    netlist.write_text(FIVE_BRANCH_NETLIST)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[network]\ntopology = transmission_line\nnetlist = {netlist}\n")
+    rc = run_command(["eig", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
     rows = (tmp_path / "eig.csv").read_text().splitlines()[1:]
     assert len(rows) == 20
@@ -288,9 +298,59 @@ def test_netlist_override_flag(tmp_path):
 def test_bad_netlist_exit_code(tmp_path, capsys):
     netlist = tmp_path / "net.lst"
     netlist.write_text("piezo 1 n1\nbranch b1 n1 n1 R=1 L=1\n")
-    rc = run_command(["eig", "--netlist", str(netlist), "--out", str(tmp_path)])
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[network]\nnetlist = {netlist}\n")
+    rc = run_command(["eig", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 1
     assert "self-loop" in capsys.readouterr().err
+
+
+def test_relative_netlist_path_is_read_from_the_config_directory(tmp_path, monkeypatch):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "net.lst").write_text(FIVE_BRANCH_NETLIST)
+    (tmp_path / "in" / "s.cfg").write_text("[network]\nnetlist = net.lst\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_command(["eig", "--config", os.path.join("in", "s.cfg"), "--out", "out"]) == 0
+    assert len((tmp_path / "out" / "eig.csv").read_text().splitlines()[1:]) == 20
+
+
+@pytest.mark.parametrize("bad", ["config", "netlist"])
+def test_non_utf8_input_is_validation_error(tmp_path, capsys, bad):
+    netlist = tmp_path / "net.lst"
+    netlist.write_bytes(b"piezo 1 n1\nbranch b1 n1 gnd R=1 L=1\n"
+                        + (b"# \xff\n" if bad == "netlist" else b""))
+    cfg = tmp_path / "s.cfg"
+    text = f"[patches]\nN = 1\n[network]\nnetlist = {netlist}\n".encode()
+    cfg.write_bytes(b"\xff\xfe" + text if bad == "config" else text)
+    rc = run_command(["eig", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    path = cfg if bad == "config" else netlist
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("flag, value", [("--topology", "multi_shunt"),
+                                         ("--netlist", "net.lst")])
+def test_the_network_flags_are_refused(tmp_path, capsys, flag, value):
+    # the config file describes the run: [network] topology and netlist
+    with pytest.raises(SystemExit) as info:
+        run_command(["eig", flag, value, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_readme_names_the_config_keys_and_the_options():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    ini = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    blocks = re.split(r"^\[(\w+)\]$", ini, flags=re.M)[1:]  # section, body, section, ...
+    keys = {section: set(re.findall(r"^#?\s*(\w+)\s*=", body, re.M))  # commented ones too
+            for section, body in zip(blocks[::2], blocks[1::2])}
+    assert keys == {section: set(schema) for section, schema in _SCHEMA.items()}
+    synopsis = re.search(r"^piezoshunt <subcommand> (.*)$", text, re.M).group(1)
+    for command in _COMMANDS:
+        options = {f"--{dest}" for dest in vars(_parser().parse_args([command]))}
+        assert set(re.findall(r"--\w+", synopsis)) == options - {"--command"}
 
 
 def test_nine_significant_digit_serialization(tmp_path):
@@ -365,15 +425,6 @@ def test_csv_writer_matches_the_per_value_join(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
-@pytest.mark.parametrize("flag, value", [("--netlist", "missing.lst"),
-                                         ("--topology", "multi_shunt")])
-def test_compare_rejects_the_network_flags(tmp_path, capsys, flag, value):
-    rc = run_command(["compare", flag, value, "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert flag in capsys.readouterr().err
-    assert not (tmp_path / "out" / "compare.csv").exists()
-
-
 def test_compare_accepts_the_shared_network_config_keys(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n[network]\ntopology = multi_shunt\n"
@@ -385,7 +436,7 @@ def test_compare_accepts_the_shared_network_config_keys(tmp_path):
 
 
 def test_compare_rejects_the_netlist_config_key(tmp_path, capsys):
-    # a netlist from the config would be silently ignored, as the flag once was
+    # a netlist from the config would be silently ignored
     cfg = tmp_path / "s.cfg"
     cfg.write_text(f"[beam]\nM = 2\n[patches]\nN = 2\n[network]\n"
                    f"netlist = {tmp_path / 'missing.lst'}\n")
