@@ -164,9 +164,9 @@ def _cmd_simulate(cfg, out):
     traj = timesim.integrate(sys_, x0, None, dt, t_final)
     tip = traj.states @ sys_.output_map
     h, p_diss = timesim.energy_history(sys_, traj)
+    resid = timesim._energy_residual(h, p_diss, traj.dt)  # may refuse: before the CSV
     _write_csv(os.path.join(out, "trajectory.csv"),
                ["t_s", "tip_m", "energy_J"], [traj.times, tip, h])
-    resid = timesim._energy_residual(h, p_diss, traj.dt)
     print(f"wrote {len(traj.times)} samples to {os.path.join(out, 'trajectory.csv')}")
     print(f"energy_residual = {_fmt(resid)}")
     return 0

@@ -48,7 +48,8 @@ class CoupledSystem:
     nothing, so derived quantities such as `state_matrix` always follow its
     fields, also after `dataclasses.replace`.  `rescaled` returns a copy with
     branch parameters R_b = rbar * s_shape, L_b = lbar * s_shape, where
-    s_shape is the branch inductance pattern normalized by the first branch.
+    s_shape = `nm.s_shape` is the branch inductance pattern normalized by the
+    first branch.
     """
 
     basis: object
@@ -60,11 +61,6 @@ class CoupledSystem:
     @property
     def n_states(self):
         return 2 * self.basis.m + self.nm.n_nodes + self.nm.n_branches
-
-    @property
-    def s_shape(self):
-        """The network's branch inductance pattern, `NetworkMatrices.s_shape`."""
-        return self.nm.s_shape
 
     @property
     def force_map(self):
@@ -81,10 +77,10 @@ class CoupledSystem:
         return c
 
     def rescaled(self, rbar, lbar):
-        """Copy with R_b = rbar*s_shape, L_b = lbar*s_shape; scalar or per-branch scales."""
-        n = self.nm.n_branches
-        return self.with_branch_values(per_branch(rbar, n, "resistance") * self.s_shape,
-                                       per_branch(lbar, n, "inductance") * self.s_shape)
+        """Copy with R_b = rbar*s, L_b = lbar*s, s = `nm.s_shape`; scalar or per-branch scales."""
+        n, s_shape = self.nm.n_branches, self.nm.s_shape
+        return self.with_branch_values(per_branch(rbar, n, "resistance") * s_shape,
+                                       per_branch(lbar, n, "inductance") * s_shape)
 
     def with_branch_values(self, r_b, l_b):
         """Copy of the system with per-branch (R, L) vectors; a scalar is shared by all."""

@@ -116,7 +116,10 @@ class ReducedModel:
     """Two-DOF electromechanical absorber model around one beam mode.
 
     The force enters and the displacement is read at the tip, so one gain,
-    phi_k at the tip, scales both the input and the output.
+    phi_k at the tip, scales both the input and the output.  The coupling
+    `kappa` = alpha / omega_m is computed on read, so it follows an edited
+    alpha or omega_m.  The public `a_matrix` and `gain_sq` admit their scales
+    and call `_a_matrix` and `_gain_sq`, which `tune`'s kernels call directly.
     """
 
     target_mode: int
@@ -124,8 +127,11 @@ class ReducedModel:
     zeta_m: float
     mu_star: float
     alpha: float      # modal coupling, >= 0 by shape-sign convention
-    kappa: float      # alpha / omega_m
     tip_gain: float   # phi_k at the tip
+
+    @property
+    def kappa(self):
+        return self.alpha / self.omega_m
 
     def a_matrix(self, rbar, lbar):
         """State matrix of (eta, eta', vbar, ibar) at branch scales (rbar, lbar).
@@ -133,24 +139,19 @@ class ReducedModel:
         Arrays of scales give a stack of matrices along their (broadcast) axes.
         """
         _admitted(rbar, lbar)
-        a = np.empty(np.broadcast_shapes(np.shape(rbar), np.shape(lbar)) + (4, 4))
-        a[...] = self._a_template()
-        return self._write_scales(a, rbar, lbar)
+        return self._a_matrix(rbar, lbar)
 
-    def _a_template(self):
-        """The state matrix with the two entries that the scales set left at zero."""
-        w, z, al = self.omega_m, self.zeta_m, self.alpha
-        return np.array(((0.0, 1.0, 0.0, 0.0),
-                         (-w * w, -2.0 * z * w, al, 0.0),
-                         (0.0, -al, 0.0, -1.0),
-                         (0.0, 0.0, 0.0, 0.0)))
-
-    def _write_scales(self, a, rbar, lbar):
-        """Write the entries that the scales (arrays or float lists) set into the
-        (..., 4, 4) template copies `a`, without the admission; returns `a`."""
+    def _a_matrix(self, rbar, lbar):
+        """`a_matrix` of scales (floats, arrays or float lists), without the admission."""
         lbar = np.asarray(lbar)
+        w, al, loss = self.omega_m, self.alpha, -np.asarray(rbar) / lbar  # the broadcast shape
+        a = np.empty(loss.shape + (4, 4))
+        a[...] = ((0.0, 1.0, 0.0, 0.0),
+                  (-w * w, -2.0 * self.zeta_m * w, al, 0.0),
+                  (0.0, -al, 0.0, -1.0),
+                  (0.0, 0.0, 0.0, 0.0))
         a[..., 3, 2] = self.mu_star / lbar
-        a[..., 3, 3] = -np.asarray(rbar) / lbar
+        a[..., 3, 3] = loss
         return a
 
     def gain_sq(self, rbar, lbar, omega):
@@ -167,15 +168,12 @@ class ReducedModel:
         scales and `omega` broadcast against each other.
         """
         _admitted(rbar, lbar)
-        return self._gain_sq(rbar, lbar, omega, *self._grid_terms(omega))
+        return self._gain_sq(rbar, lbar, omega)
 
-    def _grid_terms(self, omega):
-        """The terms of `gain_sq` the scales leave alone: x = omega^2, wm^2 - x and g^4."""
+    def _gain_sq(self, rbar, lbar, omega):
+        """`gain_sq` without the admission."""
         x = omega * omega
-        return x, self.omega_m * self.omega_m - x, (self.tip_gain * self.tip_gain) ** 2
-
-    def _gain_sq(self, rbar, lbar, omega, x, m, gain2):
-        """`gain_sq` from the `_grid_terms` (x, m, gain2) of `omega`, without the admission."""
+        m, gain2 = self.omega_m * self.omega_m - x, (self.tip_gain * self.tip_gain) ** 2
         al2 = self.alpha * self.alpha
         rho, eps, c2 = rbar / lbar, self.mu_star / lbar, 2.0 * self.zeta_m * self.omega_m
         e = eps - x
@@ -243,7 +241,6 @@ def reduce(sys, target_mode=1):
         zeta_m=float(sys.basis.zeta[target_mode - 1]) * (omega_k / omega_m),
         mu_star=mu_star,
         alpha=alpha,
-        kappa=alpha / omega_m,
         tip_gain=float(modal_force_vector(sys.basis)[target_mode - 1]),
     )
 
@@ -255,7 +252,7 @@ def closed_form_seed(rm):
     electrical loop damping ratio to kappa / sqrt(2).  A heuristic only; the
     numerical optimum from `tune` is authoritative.
     """
-    if rm.kappa <= 0:
+    if not (rm.alpha > 0 and rm.omega_m > 0):  # kappa = alpha / omega_m > 0
         raise ParameterError("closed-form seed needs nonzero electromechanical coupling")
     omega_e = rm.omega_m * np.sqrt(1.0 + rm.kappa**2)
     lbar0 = rm.mu_star / omega_e**2
@@ -461,22 +458,20 @@ def _branch_values(s_shape, r, l):
     return tuple(np.reshape(v, (len(v), -1)) * s_shape for v in (r, l))
 
 
-def _a_stack(model):
-    """(r, l) -> the state matrices of a ReducedModel or CoupledSystem at k rows of scales.
+def _a_stack(sys):
+    """(r, l) -> the state matrices of the CoupledSystem `sys` at k rows of scales.
 
-    The rows are as `_objective` takes them.  Each call writes the entries the
-    scales set into a fresh stack of template copies, bit for bit
-    `model.a_matrix(r_j, l_j)` or `state_matrix(model.rescaled(r_j, l_j))`.
+    The rows are as `_objective` takes them.  Each call writes the branch rows
+    into a fresh stack of copies of one prepared state matrix, bit for bit
+    `state_matrix(sys.rescaled(r_j, l_j))`.
     """
-    if isinstance(model, ReducedModel):
-        template, write = model._a_template(), model._write_scales
-    else:
-        template, b_inc, s_shape = state_matrix(model), model.nm.b_inc, model.s_shape
+    template, b_inc, s_shape = state_matrix(sys), sys.nm.b_inc, sys.nm.s_shape
 
-        def write(a, r, l):
-            _write_branch_rows(a, b_inc, *_branch_values(s_shape, r, l))
-            return a
-    return lambda r, l: write(np.repeat(template[None], len(r), axis=0), r, l)
+    def a_matrix(r, l):
+        a = np.repeat(template[None], len(r), axis=0)
+        _write_branch_rows(a, b_inc, *_branch_values(s_shape, r, l))
+        return a
+    return a_matrix
 
 
 def _objective(model, objective, band=None, grid=None):
@@ -484,7 +479,8 @@ def _objective(model, objective, band=None, grid=None):
 
     The kernel of `tune`'s rounds; values reported at one point come from
     `_objective_value` and `validate_reduction`, which read the public
-    definitions.  What does not depend on the scales is prepared here, once.
+    definitions.  A ReducedModel's kernels are its `_a_matrix` and `_gain_sq`;
+    a CoupledSystem's state matrix and charge form are prepared here, once.
     The rows are lists of k floats or, for a CoupledSystem, (k, B) per-branch scales.
     "min-damping-ratio" is the smallest damping ratio inside `band` (None
     for all poles); "hinf" is the negated largest |G| on `grid`, the
@@ -493,21 +489,19 @@ def _objective(model, objective, band=None, grid=None):
     stack as it would a single one.  The kernels admit nothing: `tune`
     admits every scale and branch value they see where it enters.
     """
+    reduced = isinstance(model, ReducedModel)
     if objective == "min-damping-ratio":
-        a_matrix = _a_stack(model)
+        a_matrix = model._a_matrix if reduced else _a_stack(model)
         return lambda r, l: _min_damping(np.linalg.eigvals(a_matrix(r, l)), band=band)
-    if isinstance(model, ReducedModel):
-        x, m, gain2 = model._grid_terms(grid)
-
+    if reduced:
         def values(r, l):
-            gain_sq = model._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
-            peak = gain_sq.max(axis=-1)
+            peak = model._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid).max(axis=-1)
             return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
         return values
     form = _charge_form(model)
     # one kernel call per row; poles are stored as inf
     return lambda r, l: np.array([-np.max(np.abs(_frf_values(form, r_b, l_b, grid)[0]))
-                                  for r_b, l_b in zip(*_branch_values(model.s_shape, r, l))])
+                                  for r_b, l_b in zip(*_branch_values(model.nm.s_shape, r, l))])
 
 
 def _objective_value(objective, rm, r, l, grid=None):
@@ -640,7 +634,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
 
     def admit(r, l):  # a complete model's branch values at k rows of scales; an inf is refused
         with np.errstate(over="ignore"):
-            _admitted(*_branch_values(model.s_shape, r, l))
+            _admitted(*_branch_values(model.nm.s_shape, r, l))
 
     if not reduced:  # its seed is first a pair of branch scales, as in `rescaled`
         admit([r0], [l0])
@@ -723,8 +717,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
             value = _objective_value(objective, model, r, l, grid=grid) if f_opt < np.inf else -np.inf
         else:
             (r, l, value), polished, converged = finish, True, True
-    r_branches, l_branches = ((v[0] * model.s_shape for v in decode([z_opt.tolist()])) if per_branch
-                              else (None, None))
+    r_branches, l_branches = ((v[0] * model.nm.s_shape for v in decode([z_opt.tolist()]))
+                              if per_branch else (None, None))
     improving = value > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(
         r=r, l=l, objective=value,

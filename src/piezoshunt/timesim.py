@@ -53,8 +53,8 @@ def integrate(sys, x0, forcing, dt, t_final):
 
     `forcing` is a callable t -> force in newtons, or None for free response,
     which is advanced in blocks of BLOCK samples (see `_propagate_free`).
-    Raises ParameterError when dt exceeds the spectral bound and
-    NumericalError (with the first bad sample index) on divergence.
+    Raises ParameterError when dt exceeds the spectral bound or x0 is not
+    finite, and NumericalError (with the first bad sample index) on divergence.
     """
     if fault := _time_fault("final time", t_final) or _time_fault("time step", dt):
         raise ParameterError(fault)
@@ -71,6 +71,8 @@ def integrate(sys, x0, forcing, dt, t_final):
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n_states,):
         raise ParameterError(f"initial state must have length {sys.n_states}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("initial state must be finite")
 
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     states = np.empty((n_steps + 1, x.size))

@@ -539,4 +539,4 @@ def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, b
     if not per_branch:
         return tuple(starts), None, None
     r_b, l_b = decode(best[1])
-    return tuple(starts), r_b * model.s_shape, l_b * model.s_shape
+    return tuple(starts), r_b * model.nm.s_shape, l_b * model.nm.s_shape

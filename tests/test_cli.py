@@ -255,6 +255,15 @@ def test_simulate_refuses_a_run_from_rest(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_simulate_too_short_for_the_energy_residual_writes_no_csv(tmp_path, capsys):
+    # the residual is refused before the trajectory is written
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[simulate]\nT = 1e-6\n")
+    assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: energy residual needs at least 3 samples\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_builder_error_surfaced_with_config_location(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[patches]\nN = 1\n\n[network]\ntopology = transmission_line\n")

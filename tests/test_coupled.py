@@ -12,7 +12,7 @@ from piezoshunt.config import load_config
 from piezoshunt.circuits import GROUND, Branch, Netlist, parse_netlist
 from piezoshunt.coupled import eigen, frf, state_matrix, total_energy
 from piezoshunt.errors import ParameterError
-from piezoshunt.reduction import ReducedModel, _a_stack, _min_damping, _objective, hinf_grid
+from piezoshunt.reduction import _a_stack, _min_damping, _objective, hinf_grid
 
 from _oracles import (char_poly_roots, conserved_charges, frf_mpmath, frf_pointwise, loop_currents,
                       match_spectra, tags_pointwise, tip_compliance, zero_mode_count)
@@ -571,15 +571,15 @@ def test_hinf_objective_row_is_the_frf_peak_bit_for_bit(unit_beam, name):
     for r, l in (per_branch, scalar):
         peaks = _objective(sys_, "hinf", grid=grid)(r, l)
         for j in range(2):
-            table = frf(sys_.with_branch_values(np.multiply(r[j], sys_.s_shape),
-                                                np.multiply(l[j], sys_.s_shape)), grid)
+            table = frf(sys_.with_branch_values(np.multiply(r[j], sys_.nm.s_shape),
+                                                np.multiply(l[j], sys_.nm.s_shape)), grid)
             assert peaks[j] == -np.max(np.abs(table.g))
 
 
 def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):
     rng = np.random.default_rng(11)
     systems = _branch_systems(unit_beam)
-    assert not np.all(systems["parsed_unequal"].s_shape == 1.0)
+    assert not np.all(systems["parsed_unequal"].nm.s_shape == 1.0)
     for name, sys_ in systems.items():
         a = state_matrix(sys_)
         b = sys_.nm.n_branches
@@ -619,7 +619,7 @@ def test_tune_admits_the_box_corners_times_the_branch_pattern(unit_beam, monkeyp
     # largest s_shape entry it leaves the floats: refused at entry, not at the first
     # round that reaches it
     sys_ = _branch_systems(unit_beam)["parsed_unequal"]
-    assert sys_.s_shape.max() > 2.0
+    assert sys_.nm.s_shape.max() > 2.0
     huge = 1e308
     bounds = ((50.0, huge), (1e4, 1e6)) if kind == "R" else ((50.0, 500.0), (1e4, huge))
     with pytest.raises(ParameterError) as want, np.errstate(over="ignore"):
@@ -632,23 +632,15 @@ def test_tune_admits_the_box_corners_times_the_branch_pattern(unit_beam, monkeyp
         assert str(got.value).endswith("got inf")
 
 
-@pytest.mark.parametrize("case", ["reduced", "scalar_rows", "per_branch_rows"])
+@pytest.mark.parametrize("case", ["scalar_rows", "per_branch_rows"])
 def test_reused_stack_equals_fresh_builds(unit_beam, monkeypatch, case):
     # one row, rows A (k = 3), then B (k = 9), then A again: each matrix is what a
     # fresh build gives, and the template is never written
     sys_ = _branch_systems(unit_beam)["parsed_unequal"]
     templates = []
-    if case == "reduced":
-        model, a_template = ps.reduce(sys_, 1), ReducedModel._a_template
-        monkeypatch.setattr(ReducedModel, "_a_template",
-                            lambda self: templates.append(a_template(self)) or templates[-1])
-        fresh = model.a_matrix
-    else:
-        model = sys_
-        monkeypatch.setattr(reduction, "state_matrix",
-                            lambda s: templates.append(state_matrix(s)) or templates[-1])
-        fresh = lambda r, l: state_matrix(sys_.rescaled(r, l))  # noqa: E731
-    a_matrix = _a_stack(model)
+    monkeypatch.setattr(reduction, "state_matrix",
+                        lambda s: templates.append(state_matrix(s)) or templates[-1])
+    a_matrix = _a_stack(sys_)
     (template,) = templates
     pristine = template.copy()
     rng = np.random.default_rng(17)
@@ -664,7 +656,7 @@ def test_reused_stack_equals_fresh_builds(unit_beam, monkeypatch, case):
         stacks.append(a_matrix(r, l))
         assert len(stacks[-1]) == len(r)
         for a, r_j, l_j in zip(stacks[-1], r, l):
-            _assert_bitwise_equal(a, fresh(r_j, l_j))
+            _assert_bitwise_equal(a, state_matrix(sys_.rescaled(r_j, l_j)))
         _assert_bitwise_equal(template, pristine)  # never written
         assert not np.shares_memory(stacks[-1], template)
 
@@ -689,7 +681,7 @@ def test_stacked_branch_rows_equal_one_matrix_at_a_time(unit_beam):
 def test_branch_pattern_is_computed_once_per_network(unit_beam):
     sys_ = _branch_systems(unit_beam)["parsed_unequal"]
     nm = sys_.nm
-    assert nm.s_shape is nm.s_shape and sys_.s_shape is nm.s_shape
+    assert nm.s_shape is nm.s_shape
     np.testing.assert_array_equal(nm.s_shape, nm.l_b / nm.l_b[0])
     scaled = sys_.rescaled(3.0, 7.0).nm  # recomputed from the new inductances
     _assert_bitwise_equal(scaled.s_shape, scaled.l_b / scaled.l_b[0])

@@ -142,8 +142,9 @@ def test_zero_coupling_reduction(basis5, unit_beam):
     sys_ = ps.assemble(basis5, arr, ps.build_single_shunt(5, 100.0, 1e5))
     rm = ps.reduce(sys_, 1)
     assert rm.alpha == 0.0 and rm.kappa == 0.0
-    with pytest.raises(ParameterError):
-        closed_form_seed(rm)
+    for model in (rm, dataclasses.replace(rm, alpha=1.0, omega_m=0.0)):  # kappa = 1 / 0
+        with pytest.raises(ParameterError):
+            closed_form_seed(model)
 
 
 def test_multi_shunt_shape_aligns_with_coupling_row(basis5, unit_beam):
@@ -168,9 +169,23 @@ def test_kappa_matches_full_model_veering_split(basis5, patches5):
     assert split == pytest.approx(rm0.kappa, rel=0.03)
 
 
+def test_kappa_follows_an_edited_alpha():
+    # kappa is read from alpha and omega_m, so the simplex, the polish and the
+    # reported objective all see the edited model
+    rm = reduce(_default_system("single_shunt"), 1)
+    rm2 = dataclasses.replace(rm, alpha=2 * rm.alpha)
+    assert rm2.kappa == rm2.alpha / rm2.omega_m
+    tr = tune(rm2, "hinf")
+    grid = hinf_grid(rm2.omega_m)
+    dense = np.linspace(grid[0], grid[-1], 200_001)
+    assert tr.polished
+    assert -tr.objective == pytest.approx(np.sqrt(rm2.gain_sq(tr.r, tr.l, dense).max()), rel=1e-6)
+    assert tune(rm2, "min-damping-ratio").polished
+
+
 def test_seed_places_electrical_frequency():
     rm = ps.ReducedModel(target_mode=1, omega_m=3.5160153, zeta_m=0.0,
-                         mu_star=1e7, alpha=0.35160153, kappa=0.1, tip_gain=2.0)
+                         mu_star=1e7, alpha=0.35160153, tip_gain=2.0)
     r0, l0 = closed_form_seed(rm)
     omega_e = np.sqrt(rm.mu_star / l0)
     assert omega_e == pytest.approx(3.5336, abs=5e-4)
@@ -482,8 +497,8 @@ def test_per_branch_scales_share_units_with_uniform_tuning(unit_beam):
     def geomean(v):
         return float(np.exp(np.mean(np.log(v))))
 
-    assert tr.r == pytest.approx(geomean(tr.r_branches / sys_.s_shape), rel=1e-12)
-    assert tr.l == pytest.approx(geomean(tr.l_branches / sys_.s_shape), rel=1e-12)
+    assert tr.r == pytest.approx(geomean(tr.r_branches / sys_.nm.s_shape), rel=1e-12)
+    assert tr.l == pytest.approx(geomean(tr.l_branches / sys_.nm.s_shape), rel=1e-12)
     tuned = sys_.with_branch_values(tr.r_branches, tr.l_branches)
     band = _band(float(basis.omega[0]))
     assert _min_damping(np.linalg.eigvals(state_matrix(tuned)), band=band) == tr.objective
@@ -593,7 +608,7 @@ def test_closed_form_gain_matches_frf_kernel(log_omega, zeta_m, log_kappa, log_m
                                              log_r, log_l):
     omega_m, kappa = 10.0 ** log_omega, 10.0 ** log_kappa
     rm = ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m, mu_star=10.0 ** log_mu,
-                      alpha=kappa * omega_m, kappa=kappa, tip_gain=gain)
+                      alpha=kappa * omega_m, tip_gain=gain)
     r0, l0 = closed_form_seed(rm)
     r = 0.0 if log_r is None else r0 * 10.0 ** log_r  # None draws a short circuit
     l = l0 * 10.0 ** log_l
@@ -613,7 +628,7 @@ def test_hinf_objective_is_minus_inf_on_a_pole_sample():
     # undamped and shorted (R = 0): the denominator (wm^2 - x)(eps - x) - alpha^2 x
     # vanishes exactly at x = 1 for wm = 3, eps = mu*/lbar = 9/8 and alpha = 1
     rm = ReducedModel(target_mode=1, omega_m=3.0, zeta_m=0.0, mu_star=1.125, alpha=1.0,
-                      kappa=1.0 / 3.0, tip_gain=1.0)
+                      tip_gain=1.0)
     grid = np.array([0.5, 1.0, 1.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -803,7 +818,7 @@ def test_log_gain_derivatives_match_central_differences(zeta_m, y):
                                    rtol=1e-5, atol=1e-5)
     # h is ln |G|^2 up to a constant
     rm = ReducedModel(target_mode=1, omega_m=2.0, zeta_m=zeta_m, mu_star=3.0, alpha=0.2,
-                      kappa=0.1, tip_gain=1.0)
+                      tip_gain=1.0)
     rbar, lbar = 0.14 * 2.0 * 3.0 / (1.02 * 4.0), 3.0 / (1.02 * 4.0)
     h = [optima._log_gain_derivatives(0.14, 1.02, z, k, v)[0] for v in (y, 1.1)]
     gain_sq = rm.gain_sq(rbar, lbar, 2.0 * np.sqrt([y, 1.1]))
@@ -938,7 +953,7 @@ def test_tied_vertices_keep_their_order(d):
 def _pole_model():
     """Undamped and shorted at (R, L) = (0, 1): omega = 1 is an exact pole of |G|^2."""
     return ReducedModel(target_mode=1, omega_m=3.0, zeta_m=0.0, mu_star=1.125, alpha=1.0,
-                        kappa=1.0 / 3.0, tip_gain=1.0)
+                        tip_gain=1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -954,7 +969,7 @@ def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
         log_omega, zeta_m, log_kappa, log_mu, gain, factors, pole, bad):
     omega_m, kappa = 10.0 ** log_omega, 10.0 ** log_kappa
     rm = ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m, mu_star=10.0 ** log_mu,
-                      alpha=kappa * omega_m, kappa=kappa, tip_gain=gain)
+                      alpha=kappa * omega_m, tip_gain=gain)
     grid = hinf_grid(omega_m)
     r0, l0 = closed_form_seed(rm)
     r = [r0 * 10.0 ** fr for fr, _ in factors]
@@ -980,9 +995,8 @@ def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
 
     hinf = reduction._objective(rm, "hinf", grid=grid)
     mdr = reduction._objective(rm, "min-damping-ratio")
-    x, m, gain2 = rm._grid_terms(grid)
-    stacked = rm._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid, x, m, gain2)
-    a_stack = reduction._a_stack(rm)(r, l)
+    stacked = rm._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid)
+    a_stack = rm._a_matrix(r, l)
     want_hinf, want_mdr = [], []
     for j, (r_j, l_j) in enumerate(zip(r, l)):
         gain_sq = rm.gain_sq(r_j, l_j, grid)

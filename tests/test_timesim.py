@@ -72,6 +72,14 @@ def test_integrate_and_config_share_the_time_rule(lossless_m1, key, dt, t_final)
     assert (auto.dt, auto.t_final) == (None, None)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_initial_state_must_be_finite(lossless_m1, bad):
+    # the caller's input is refused, not reported as a divergence at sample 1
+    dt = _period(lossless_m1) / 200
+    with pytest.raises(ParameterError, match="^initial state must be finite$"):
+        integrate(lossless_m1, np.array([0.0, bad, 0.0, 0.0]), None, dt, 50 * dt)
+
+
 def test_divergence_reports_first_bad_sample(lossless_m1):
     dt = _period(lossless_m1) / 200
     with pytest.raises(NumericalError, match="sample"):
