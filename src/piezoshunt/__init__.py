@@ -30,6 +30,6 @@ from .reduction import (
     tune,
     validate_reduction,
 )
-from .timesim import Trajectory, energy_residual, integrate
+from .timesim import Trajectory, energy_history, energy_residual, integrate
 
 __version__ = "0.1.0"

@@ -81,15 +81,12 @@ def _initial_state(sys, kind):
     x0 = np.zeros(sys.n_states)
     m = sys.basis.m
     phi_tip = modal_force_vector(sys.basis)
-    if kind == "tip_displacement":
-        # quasistatic shape under a tip load, scaled to unit tip displacement
-        eta = phi_tip / sys.basis.omega**2
-        x0[:m] = eta / np.dot(phi_tip, eta)
-        return x0
     if kind == "tip_impulse":
         x0[m:2 * m] = phi_tip
-        return x0
-    raise ParameterError(f"unknown initial condition {kind!r}")
+    else:  # tip_displacement: quasistatic shape under a tip load, unit tip displacement
+        eta = phi_tip / sys.basis.omega**2
+        x0[:m] = eta / np.dot(phi_tip, eta)
+    return x0
 
 
 def _cmd_modes(cfg, out):
@@ -161,10 +158,10 @@ def _cmd_simulate(cfg, out):
     dt = cfg.dt if cfg.dt is not None else 0.8 * timesim.DT_FRACTION * 2.0 * np.pi / lam_max
     t_final = cfg.t_final if cfg.t_final is not None else 20.0 * 2.0 * np.pi / sys_.basis.omega[0]
     x0 = _initial_state(sys_, cfg.initial)
-    traj = timesim.integrate(sys_, x0, None, dt, t_final)
+    traj = timesim.integrate(sys_, x0, dt, t_final)
     tip = traj.states @ sys_.output_map
     h, p_diss = timesim.energy_history(sys_, traj)
-    resid = timesim._energy_residual(h, p_diss, traj.dt)  # may refuse: before the CSV
+    resid = timesim.energy_residual(h, p_diss, traj.dt)  # may refuse: before the CSV
     _write_csv(os.path.join(out, "trajectory.csv"),
                ["t_s", "tip_m", "energy_J"], [traj.times, tip, h])
     print(f"wrote {len(traj.times)} samples to {os.path.join(out, 'trajectory.csv')}")

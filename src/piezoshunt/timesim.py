@@ -1,8 +1,7 @@
-"""Fixed-step time integration of the coupled model.
+"""Free response of the coupled model by fixed-step RK4.
 
 Used to validate tuning results in the time domain: free-decay rates against
-eigenvalues, and the energy balance dH/dt = -P_diss along unforced
-trajectories.
+eigenvalues, and the energy balance dH/dt = -P_diss along the trajectory.
 """
 
 from __future__ import annotations
@@ -48,13 +47,12 @@ def _time_fault(name, value):
     return None
 
 
-def integrate(sys, x0, forcing, dt, t_final):
-    """Classical 4-stage Runge-Kutta over x' = A x + b u(t).
+def integrate(sys, x0, dt, t_final):
+    """Free response of x' = A x from x0 by classical RK4, in blocks of BLOCK samples.
 
-    `forcing` is a callable t -> force in newtons, or None for free response,
-    which is advanced in blocks of BLOCK samples (see `_propagate_free`).
-    Raises ParameterError when dt exceeds the spectral bound or x0 is not
-    finite, and NumericalError (with the first bad sample index) on divergence.
+    Raises ParameterError when dt exceeds the spectral bound, x0 is not
+    finite or the samples up to t_final cannot be stored, and NumericalError
+    (with the first bad sample index) on divergence.
     """
     if fault := _time_fault("final time", t_final) or _time_fault("time step", dt):
         raise ParameterError(fault)
@@ -74,15 +72,17 @@ def integrate(sys, x0, forcing, dt, t_final):
     if not np.all(np.isfinite(x)):
         raise ParameterError("initial state must be finite")
 
-    n_steps = int(np.ceil(t_final / dt - 1e-12))
-    states = np.empty((n_steps + 1, x.size))
+    n_samples = np.ceil(t_final / dt - 1e-12) + 1
+    try:
+        states = np.empty((int(n_samples), x.size))
+    except (MemoryError, OverflowError, ValueError):  # beyond memory, numpy's limit or a float
+        raise ParameterError(
+            f"final time {t_final} at time step {dt} needs {n_samples:.3e} samples, "
+            "too many to store") from None
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):  # divergence handled below
-        if forcing is None:
-            _propagate_free(a, dt, states)
-        else:
-            _step_forced(a, sys.force_map, forcing, dt, states)
-    return Trajectory(dt=dt, times=dt * np.arange(n_steps + 1), states=states)
+        _propagate_free(a, dt, states)
+    return Trajectory(dt=dt, times=dt * np.arange(len(states)), states=states)
 
 
 def _diverged(m, dt):
@@ -120,25 +120,6 @@ def _propagate_free(a, dt, states):
         x = block[-1]
 
 
-def _step_forced(a, b, forcing, dt, states):
-    """Fill states[1:] from states[0] by classical RK4 steps of x' = A x + b u(t)."""
-    def rhs(t, y):
-        return a @ y + b * forcing(t)
-
-    x = states[0]
-    t = 0.0
-    for m in range(1, states.shape[0]):
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise _diverged(m, dt)
-        states[m] = x
-        t = m * dt
-
-
 def energy_history(sys, traj):
     """(H, P_diss) sampled along the trajectory, each as `total_energy` gives it."""
     states = np.asarray(traj.states, dtype=float)
@@ -148,20 +129,15 @@ def energy_history(sys, traj):
     return _energies(sys, states)
 
 
-def energy_residual(sys, traj):
+def energy_residual(h, p_diss, dt):
     """Max |dH/dt + P_diss| / max(H(0), eps) over interior samples.
 
-    Uses centered differences; zero for an exact passive integration of an
-    unforced trajectory, small for a sufficiently resolved one.
+    `h` and `p_diss` are the histories `energy_history` returns for a
+    trajectory sampled at step `dt`.  Uses centered differences; zero for an
+    exact passive integration, small for a sufficiently resolved one.
     """
-    return _energy_residual(*energy_history(sys, traj), traj.dt)
-
-
-def _energy_residual(h, p, dt):
-    """`energy_residual` from sampled (H, P_diss) histories at step dt."""
     if h.size < 3:
         raise ParameterError("energy residual needs at least 3 samples")
     dh = (h[2:] - h[:-2]) / (2.0 * dt)
-    resid = np.abs(dh + p[1:-1])
+    resid = np.abs(dh + p_diss[1:-1])
     return float(np.max(resid) / max(h[0], 1e-300))
-

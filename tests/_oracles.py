@@ -224,35 +224,25 @@ def _state_matrix_mpmath(sys):
     return a
 
 
-def rk4_stepwise(sys, x0, forcing, dt, t_final):
-    """(times, states) of classical RK4 over x' = A x + b u(t), one step at a time.
+def rk4_stepwise(sys, x0, dt, t_final):
+    """(times, states) of classical RK4 over x' = A x, one step at a time.
 
     The per-step loop `timesim.integrate` ran before free runs were block
-    propagated; `forcing` is a callable t -> force or None.  A comes from the
-    package's `state_matrix`; no input or step-bound checks are made.
+    propagated.  A comes from the package's `state_matrix`; no input or
+    step-bound checks are made.
     """
     a = state_matrix(sys)
-    b = sys.force_map
-    if forcing is None:
-        def rhs(t, y):
-            return a @ y
-    else:
-        def rhs(t, y):
-            return a @ y + b * forcing(t)
-
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((n_steps + 1, x.size))
     states[0] = x
-    t = 0.0
     for m in range(1, n_steps + 1):
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = rhs(t + dt, x + dt * k3)
+        k1 = a @ x
+        k2 = a @ (x + 0.5 * dt * k1)
+        k3 = a @ (x + 0.5 * dt * k2)
+        k4 = a @ (x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[m] = x
-        t = m * dt
     return dt * np.arange(n_steps + 1), states
 
 

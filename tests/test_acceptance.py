@@ -190,7 +190,7 @@ def test_criterion_09_time_eigen_agreement(unit_beam, bench_m5):
     x0 = np.real(sol.vectors[:, j])
     x0 /= np.linalg.norm(x0)
     dt = 0.5 * 0.05 * 2.0 * np.pi / max_eigen_magnitude(sys_t)
-    traj = integrate(sys_t, x0, None, dt, 20 * 2 * np.pi / w1)
+    traj = integrate(sys_t, x0, dt, 20 * 2 * np.pi / w1)
     fitted = decay_rate(traj.times, traj.states @ sys_t.output_map)
     ok = bool(abs(fitted + lam.real) <= 0.05 * abs(lam.real))
 
@@ -201,14 +201,14 @@ def test_criterion_09_time_eigen_agreement(unit_beam, bench_m5):
     period = 2 * np.pi / lossless.basis.omega[0]
     y0 = np.zeros(4)
     y0[0] = 1.0
-    traj_lossless = integrate(lossless, y0, None, period / 200, 100 * period)
+    traj_lossless = integrate(lossless, y0, period / 200, 100 * period)
     h, _ = energy_history(lossless, traj_lossless)
     ok &= bool(abs(h[-1] - h[0]) / h[0] < 1e-6)
 
     a = state_matrix(lossless)
     errors = []
     for div in (400, 800):
-        tr_ = integrate(lossless, y0, None, period / div, 10 * period)
+        tr_ = integrate(lossless, y0, period / div, 10 * period)
         exact = scipy.linalg.expm(a * tr_.times[-1]) @ y0
         errors.append(np.linalg.norm(tr_.states[-1] - exact) / np.linalg.norm(exact))
     factor = errors[0] / errors[1]

@@ -264,6 +264,16 @@ def test_simulate_too_short_for_the_energy_residual_writes_no_csv(tmp_path, caps
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_simulate_too_long_to_store_writes_no_csv(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[simulate]\nT = 1e300\n")
+    assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: final time 1e\+300 at time step \S+ needs \S+ samples, "
+                        r"too many to store\n", err)
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_builder_error_surfaced_with_config_location(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[patches]\nN = 1\n\n[network]\ntopology = transmission_line\n")
@@ -360,6 +370,13 @@ def test_readme_names_the_config_keys_and_the_options():
     for command in _COMMANDS:
         options = {f"--{dest}" for dest in vars(_parser().parse_args([command]))}
         assert set(re.findall(r"--\w+", synopsis)) == options - {"--command"}
+
+
+def test_readme_library_tour_runs_a_nonzero_trajectory():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    scope = {}
+    exec(re.search(r"```python\n(.*?)```", text, re.S).group(1), scope)
+    assert np.any(scope["traj"].states != 0.0)
 
 
 def test_nine_significant_digit_serialization(tmp_path):

@@ -404,6 +404,9 @@ def test_physics_invariants_hold_on_random_networks(case):
                                 np.zeros(p), sys_.nm.r_b)))
     qa = q @ a
     np.testing.assert_allclose(qa + qa.T, -2.0 * d, rtol=0.0, atol=1e-13 * np.abs(qa).max())
+    # and Q b = (0, phi_tip, 0, 0), so x^T Q (A x + b u) = eta'^T f - P_diss with f = phi_tip u
+    np.testing.assert_array_equal(q @ sys_.force_map, np.concatenate(
+        (np.zeros(m), modal_force_vector(sys_.basis), np.zeros(p + sys_.nm.n_branches))))
     sol = eigen(sys_)
     assert sol.values.real.max() <= 1e-9 * sol.freq.max()  # passive
     assert np.array_equal(np.sort_complex(sol.values), np.sort_complex(np.conj(sol.values)))
