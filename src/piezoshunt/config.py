@@ -78,8 +78,8 @@ class ScenarioConfig:
     bounds: tuple[tuple[float, float], tuple[float, float]] | None = None  # (R, L) search box
     per_branch: bool = False
     # simulate
-    dt: float | None = None      # None = auto from the spectral bound
-    t_final: float | None = None  # None = 20 periods of mode 1
+    dt: float | None = None      # None = auto: `integrate` takes 80% of the spectral bound
+    t_final: float | None = None  # None = auto: `integrate` takes 20 periods of mode 1
     initial: str = "tip_displacement"
 
     def beam_spec(self):
@@ -218,7 +218,7 @@ def _validate(cfg):
     if fault := integer_fault(cfg.target_mode, 1, cfg.n_modes):
         raise ConfigError(f"target_mode {fault}", "optimize")
     for name, value in (("time step", cfg.dt), ("final time", cfg.t_final)):
-        if value is not None and (fault := _time_fault(name, value)):  # None is "auto"
+        if fault := _time_fault(name, value):
             raise ConfigError(fault, "simulate")
     if cfg.bounds is not None and (fault := _box_fault(cfg.bounds)):
         raise ConfigError(fault, "optimize")

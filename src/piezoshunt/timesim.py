@@ -1,7 +1,8 @@
 """Free response of the coupled model by fixed-step RK4.
 
-Used to validate tuning results in the time domain: free-decay rates against
-eigenvalues, and the energy balance dH/dt = -P_diss along the trajectory.
+`integrate` runs the free response x' = A x, `energy_history` samples the
+stored energy H and the dissipated power P_diss along it, and
+`energy_residual` measures how far that history departs from dH/dt = -P_diss.
 """
 
 from __future__ import annotations
@@ -34,12 +35,18 @@ class Trajectory:
 
 def max_eigen_magnitude(sys):
     """Spectral radius of the state matrix (sets the admissible time step)."""
-    return float(np.max(np.abs(np.linalg.eigvals(state_matrix(sys)))))
+    return _spectral_radius(state_matrix(sys))
+
+
+def _spectral_radius(a):
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def _time_fault(name, value):
-    """Why `value`, the time step or the final time `name`, is no finite positive real number
-    (a bool is none), or None."""
+    """Why `value`, the time step or the final time `name`, is neither None ("auto") nor a
+    finite positive real number (a bool is none); None when it is admitted."""
+    if value is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return f"{name} must be a real number, got {value!r}"
     if not 0 < value < np.inf:  # chained: nan fails it too
@@ -50,13 +57,19 @@ def _time_fault(name, value):
 def integrate(sys, x0, dt, t_final):
     """Free response of x' = A x from x0 by classical RK4, in blocks of BLOCK samples.
 
+    `dt = None` is 80% of the spectral bound, 0.8 * DT_FRACTION * 2 pi / max|lambda|,
+    and `t_final = None` is 20 periods of mode 1, 20 * 2 pi / omega_1.
+
     Raises ParameterError when dt exceeds the spectral bound, x0 is not
     finite or the samples up to t_final cannot be stored, and NumericalError
     (with the first bad sample index) on divergence.
     """
     if fault := _time_fault("final time", t_final) or _time_fault("time step", dt):
         raise ParameterError(fault)
-    lam_max = max_eigen_magnitude(sys)
+    a = state_matrix(sys)
+    lam_max = _spectral_radius(a)
+    dt = 0.8 * DT_FRACTION * 2.0 * np.pi / lam_max if dt is None else dt
+    t_final = 20.0 * 2.0 * np.pi / sys.basis.omega[0] if t_final is None else t_final
     if lam_max > 0:
         dt_max = DT_FRACTION * 2.0 * np.pi / lam_max
         if dt > dt_max * (1.0 + 1e-12):
@@ -65,7 +78,6 @@ def integrate(sys, x0, dt, t_final):
                 f"{DT_FRACTION} * 2 pi / max|lambda| = {dt_max:.3e}"
             )
 
-    a = state_matrix(sys)
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (sys.n_states,):
         raise ParameterError(f"initial state must have length {sys.n_states}, got {x.shape}")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import piezoshunt as ps
-from piezoshunt import timesim
+from piezoshunt import coupled, timesim
 from piezoshunt.cli import _COMMANDS, _parser, run_command
 from piezoshunt.config import _SCHEMA, TOPOLOGIES, load_config
 from piezoshunt.errors import ConfigError, NumericalError
@@ -396,6 +396,17 @@ def test_simulate_computes_energy_history_once(tmp_path, monkeypatch):
     cfg.write_text("[simulate]\nT = 5\n")
     assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_default_simulate_builds_one_state_matrix_and_one_spectrum(tmp_path, monkeypatch):
+    # the auto time step and the step bound come from the same spectral radius
+    calls = []
+    for mod, name in ((coupled, "state_matrix"), (timesim, "state_matrix"),
+                      (np.linalg, "eigvals")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args, _f=fn, _n=name: calls.append(_n) or _f(*args))
+    assert run_command(["simulate", "--out", str(tmp_path)]) == 0
+    assert (calls.count("state_matrix"), calls.count("eigvals")) == (1, 1)
 
 
 def test_compare_builds_basis_and_patches_once(tmp_path, monkeypatch):
