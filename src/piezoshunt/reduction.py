@@ -17,14 +17,15 @@ max-coupling shape u* gives the two-DOF absorber model
 
 with dimensionless coupling kappa = |alpha| / wm.  Tuning maximizes either
 the minimum damping ratio over a band around the target mode (pole
-placement) or the negated FRF peak (hinf).  Its global stage is a
-multi-start Nelder-Mead in (log rbar, log lbar).  On the complete model
-that is the whole search.  On a ReducedModel the simplex stops at a loose
-tolerance and a Newton polish (`optima`) solves the optimality conditions
-exactly: the coalescence of the two pole pairs (Krenk 2005) for pole
-placement and the equal-peak point (Soltani et al. 2014) for hinf.  A
-failed polish falls back to the winning start run alone at the full
-simplex tolerance.
+placement) or the negated FRF peak (hinf).  On the complete model the
+search is a multi-start Nelder-Mead in (log rbar, log lbar).  On a
+ReducedModel Newton (`optima`) solves the optimality conditions exactly
+from an exact start: the coalescence of the two pole pairs (Krenk 2005),
+continued from its closed form at zm = 0, for pole placement and the
+equal-peak point (Soltani et al. 2014) from the closed-form seed for
+hinf.  Only when that point is refused does the multi-start simplex run,
+to a loose tolerance; Newton finishes its winner, and a refused finish
+falls back to the winning start run alone at the full simplex tolerance.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _writ
                       eigen, frf)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
-from .optima import _band_peak, _coalescence, _equal_peaks
+from .optima import NEWTON_TOL, _band_peak, _coalescence, _equal_peaks, _undamped_coalescence
 
 #: Default tuning band around the target mode for the pole-placement objective.
 BAND_FACTORS = (0.5, 2.0)
@@ -276,10 +277,13 @@ class StartRecord:
 class TuningResult:
     """Optimized branch scales with achieved objective and run provenance.
 
-    `converged` describes the returned (r, l): True when the Newton polish
-    gave it, or when the search that produced it converged, that is the
-    fallback run of a failed polish or, on a CoupledSystem, the winner's
-    own simplex.  A start's `StartRecord.converged` describes its simplex only.
+    `converged` describes the returned (r, l): True when Newton gave it,
+    or when the search that produced it converged, that is the fallback
+    run of a refused polish or, on a CoupledSystem, the winner's own
+    simplex.  `starts` holds one StartRecord when a ReducedModel's first
+    Newton try was accepted (its exact start, the optimum and the Newton
+    steps as `iterations`), else one per simplex start, whose `converged`
+    describes its simplex only.
     """
 
     r: float
@@ -292,7 +296,7 @@ class TuningResult:
     starts: tuple[StartRecord, ...]
     r_branches: np.ndarray | None = None
     l_branches: np.ndarray | None = None
-    polished: bool = False  # (r, l) came from the Newton polish, not its fallback
+    polished: bool = False  # (r, l) came from Newton, not from a simplex
 
 
 def _nelder_mead(z0, rel_tol=NM_REL_TOL):
@@ -516,29 +520,37 @@ def _objective_value(objective, rm, r, l, grid=None):
     return float(_min_damping(np.linalg.eigvals(rm.a_matrix(r, l)), None))
 
 
-def _polish(rm, objective, rbar, lbar, value, grid, bounds):
-    """(rbar, lbar, objective) of the exact optimum that Newton finds from the global
-    stage's winner (rbar, lbar), or None when the polish fails.
+def _polish(rm, objective, rbar, lbar, value, grid, bounds, continued=False):
+    """(rbar, lbar, objective, Newton steps) of the exact optimum that Newton finds from the
+    start (rbar, lbar), or None when that point is refused.
 
-    `value` is the winner's objective on the simplex (for hinf, the winner
-    is scored again by its `_band_peak`).  The polish fails when Newton
-    fails, when its point lies outside `bounds` or when it scores worse than
-    the winner.
+    The start is `tune`'s exact start, the undamped coalescence (`continued`,
+    see `_coalescence`) or the seed, and `value` the seed's `_objective_value`;
+    or else the start is the global stage's winner and `value` its
+    `_objective_value`.  The point is refused when Newton fails, when it
+    lies outside `bounds`, when it scores worse than `value`, or, for hinf,
+    when |G| at its two equal peaks is not the band peak by `_band_peak` to
+    NEWTON_TOL.
     """
     if objective == "hinf":
-        value = _objective_value(objective, rm, rbar, lbar, grid=grid)
-        point = _equal_peaks(rm, rbar, lbar, grid)
+        found = _equal_peaks(rm, rbar, lbar, grid)
     else:
-        point = _coalescence(rm, rbar, lbar)
-    if point is None:
+        found = _coalescence(rm, rbar, lbar, continued)
+    if found is None:
         return None
+    point, steps, *peaks = found
     # on the lattice 10 ** log10(v) that the simplex decodes: a tune seeded with the
-    # result starts its centre search exactly there
-    point = [10.0 ** z for z in np.log10(point).tolist()]
+    # result starts its centre search exactly there; a root at R or E <= 0 fails the box
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = [10.0 ** z for z in np.log10(point).tolist()]
     if not all(lo <= v <= hi for v, (lo, hi) in zip(point, bounds)):
         return None
     polished = _objective_value(objective, rm, *point, grid=grid)
-    return (*point, polished) if polished >= value else None
+    # the band peak -polished, where both peaks must sit (nan and inf fail)
+    if peaks and not np.all(np.abs(np.sqrt(rm._gain_sq(*point, peaks[0])) + polished)
+                            <= NEWTON_TOL * -polished):
+        return None
+    return (*point, polished, steps) if value <= polished > -np.inf else None
 
 
 def _two(value):
@@ -573,8 +585,8 @@ def _box_fault(bounds):
 
 def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
          bounds=None, per_branch=False):
-    """Optimize branch scales (rbar, lbar): a multi-start simplex in log space, then,
-    on a ReducedModel, an exact Newton polish.
+    """Optimize branch scales (rbar, lbar): on a ReducedModel by Newton from an exact
+    start, else, or when that point is refused, by a multi-start simplex in log space.
 
     `model` is a ReducedModel or a CoupledSystem (for the latter the target
     mode, 1 by default, fixes the evaluation band and the seed comes from its
@@ -595,13 +607,16 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     may leave the floats, so `rescaled`'s rule admits its seed (before the
     seed rule), the stack of seed and starts, and the box's corners.
 
-    On a ReducedModel the simplex is a global stage at the looser
-    _GLOBAL_REL_TOL, and `_polish` finishes its winner: the pole coalescence
-    (`_coalescence`) or the equal-peak point (`_equal_peaks`).  When the
-    polish fails, the winner's start runs again alone at NM_REL_TOL, and
+    On a coupled ReducedModel (alpha > 0) `_polish` first tries Newton from
+    an exact start: the undamped coalescence (`_undamped_coalescence`),
+    continued to zm (`_coalescence`), or the equal-peak point
+    (`_equal_peaks`) from the seed.  An accepted point is the result, with
+    one StartRecord.  Otherwise the simplex is a global stage at the looser
+    _GLOBAL_REL_TOL, and `_polish` finishes its winner; when that is
+    refused too, the winner's start runs again alone at NM_REL_TOL, and
     `polished` is False.  `objective` is `_objective_value` at the returned
     (r, l): the smallest damping ratio of `eigvals`, or minus the exact band
-    peak (`_band_peak`); the StartRecords keep the simplex stage's values.
+    peak (`_band_peak`); the StartRecords keep the kernel's values.
     `converged` is that of the search that gave (r, l); see TuningResult.
 
     With `per_branch` each branch b of a CoupledSystem gets its own scales,
@@ -688,35 +703,49 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         admit(*([end[0] / _ROUND_TRIP, end[1] * _ROUND_TRIP] for end in bounds))
     grid = hinf_grid(omega_t) if objective == "hinf" else None
     evaluate = _objective(model, objective, band, grid)
-    seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
-    runs = []
-    for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
-            z_starts, start_objectives,
-            _lockstep(costs, z_starts, _GLOBAL_REL_TOL if reduced else NM_REL_TOL)):
-        (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
-        rec = StartRecord(
-            r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
-            objective=-f_opt, seed_objective=start_obj,
-            iterations=iterations,
-            # a simplex that shrank outside the box found no feasible point
-            converged=converged and bool(np.isfinite(f_opt)),
-        )
-        runs.append((rec, z_opt, z_start))
+    finish = None
+    if reduced and model.alpha > 0 and model.omega_m > 0:  # uncoupled, it has no exact start
+        start = (r0, l0) if objective == "hinf" else _undamped_coalescence(model)
+        # scored against the seed: at zm = 0 the start is the double pole itself
+        finish = _polish(model, objective, *start,
+                         _objective_value(objective, model, r0, l0, grid=grid), grid, bounds, True)
+    if finish:
+        (r, l, value, steps), polished, converged = finish, True, True
+        seed_objective, start_objective = evaluate([r0, start[0]], [l0, start[1]]).tolist()
+        records = (StartRecord(r0=start[0], l0=start[1], r_opt=r, l_opt=l, objective=value,
+                               seed_objective=start_objective, iterations=steps, converged=True),)
+    else:
+        seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
+        runs = []
+        for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
+                z_starts, start_objectives,
+                _lockstep(costs, z_starts, _GLOBAL_REL_TOL if reduced else NM_REL_TOL)):
+            (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
+            rec = StartRecord(
+                r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
+                objective=-f_opt, seed_objective=start_obj,
+                iterations=iterations,
+                # a simplex that shrank outside the box found no feasible point
+                converged=converged and bool(np.isfinite(f_opt)),
+            )
+            runs.append((rec, z_opt, z_start))
 
-    winner, z_opt, z_start = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt,
-                                                        run[0].l_opt))
-    records = tuple(rec for rec, *_ in runs)
-    r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
-    converged = winner.converged
-    if reduced:
-        finish = _polish(model, objective, r, l, value, grid, bounds)
-        if finish is None:  # the winner's start alone, at the full tolerance
-            ((z_opt, f_opt, _, converged),) = _lockstep(costs, [z_start])
-            converged = converged and f_opt < np.inf  # as a StartRecord's
-            r, l = summary(z_opt)
-            value = _objective_value(objective, model, r, l, grid=grid) if f_opt < np.inf else -np.inf
-        else:
-            (r, l, value), polished, converged = finish, True, True
+        winner, z_opt, z_start = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt,
+                                                            run[0].l_opt))
+        records = tuple(rec for rec, *_ in runs)
+        r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
+        converged = winner.converged
+        if reduced:
+            finish = _polish(model, objective, r, l,
+                             _objective_value(objective, model, r, l, grid=grid), grid, bounds)
+            if finish is None:  # the winner's start alone, at the full tolerance
+                ((z_opt, f_opt, _, converged),) = _lockstep(costs, [z_start])
+                converged = converged and f_opt < np.inf  # as a StartRecord's
+                r, l = summary(z_opt)
+                value = (_objective_value(objective, model, r, l, grid=grid) if f_opt < np.inf
+                         else -np.inf)
+            else:
+                (r, l, value, _), polished, converged = finish, True, True
     r_branches, l_branches = ((v[0] * model.nm.s_shape for v in decode([z_opt.tolist()]))
                               if per_branch else (None, None))
     improving = value > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)

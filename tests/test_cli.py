@@ -226,8 +226,14 @@ def test_optimize_command_trace(tmp_path, capsys):
     assert "kappa" in out and "optimum" in out
     assert "branch" not in out  # a uniform tuning has no branch values to print
     lines = (tmp_path / "optimize_trace.csv").read_text().splitlines()
-    assert len(lines) == 10  # header + 9 starts
+    assert len(lines) == 2  # header + the Newton path's one row
     assert lines[0].startswith("start,R0,L0,R_opt,L_opt")
+    # a box without the coalescence point (R about 1.1e5): the nine starts run
+    cfg = tmp_path / "boxed.cfg"
+    cfg.write_text("[optimize]\nR_min = 1k\nR_max = 100k\nL_min = 10k\nL_max = 1e6\n")
+    assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "optimize_trace.csv").read_text().splitlines()
+    assert len(lines) == 10  # header + 9 starts
 
 
 def test_simulate_command_reports_energy_residual(tmp_path, capsys):

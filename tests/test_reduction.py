@@ -761,40 +761,89 @@ def test_converged_describes_the_search_that_returned_the_point(bench_m1, monkey
     assert not capped.converged
 
 
+def test_polish_refuses_a_nonpositive_root_and_peaks_off_the_band_peak(bench_m1, monkeypatch):
+    rm = reduce(bench_m1)
+    r0, l0 = closed_form_seed(rm)
+    grid, bounds = hinf_grid(rm.omega_m), ((1e-2 * r0, 1e6 * r0), (1e-4 * l0, 1e4 * l0))
+    value = _objective_value("hinf", rm, r0, l0, grid=grid)
+    point, steps, omegas = optima._equal_peaks(rm, r0, l0, grid)
+    assert reduction._polish(rm, "hinf", r0, l0, value, grid, bounds)[3] == steps
+    # the same scales with stationary points that are not the band peak
+    monkeypatch.setattr(reduction, "_equal_peaks", lambda *args: (point, steps, 0.99 * omegas))
+    assert reduction._polish(rm, "hinf", r0, l0, value, grid, bounds) is None
+    # a coalescence root at R < 0 is outside every box, without a log10 warning
+    monkeypatch.setattr(reduction, "_coalescence", lambda *args: ((-r0, l0), steps))
+    assert reduction._polish(rm, "min-damping-ratio", r0, l0, 0.0, None, bounds) is None
+
+
 def test_hinf_polish_survives_scales_whose_quintic_overflows(bench_m1):
     # rho = R / L overflows: the band peak is inf, and no LAPACK error escapes
     tr = tune(reduce(bench_m1), "hinf", seed=(1e150, 1e-150))
     assert tr.objective == -np.inf and not tr.polished
 
 
-def test_reduced_tunes_of_the_default_scenario_halve_the_simplex_iterations(monkeypatch):
-    # counts repeat exactly: at NM_REL_TOL throughout, the six reduced tunes of the
-    # default compare took 2 124 (min damping) + 3 332 (hinf) simplex iterations
-    newton, steps = optima._newton, []
+GOLDEN_COMPARE_CONFIGS = {
+    "default": "",
+    "m6_both_ends": ("[beam]\nzeta = 0.002\nM = 6\n[patches]\nN = 3\n"
+                     "[network]\ntermination = both_ends\n[optimize]\ntarget_mode = 2\n"),
+}
 
-    def counted(system, u):
-        calls = []
 
-        def step(u):
-            calls.append(u)
-            return system(u)
-        try:
-            return newton(step, u)
-        finally:
-            steps.append(len(calls))
-
-    monkeypatch.setattr(optima, "_newton", counted)
-    cfg = load_config("")
+@pytest.mark.parametrize("text", GOLDEN_COMPARE_CONFIGS.values(), ids=list(GOLDEN_COMPARE_CONFIGS))
+def test_reduced_tunes_of_the_golden_compares_take_the_newton_path(monkeypatch, text):
+    # the six reduced tunes of each golden `compare` run no simplex: one record of
+    # the exact start, its optimum and at most ten Newton steps
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
+    monkeypatch.setattr(reduction, "_lockstep", no_simplex)
+    cfg = load_config(text)
     basis, patches = cli._basis_and_patches(cfg)
-    iterations = 0
-    for topology in ("single_shunt", "multi_shunt", "transmission_line"):
-        rm = reduce(ps.assemble(basis, patches, cli._builtin_netlist(cfg, topology)), 1)
+    for topology in TOPOLOGY_IDS:
+        rm = reduce(ps.assemble(basis, patches, cli._builtin_netlist(cfg, topology)),
+                    cfg.target_mode)
         for objective in ("min-damping-ratio", "hinf"):
             tr = tune(rm, objective, bounds=cfg.bounds)
-            assert tr.polished
-            iterations += sum(s.iterations for s in tr.starts)
-    assert iterations <= (2124 + 3332) // 2
-    assert len(steps) == 6 and max(steps) <= 10
+            (record,) = tr.starts
+            assert tr.polished and tr.converged and record.converged
+            assert 1 <= record.iterations <= 10
+            assert (record.r_opt, record.l_opt, record.objective) == (tr.r, tr.l, tr.objective)
+
+
+def _random_reduced_models(count, seed=20):
+    """`count` ReducedModels: kappa log-uniform on [0.01, 0.6], zm uniform on
+    [0, min(10 kappa, 0.5)] (every tenth zm = 0), wm, mu* and the tip gain log-uniform."""
+    rng = np.random.default_rng(seed)
+    for j in range(count):
+        kappa = 10.0 ** rng.uniform(-2.0, np.log10(0.6))
+        zeta_m = 0.0 if j % 10 == 0 else rng.uniform(0.0, min(10.0 * kappa, 0.5))
+        omega_m = 10.0 ** rng.uniform(-1.0, 4.0)
+        yield ReducedModel(target_mode=1, omega_m=omega_m, zeta_m=zeta_m,
+                           mu_star=10.0 ** rng.uniform(3.0, 9.0), alpha=kappa * omega_m,
+                           tip_gain=10.0 ** rng.uniform(-1.0, 1.0))
+
+
+def test_newton_path_is_no_worse_than_the_simplex_fallback_on_random_models(monkeypatch):
+    # the fallback is the nine starts, the polish of their winner and the rerun:
+    # forced by refusing the first try, the one `_polish` from the exact start
+    polish = reduction._polish
+
+    def fallback(rm, objective, rbar, lbar, value, grid, bounds, continued=False):
+        return None if continued else polish(rm, objective, rbar, lbar, value, grid, bounds)
+
+    models = list(_random_reduced_models(200))
+    assert sum(rm.zeta_m > rm.kappa for rm in models) > 50
+    assert max(rm.zeta_m / rm.kappa for rm in models) > 9.0
+    for objective in ("min-damping-ratio", "hinf"):
+        results = [tune(rm, objective) for rm in models]
+        first = [len(tr.starts) == 1 for tr in results]
+        # the continued coalescence is accepted on every model, equal peaks on most
+        assert all(first) if objective == "min-damping-ratio" else sum(first) > 80
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "_polish", fallback)
+            for rm, tr in zip(models, results):
+                if len(tr.starts) == 1:  # a refused first try is the fallback path already
+                    want = tune(rm, objective).objective
+                    assert tr.objective >= want - 1e-9 * abs(want), (rm, objective)
 
 
 @pytest.mark.parametrize("zeta_m", [0.0, 0.003])
@@ -1015,14 +1064,22 @@ def test_prepared_reduced_kernels_equal_the_public_model_row_by_row(
 @pytest.mark.parametrize("objective", ["min-damping-ratio", "hinf"])
 def test_reduced_tune_admits_its_scales_where_they_enter_not_every_round(monkeypatch, objective):
     # the seed rule and the search box admit every scale the simplex evaluates, so
-    # only the public matrix and gain calls of the polish admit: a count that does
+    # only the public matrix and gain calls at single points admit: a count that does
     # not grow with the lockstep rounds (one call per round would be about 90 and 400)
     calls = []
     admitted = reduction._admitted
     monkeypatch.setattr(reduction, "_admitted", lambda *args: calls.append(1) or admitted(*args))
-    tr = tune(reduce(_default_system("single_shunt"), 1), objective)
-    assert tr.polished and sum(s.iterations for s in tr.starts) > 50
+    rm = reduce(_default_system("single_shunt"), 1)
+    tr = tune(rm, objective)
+    assert tr.polished and len(tr.starts) == 1
     assert len(calls) <= 3
+    # a box without the optimum: the nine starts, then the rerun of their winner
+    calls.clear()
+    r0, l0 = closed_form_seed(rm)
+    r_box = (0.05 * r0, 1.1 * r0) if objective == "min-damping-ratio" else (0.9 * r0, 20.0 * r0)
+    tr = tune(rm, objective, bounds=(r_box, (0.05 * l0, 20.0 * l0)))
+    assert not tr.polished and sum(s.iterations for s in tr.starts) > 50
+    assert len(calls) <= 3  # the scores of the seed, the winner and the rerun
 
 
 @pytest.mark.parametrize("case", ["uniform-mdr", "uniform-hinf", "per_branch-mdr"])
@@ -1075,7 +1132,15 @@ def test_tune_equals_the_sequential_multi_start_bit_for_bit(unit_beam, build, ca
         # keeps it short, and the other eight search outside it, unevaluated
         r0, l0 = closed_form_seed(reduce(sys_))
         bounds = ((0.5 * r0, 2.0 * r0), (0.5 * l0, 2.0 * l0))
+    if kind == "reduced":
+        # a box without the optimum sends the tune down the fallback path; it holds the
+        # starts at 0.1 and 1 (mdr, optimum at R about 1.4 r0) or 1 and 10 (hinf, 0.87 r0)
+        # times the seed's R, and all three of its L
+        r0, l0 = closed_form_seed(model)
+        r_box = (0.05 * r0, 1.2 * r0) if objective == "min-damping-ratio" else (0.9 * r0, 20 * r0)
+        bounds = (r_box, (0.05 * l0, 20.0 * l0))
     tr = tune(model, objective, bounds=bounds, per_branch=per_branch)
+    assert kind != "reduced" or not tr.polished
     # a ReducedModel's simplex is the global stage, at its own looser tolerance
     rel_tol = reduction._GLOBAL_REL_TOL if kind == "reduced" else reduction.NM_REL_TOL
     want = tune_sequential(model, objective, bounds=bounds, per_branch=per_branch, rel_tol=rel_tol)
