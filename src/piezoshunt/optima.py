@@ -89,6 +89,13 @@ def _coalescence(rm, rbar, lbar, continued=False):
     steps in 117, this rule in none.  A continuation of more than
     NEWTON_MAX_STEPS solves is not tried.
 
+    None also from critical damping on: at 2 zm = (2 - t) c, with
+    t = sqrt(2 kappa) and c^2 = 1 + kappa + t, the coalescence is the
+    quadruple pole sigma = -c (R = (2 + t) c, E = c^4).  From there on the
+    four poles can all be real, and that plateau of smallest damping ratio 1
+    beats every coalescence of complex pairs; past it Newton also reaches
+    other, worse roots.
+
     At the double pole `eigvals` errs by about sqrt(machine epsilon), 1.6e-7
     in the damping ratio, and a complete model at the same scales errs
     otherwise.  With R lowered by COALESCENCE_OFFSET the two pairs split in
@@ -96,7 +103,9 @@ def _coalescence(rm, rbar, lbar, continued=False):
     by about that fraction; those are the scales returned.
     """
     big_r, big_e, z_m, k = _dimensionless(rm, rbar, lbar)
-    n, kappa = 1, math.sqrt(k)
+    n, kappa, t = 1, math.sqrt(k), math.sqrt(2.0 * math.sqrt(k))
+    if z_m >= (2.0 - t) * math.sqrt(1.0 + kappa + t):
+        return None
     if continued and z_m > kappa:
         if z_m > NEWTON_MAX_STEPS * kappa:
             return None

@@ -525,14 +525,16 @@ def _polish(rm, objective, rbar, lbar, value, grid, bounds, continued=False):
     start (rbar, lbar), or None when that point is refused.
 
     The start is `tune`'s exact start, the undamped coalescence (`continued`,
-    see `_coalescence`) or the seed, and `value` the seed's `_objective_value`;
-    or else the start is the global stage's winner and `value` its
-    `_objective_value`.  The point is refused when Newton fails, when it
-    lies outside `bounds`, when it scores worse than `value`, or, for hinf,
-    when |G| at its two equal peaks is not the band peak by `_band_peak` to
-    NEWTON_TOL.
+    see `_coalescence`) or the seed, and `value` the seed's objective by
+    `tune`'s kernel; or else the start is the global stage's winner and
+    `value` its objective on the simplex.  For hinf the start, which is then
+    the seed or the winner, is scored again by its `_band_peak`.  The point
+    is refused when Newton fails, when it lies outside `bounds`, when it
+    scores worse than `value`, or, for hinf, when |G| at its two equal peaks
+    is not the band peak by `_band_peak` to NEWTON_TOL.
     """
     if objective == "hinf":
+        value = _objective_value(objective, rm, rbar, lbar, grid=grid)
         found = _equal_peaks(rm, rbar, lbar, grid)
     else:
         found = _coalescence(rm, rbar, lbar, continued)
@@ -706,14 +708,15 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     finish = None
     if reduced and model.alpha > 0 and model.omega_m > 0:  # uncoupled, it has no exact start
         start = (r0, l0) if objective == "hinf" else _undamped_coalescence(model)
-        # scored against the seed: at zm = 0 the start is the double pole itself
-        finish = _polish(model, objective, *start,
-                         _objective_value(objective, model, r0, l0, grid=grid), grid, bounds, True)
+        scored = evaluate(*(([r0], [l0]) if objective == "hinf"
+                            else ([r0, start[0]], [l0, start[1]]))).tolist()
+        # scored against the seed: at zm = 0 the mdr start is the double pole itself
+        finish = _polish(model, objective, *start, scored[0], grid, bounds, True)
     if finish:
         (r, l, value, steps), polished, converged = finish, True, True
-        seed_objective, start_objective = evaluate([r0, start[0]], [l0, start[1]]).tolist()
+        seed_objective = scored[0]
         records = (StartRecord(r0=start[0], l0=start[1], r_opt=r, l_opt=l, objective=value,
-                               seed_objective=start_objective, iterations=steps, converged=True),)
+                               seed_objective=scored[-1], iterations=steps, converged=True),)
     else:
         seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
         runs = []
@@ -736,8 +739,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
         converged = winner.converged
         if reduced:
-            finish = _polish(model, objective, r, l,
-                             _objective_value(objective, model, r, l, grid=grid), grid, bounds)
+            finish = _polish(model, objective, r, l, value, grid, bounds)
             if finish is None:  # the winner's start alone, at the full tolerance
                 ((z_opt, f_opt, _, converged),) = _lockstep(costs, [z_start])
                 converged = converged and f_opt < np.inf  # as a StartRecord's
