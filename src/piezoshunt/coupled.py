@@ -252,22 +252,14 @@ def _frf_values(form, r_b, l_b, omega):
     point is solved point by point with the same bits, and that point is a
     pole, stored as inf.
     """
-    template, omega_k, damp, rhs = form
-    n, m, mp = len(rhs), len(omega_k), len(damp)
-    damp = np.concatenate((damp, r_b))
-    phi_col = rhs[:m]
+    rhs = form[3]
+    n, phi_col = len(rhs), rhs[:len(form[1])]
     g = np.empty(len(omega), dtype=complex)
     stack = np.empty((min(len(omega), _FRF_CHUNK), n, n), dtype=complex)
     for start in range(0, len(omega), _FRF_CHUNK):
         chunk = slice(start, start + _FRF_CHUNK)
         w = omega[chunk]
-        mats = stack[:len(w)]  # one reused buffer
-        mats[...] = template
-        diag = mats.reshape(len(w), n * n)[:, ::n + 1]
-        # w_k^2 - w^2 as (w_k - w)(w_k + w): no cancellation next to a resonance
-        diag.real[:, :m] = (omega_k - w[:, None]) * (omega_k + w[:, None])
-        diag.real[:, mp:] = -(w * w)[:, None] * l_b
-        diag.imag = w[:, None] * damp
+        mats = _fill_charge_form(stack[:len(w)], form, r_b, l_b, w)  # one reused buffer
         try:
             x = np.linalg.solve(mats, np.broadcast_to(rhs, (len(w), n, 1)))
         except np.linalg.LinAlgError:
@@ -277,6 +269,21 @@ def _frf_values(form, r_b, l_b, omega):
     pole = ~np.isfinite(g)
     g[pole] = complex(np.inf, 0.0)
     return g, pole
+
+
+def _fill_charge_form(mats, form, r_b, l_b, w):
+    """Write the charge-form matrices of `_frf_values` at branch values (r_b, l_b) and the
+    frequencies `w` into `mats`, and return it."""
+    template, omega_k, damp, _ = form
+    n, m, mp = len(template), len(omega_k), len(damp)
+    damp = np.concatenate((damp, r_b))
+    mats[...] = template
+    diag = mats.reshape(len(w), n * n)[:, ::n + 1]
+    # w_k^2 - w^2 as (w_k - w)(w_k + w): no cancellation next to a resonance
+    diag.real[:, :m] = (omega_k - w[:, None]) * (omega_k + w[:, None])
+    diag.real[:, mp:] = -(w * w)[:, None] * l_b
+    diag.imag = w[:, None] * damp
+    return mats
 
 
 def _tip(x, phi_col):

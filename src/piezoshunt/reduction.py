@@ -18,7 +18,9 @@ max-coupling shape u* gives the two-DOF absorber model
 with dimensionless coupling kappa = |alpha| / wm.  Tuning maximizes either
 the minimum damping ratio over a band around the target mode (pole
 placement) or the negated FRF peak (hinf).  On the complete model the
-search is a multi-start Nelder-Mead in (log rbar, log lbar).  On a
+search is a multi-start Nelder-Mead in (log rbar, log lbar), and with
+per-branch scales nonsmooth BFGS on exact gradients from the same starts
+(Lewis & Overton 2013).  On a
 ReducedModel Newton (`optima`) solves the optimality conditions exactly
 from an exact start: the coalescence of the two pole pairs (Krenk 2005),
 continued from its closed form at zm = 0, for pole placement and the
@@ -30,17 +32,20 @@ falls back to the winning start run alone at the full simplex tolerance.
 
 from __future__ import annotations
 
+import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import add, gt, lt
 
 import numpy as np
 
 from .beam import modal_force_vector
-from .coupled import (CoupledSystem, _admitted, _charge_form, _frf_values, _write_branch_rows,
-                      eigen, frf)
+from .bfgs import _bfgs
+from .coupled import (CoupledSystem, _admitted, _charge_form, _fill_charge_form, _frf_values,
+                      _tip, _write_branch_rows, eigen, frf)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
 from .optima import NEWTON_TOL, _band_peak, _coalescence, _equal_peaks, _undamped_coalescence
@@ -280,10 +285,11 @@ class TuningResult:
     `converged` describes the returned (r, l): True when Newton gave it,
     or when the search that produced it converged, that is the fallback
     run of a refused polish or, on a CoupledSystem, the winner's own
-    simplex.  `starts` holds one StartRecord when a ReducedModel's first
-    Newton try was accepted (its exact start, the optimum and the Newton
-    steps as `iterations`), else one per simplex start, whose `converged`
-    describes its simplex only.
+    simplex, or per branch its BFGS, by `_bfgs`'s stationarity test.
+    `starts` holds one StartRecord when a ReducedModel's first Newton try
+    was accepted (its exact start, the optimum and the Newton steps as
+    `iterations`), else one per simplex or BFGS start, whose `iterations`
+    and `converged` describe that search only.
     """
 
     r: float
@@ -395,18 +401,18 @@ def _simplex_converged(simplex, bound, rel_tol):
     return max(offsets) < rel_tol * scale
 
 
-def _lockstep(batch, starts, rel_tol=NM_REL_TOL):
-    """Run one `_nelder_mead` search per start, all of them advancing together.
+def _lockstep(batch, starts, search=_nelder_mead):
+    """Run one `search` per start, all of them advancing together.
 
-    Each round stacks the points every unfinished search asks for into one
-    (k, d) array and makes one `batch` call, which maps it to an array of
-    the k values; one `tolist` hands every search its values as Python
-    floats.  When `batch` gives each row the value it gives that row alone,
-    every search sees the values a separate run sees, so the results, in
-    start order, equal separate runs bit for bit.  Each search converges at
-    `rel_tol`.
+    `search(z0)` is a generator such as `_nelder_mead` or `_bfgs`.  Each round
+    stacks the points every unfinished search asks for into one (k, d) array
+    and makes one `batch` call, which maps it to an array of the k replies,
+    values or rows of them; one `tolist` hands every search its replies as
+    Python floats.  When `batch` gives each row the reply it gives that row
+    alone, every search sees the replies a separate run sees, so the
+    results, in start order, equal separate runs bit for bit.
     """
-    searches = [_nelder_mead(z0, rel_tol) for z0 in starts]
+    searches = [search(z0) for z0 in starts]
     results = [None] * len(searches)
     pending = [(j, search, next(search)) for j, search in enumerate(searches)]
     while pending:
@@ -433,6 +439,13 @@ def _min_damping(values, band):
     eigensolvers return exact conjugates and an exact 0 imaginary part for a real
     eigenvalue, and both members of a pair have the same ratio.
     """
+    ratio, kept = _damping_ratios(values, band)
+    return np.where(kept, ratio.min(axis=-1), -np.inf)[()]
+
+
+def _damping_ratios(values, band):
+    """(ratio, kept) of `_min_damping`: -Re/|lambda| of every eigenvalue it keeps, inf for the
+    others, and whether a spectrum keeps any."""
     freq = np.abs(values)
     keep = freq > 0
     if band is not None:
@@ -440,7 +453,7 @@ def _min_damping(values, band):
         keep &= freq <= band[1]
     keep &= values.imag >= 0
     ratio = np.divide(-values.real, freq, out=np.full(freq.shape, np.inf), where=keep)
-    return np.where(keep.any(axis=-1), ratio.min(axis=-1), -np.inf)[()]
+    return ratio, keep.any(axis=-1)
 
 
 def hinf_grid(omega_t):
@@ -506,6 +519,89 @@ def _objective(model, objective, band=None, grid=None):
     # one kernel call per row; poles are stored as inf
     return lambda r, l: np.array([-np.max(np.abs(_frf_values(form, r_b, l_b, grid)[0]))
                                   for r_b, l_b in zip(*_branch_values(model.nm.s_shape, r, l))])
+
+
+def _gradients(sys, objective, band, grid):
+    """(r, l) -> `objective` of the CoupledSystem `sys` and its gradient at k rows of per-branch
+    scales, (k, B) each, as (k, 1 + 2B) rows [value, d value / d log10 (r_1..r_B, l_1..l_B)].
+
+    The kernel of a per-branch `tune`; the value is that of `_objective`, up
+    to rounding.  "min-damping-ratio": one batched `eig` gives the active
+    eigenvalue lambda, the smallest damping ratio zeta = -Re lambda / |lambda|
+    in `band`, and its right vector v, and one batched solve the left vector
+    y, row k of V^-1, so y^T v = 1.  At branch row b of the state matrix,
+    d lambda / d log10 R_b = -ln 10 (R_b / L_b) y_b v_b and
+    d lambda / d log10 L_b = -ln 10 lambda y_b v_b.  "hinf": one charge-form
+    solve at the grid's peak gives the branch charges q, and with the FRF
+    collocated and the matrix complex symmetric,
+    d G / d log10 R_b = -ln 10 j w q_b^2 R_b and d G / d log10 L_b = ln 10 w^2 q_b^2 L_b.
+    A row whose value or gradient is not finite is [-inf, 0, ...].  Each row
+    gets the reply it gets alone: LAPACK factors every matrix of a stack alone.
+    """
+    s_shape, ln10 = sys.nm.s_shape, math.log(10.0)
+    if objective == "min-damping-ratio":
+        a_matrix, i0 = _a_stack(sys), sys.n_states - len(s_shape)
+
+        def rows(r, l):
+            r_b, l_b = _branch_values(s_shape, r, l)
+            values, vectors = np.linalg.eig(a_matrix(r, l))
+            ratio, kept = _damping_ratios(values, band)
+            k = np.arange(len(values))
+            at = ratio.argmin(axis=-1)  # the active eigenvalue of each spectrum
+            lam, v = values[k, at], vectors[k, :, at]
+            unit = np.zeros(values.shape + (1,), dtype=complex)
+            unit[k, at] = 1.0
+            y = _solve_rows(np.swapaxes(vectors, -1, -2), unit)[..., 0]
+            # a row without an eigenvalue in the band, or with a defective one, warns
+            with np.errstate(all="ignore"):
+                yv = y[:, i0:] * v[:, i0:]
+                d_lam = -ln10 * np.concatenate(((r_b / l_b) * yv, lam[:, None] * yv), axis=1)
+                re, im = lam.real[:, None], lam.imag[:, None]
+                grad = im * (re * d_lam.imag - im * d_lam.real) / np.abs(lam)[:, None] ** 3
+            return _rows(np.where(kept, ratio[k, at], -np.inf), grad)
+        return rows
+
+    form = _charge_form(sys)
+    rhs, n, mp = form[3], len(form[0]), len(form[2])
+
+    def rows(r, l):
+        peaks, grads = [], []
+        for r_b, l_b in zip(*_branch_values(s_shape, r, l)):
+            magnitude = np.abs(_frf_values(form, r_b, l_b, grid)[0])
+            at = int(magnitude.argmax())
+            peaks.append(-magnitude[at])
+            if magnitude[at] == np.inf:  # a pole
+                grads.append(np.zeros(2 * len(r_b)))
+                continue
+            w = grid[at:at + 1]
+            mat = _fill_charge_form(np.empty((1, n, n), dtype=complex), form, r_b, l_b, w)
+            x = np.linalg.solve(mat, rhs[None])
+            g, q2 = _tip(x, rhs[:len(form[1])])[0], x[0, mp:, 0] ** 2
+            d_g = ln10 * np.concatenate((-1j * w * q2 * r_b, w * w * q2 * l_b))
+            grads.append(-(g.conjugate() * d_g).real / abs(g))
+        return _rows(np.array(peaks), np.array(grads))
+    return rows
+
+
+def _solve_rows(a, b):
+    """`np.linalg.solve` of a stack, nan where a matrix of it is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan, dtype=b.dtype)
+        for j, (a_j, b_j) in enumerate(zip(a, b)):
+            try:
+                out[j] = np.linalg.solve(a_j, b_j)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _rows(values, grads):
+    """[value, *gradient] rows; where the value or the gradient is not finite, [-inf, 0, ...]."""
+    finite = np.isfinite(values) & np.isfinite(grads).all(axis=-1)
+    return np.column_stack((np.where(finite, values, -np.inf),
+                            np.where(finite[:, None], grads, 0.0)))
 
 
 def _objective_value(objective, rm, r, l, grid=None):
@@ -588,7 +684,8 @@ def _box_fault(bounds):
 def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
          bounds=None, per_branch=False):
     """Optimize branch scales (rbar, lbar): on a ReducedModel by Newton from an exact
-    start, else, or when that point is refused, by a multi-start simplex in log space.
+    start, else, or when that point is refused, by a multi-start simplex in log space;
+    per branch by a multi-start BFGS.
 
     `model` is a ReducedModel or a CoupledSystem (for the latter the target
     mode, 1 by default, fixes the evaluation band and the seed comes from its
@@ -597,8 +694,8 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     closed-form seed scaled by the factor grid START_FACTORS^2; the best
     final objective wins, ties broken by lexicographic (rbar, lbar).  The
     starts advance in lockstep, each round's points evaluated as one stack,
-    with the results of nine separate runs.  They converge at NM_REL_TOL on
-    a CoupledSystem, whose result is the winner.
+    with the results of nine separate runs.  Their simplexes converge at
+    NM_REL_TOL on a CoupledSystem, whose result is the winner.
 
     A CoupledSystem's band and hinf grid sit on the beam mode's w_k, which
     the target poles of a strongly coupled floating network leave (M = 1,
@@ -623,8 +720,12 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
 
     With `per_branch` each branch b of a CoupledSystem gets its own scales,
     R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
-    box from the same starts; each start reports 10 to the mean log10 scale
-    of each kind, and the result also holds the branch values.
+    box from the same nine starts, in lockstep, by BFGS on exact gradients
+    (`bfgs._bfgs`, `_gradients`) of at most `bfgs.BFGS_MAX_ITER` iterations
+    each; see `_tune_per_branch`.  Each start reports 10 to the mean log10
+    scale of each kind and objectives by `_objective`; the result holds the
+    winner's, and also its branch values.  `improving` compares with the
+    centre start, the seed on the log10 lattice.
     """
     if objective not in ("min-damping-ratio", "hinf"):
         raise ParameterError(f"unknown objective {objective!r}")
@@ -632,14 +733,13 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
         target_mode = 1 if target_mode is None else target_mode
         omega_t = _target_omega(model, target_mode)
         band = _band(omega_t)
-        n = model.nm.n_branches if per_branch else 1
     elif per_branch:
         raise ParameterError("per-branch tuning needs the full coupled system")
     elif isinstance(model, ReducedModel):
         if target_mode is not None and (
                 fault := integer_fault(target_mode, model.target_mode, model.target_mode)):
             raise ParameterError(f"target mode {fault}")
-        omega_t, band, n = model.omega_m, None, 1
+        omega_t, band = model.omega_m, None
     else:
         raise ParameterError(f"cannot tune a {type(model).__name__}")
     reduced = isinstance(model, ReducedModel)
@@ -668,23 +768,19 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     if fault := _box_fault(bounds):
         raise ParameterError(fault)
 
-    def decode(rows):  # k points of 2n floats -> (rbar, lbar) rows, of k floats or (k, n) scales
+    def decode(rows):  # k points (log10 rbar, log10 lbar) -> k rbar and k lbar
         # scalar powers: numpy's vectorized power may differ from them in the last
         # ulp, by CPU, which moves the simplex path
-        powers = [[10.0 ** v for v in row] for row in rows]
-        if per_branch:
-            return [p[:n] for p in powers], [p[n:] for p in powers]
-        return [p[0] for p in powers], [p[1] for p in powers]
+        return [10.0 ** row[0] for row in rows], [10.0 ** row[1] for row in rows]
 
-    def summary(z):  # the (rbar, lbar) a start reports; the mean of one value is that value
-        return tuple(10.0 ** float(np.mean(z[k:k + n])) for k in (0, n))
+    lo, hi = (np.log10(side).tolist() for side in zip(*bounds))  # [R, L] ends
 
-    lo, hi = (np.repeat(np.log10(side), n).tolist() for side in zip(*bounds))  # [R, L] ends
+    def scales(z):  # the (rbar, lbar) of one point
+        return 10.0 ** float(z[0]), 10.0 ** float(z[1])
 
     def costs(z):  # what the searches minimize: inf outside the box and where not finite
         rows = z.tolist()
-        inside = [j for j, row in enumerate(rows)
-                  if not (any(map(lt, row, lo)) or any(map(gt, row, hi)))]
+        inside = [j for j, row in enumerate(rows) if _in_box(row, lo, hi)]
         out = [np.inf] * len(rows)
         if inside:
             values = evaluate(*decode([rows[j] for j in inside])).tolist()
@@ -693,26 +789,33 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
                     out[j] = -value
         return np.array(out)
 
-    z_starts = np.array([np.log10(np.repeat([r0 * fr, l0 * fl], n))
+    z_starts = np.array([np.log10([r0 * fr, l0 * fl])
                          for fr in START_FACTORS for fl in START_FACTORS])
     # the seed and the starts in one stack; like the seed, a start is evaluated
     # also outside the box
-    seed_rows = (np.full(n, r0), np.full(n, l0)) if per_branch else (r0, l0)
-    r_starts, l_starts = ([v0, *v] for v0, v in zip(seed_rows, decode(z_starts.tolist())))
+    r_starts, l_starts = ([v0, *v] for v0, v in zip((r0, l0), decode(z_starts.tolist())))
     if not reduced:  # this stack, and the box's corners widened for the log round trip:
         # every in-box row lies between them
         admit(r_starts, l_starts)
         admit(*([end[0] / _ROUND_TRIP, end[1] * _ROUND_TRIP] for end in bounds))
     grid = hinf_grid(omega_t) if objective == "hinf" else None
     evaluate = _objective(model, objective, band, grid)
-    finish = None
+    finish, branches = None, (None, None)
     if reduced and model.alpha > 0 and model.omega_m > 0:  # uncoupled, it has no exact start
         start = (r0, l0) if objective == "hinf" else _undamped_coalescence(model)
         scored = evaluate(*(([r0], [l0]) if objective == "hinf"
                             else ([r0, start[0]], [l0, start[1]]))).tolist()
         # scored against the seed: at zm = 0 the mdr start is the double pole itself
         finish = _polish(model, objective, *start, scored[0], grid, bounds, True)
-    if finish:
+    if per_branch:
+        records, winner, branches = _tune_per_branch(
+            model, evaluate, _gradients(model, objective, band, grid),
+            np.repeat(z_starts, model.nm.n_branches, axis=1), (lo, hi))
+        r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
+        converged = winner.converged
+        # the centre start is the seed on the log10 lattice
+        seed_objective = records[len(records) // 2].seed_objective
+    elif finish:
         (r, l, value, steps), polished, converged = finish, True, True
         seed_objective = scored[0]
         records = (StartRecord(r0=start[0], l0=start[1], r_opt=r, l_opt=l, objective=value,
@@ -720,22 +823,20 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     else:
         seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
         runs = []
+        search = partial(_nelder_mead, rel_tol=_GLOBAL_REL_TOL if reduced else NM_REL_TOL)
         for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
-                z_starts, start_objectives,
-                _lockstep(costs, z_starts, _GLOBAL_REL_TOL if reduced else NM_REL_TOL)):
-            (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
+                z_starts, start_objectives, _lockstep(costs, z_starts, search)):
             rec = StartRecord(
-                r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
-                objective=-f_opt, seed_objective=start_obj,
+                *scales(z_start), *scales(z_opt), objective=-f_opt, seed_objective=start_obj,
                 iterations=iterations,
                 # a simplex that shrank outside the box found no feasible point
                 converged=converged and bool(np.isfinite(f_opt)),
             )
-            runs.append((rec, z_opt, z_start))
+            runs.append((rec, z_start))
 
-        winner, z_opt, z_start = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt,
-                                                            run[0].l_opt))
-        records = tuple(rec for rec, *_ in runs)
+        winner, z_start = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt,
+                                                     run[0].l_opt))
+        records = tuple(rec for rec, _ in runs)
         r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
         converged = winner.converged
         if reduced:
@@ -743,20 +844,69 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
             if finish is None:  # the winner's start alone, at the full tolerance
                 ((z_opt, f_opt, _, converged),) = _lockstep(costs, [z_start])
                 converged = converged and f_opt < np.inf  # as a StartRecord's
-                r, l = summary(z_opt)
+                r, l = scales(z_opt)
                 value = (_objective_value(objective, model, r, l, grid=grid) if f_opt < np.inf
                          else -np.inf)
             else:
                 (r, l, value, _), polished, converged = finish, True, True
-    r_branches, l_branches = ((v[0] * model.nm.s_shape for v in decode([z_opt.tolist()]))
-                              if per_branch else (None, None))
     improving = value > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
-    return TuningResult(
-        r=r, l=l, objective=value,
-        kind=objective, converged=converged,
-        improving=improving, seed=(r0, l0), starts=records,
-        r_branches=r_branches, l_branches=l_branches, polished=polished,
-    )
+    return TuningResult(r=r, l=l, objective=value, kind=objective, converged=converged,
+                        improving=improving, seed=(r0, l0), starts=records,
+                        r_branches=branches[0], l_branches=branches[1], polished=polished)
+
+
+def _in_box(row, lo, hi):
+    """Whether the point `row` lies between the corners `lo` and `hi`, lists of floats."""
+    return not (any(map(lt, row, lo)) or any(map(gt, row, hi)))
+
+
+def _tune_per_branch(sys, evaluate, gradients, z_starts, box):
+    """(records, winner, [R_b, L_b]) of a per-branch `tune` of the CoupledSystem `sys`: the
+    StartRecords of one `_bfgs` per start, the winning record and its branch values.
+
+    `evaluate` and `gradients` are `tune`'s kernels `_objective` and
+    `_gradients`, `z_starts` the nine starts in log10 (rbar_1..rbar_B,
+    lbar_1..lbar_B) and `box` the log10 (R, L) corners.  The searches advance
+    in `_lockstep` on the cost -objective, inf outside the box, and each start
+    reports 10 to the mean log10 scale of each kind, its BFGS iterations and
+    its stationarity test as `converged`.  The objectives reported at the
+    starts and at the optima come from `evaluate`, the public definitions
+    (`eigvals`, or the FRF peak), in one stack of both: a start that never
+    moves reports objective = seed_objective, and one outside the box -inf.
+    The winner is the best objective, ties broken by lexicographic (rbar, lbar).
+    """
+    n = sys.nm.n_branches
+    lo, hi = (np.repeat(end, n).tolist() for end in box)
+
+    def decode(rows):  # k points of 2n floats -> k rows of n rbar and of n lbar
+        powers = [[10.0 ** v for v in row] for row in rows]  # scalar powers, as in `tune`
+        return [p[:n] for p in powers], [p[n:] for p in powers]
+
+    def replies(z):  # [cost, *its gradient] rows, the cost inf outside the box
+        rows = z.tolist()
+        out = np.zeros((len(rows), 1 + 2 * n))
+        out[:, 0] = np.inf
+        inside = [j for j, row in enumerate(rows) if _in_box(row, lo, hi)]
+        if inside:
+            out[inside] = -gradients(*decode([rows[j] for j in inside]))
+        return out
+
+    def summary(z):
+        return tuple(10.0 ** float(np.mean(z[k:k + n])) for k in (0, n))
+
+    runs = _lockstep(replies, z_starts, _bfgs)
+    z_opts = [z_opt for z_opt, *_ in runs]
+    scores = evaluate(*decode(np.concatenate((z_starts, z_opts)).tolist())).tolist()
+    records = tuple(
+        StartRecord(*summary(z_start), *summary(z_opt),
+                    objective=score if f_opt < np.inf else -np.inf, seed_objective=start_score,
+                    iterations=iterations, converged=converged)
+        for z_start, (z_opt, f_opt, iterations, converged), start_score, score
+        in zip(z_starts, runs, scores, scores[len(runs):]))
+    winner, z_opt = min(zip(records, z_opts), key=lambda run: (-run[0].objective, run[0].r_opt,
+                                                               run[0].l_opt))
+    return records, winner, [v[0] for v in _branch_values(sys.nm.s_shape,
+                                                          *decode([z_opt.tolist()]))]
 
 
 @dataclass(frozen=True)

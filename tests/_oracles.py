@@ -4,6 +4,7 @@ Everything here is deliberately written against the defining equations, not
 against the library code paths it checks.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -443,6 +444,25 @@ def min_damping_pointwise(values, band):
     return float((-values[keep].real / freq[keep]).min())
 
 
+def min_norm_enumerated(points):
+    """Length of the shortest vector in the convex hull of `points` (rows), by enumeration.
+
+    The shortest vector is the affine hull's shortest point of some face
+    whose weights are all nonnegative; every subset of the points is tried.
+    """
+    points = np.asarray(points, dtype=float)
+    best = np.inf
+    for size in range(1, len(points) + 1):
+        for subset in itertools.combinations(range(len(points)), size):
+            q = points[list(subset)]
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size], kkt[size, size] = q @ q.T, 0.0
+            w = np.linalg.lstsq(kkt, np.eye(size + 1)[size], rcond=None)[0][:size]
+            if np.all(w >= -1e-12) and abs(w.sum() - 1.0) < 1e-9:
+                best = min(best, float(np.linalg.norm(w @ q)))
+    return best
+
+
 def objective_pointwise(objective, model, r, l, band, grid):
     """One objective evaluation from freshly built matrices; larger is better.
 
@@ -468,42 +488,31 @@ def objective_pointwise(objective, model, r, l, band, grid):
 
 
 def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, bounds=None,
-                    per_branch=False, nelder_mead=nelder_mead_array, rel_tol=NM_REL_TOL):
-    """(starts, r_branches, l_branches) of `reduction.tune`, one start after another.
+                    nelder_mead=nelder_mead_array, rel_tol=NM_REL_TOL):
+    """The `StartRecord`s of a uniform `reduction.tune`'s simplex, one start after another.
 
     The multi-start loop `tune` ran before its starts advanced in lockstep:
     the nine starts of the 3x3 factor grid around the closed-form seed, each
     a separate `nelder_mead` run over log10 scales in the box, one
     `objective_pointwise` call per point, each run converging at `rel_tol`.
-    `starts` holds one `StartRecord` per start, in start order; the branch
-    values are None unless `per_branch`.
+    The records are in start order.
     """
     if isinstance(model, ReducedModel):
-        omega_t, band, n, rm = model.omega_m, None, 1, model
+        omega_t, band, rm = model.omega_m, None, model
     else:
         target_mode = target_mode or 1
         omega_t = float(model.basis.omega[target_mode - 1])
         band, rm = _band(omega_t), reduce(model, target_mode)
-        n = model.nm.n_branches if per_branch else 1
     grid = hinf_grid(omega_t) if objective == "hinf" else None
     r0, l0 = closed_form_seed(rm)
 
     def decode(z):
-        if per_branch:
-            return (np.array([10.0 ** v for v in z[:n].tolist()]),
-                    np.array([10.0 ** v for v in z[n:].tolist()]))
         return 10.0 ** z[0], 10.0 ** z[1]
-
-    def summary(z):
-        if per_branch:
-            return tuple(10.0 ** float(np.mean(v)) for v in (z[:n], z[n:]))
-        return decode(z)
 
     if bounds is None:
         bounds = (np.multiply(BOUNDS_FACTORS_R, r0), np.multiply(BOUNDS_FACTORS_L, l0))
     (r_lo, r_hi), (l_lo, l_hi) = bounds
-    lo = np.repeat(np.log10([r_lo, l_lo]), n)
-    hi = np.repeat(np.log10([r_hi, l_hi]), n)
+    lo, hi = np.log10([r_lo, l_lo]), np.log10([r_hi, l_hi])
 
     def cost(z):
         if ((z < lo) | (z > hi)).any():
@@ -511,22 +520,14 @@ def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, b
         value = objective_pointwise(objective, model, *decode(z), band, grid)
         return -value if np.isfinite(value) else np.inf
 
-    starts, best = [], None
+    starts = []
     for fr in (0.1, 1.0, 10.0):
         for fl in (0.1, 1.0, 10.0):
-            z_start = np.log10(np.repeat([r0 * fr, l0 * fl], n))
+            z_start = np.log10([r0 * fr, l0 * fl])
             start_obj = objective_pointwise(objective, model, *decode(z_start), band, grid)
             z_opt, f_opt, iterations, converged = nelder_mead(cost, z_start, rel_tol=rel_tol)
-            (r_start, l_start), (r_opt, l_opt) = summary(z_start), summary(z_opt)
-            rec = StartRecord(r0=r_start, l0=l_start, r_opt=r_opt, l_opt=l_opt,
-                              objective=-f_opt, seed_objective=start_obj,
-                              iterations=iterations,
-                              converged=converged and bool(np.isfinite(f_opt)))
-            starts.append(rec)
-            key = (-rec.objective, rec.r_opt, rec.l_opt)
-            if best is None or key < best[0]:
-                best = (key, z_opt)
-    if not per_branch:
-        return tuple(starts), None, None
-    r_b, l_b = decode(best[1])
-    return tuple(starts), r_b * model.nm.s_shape, l_b * model.nm.s_shape
+            starts.append(StartRecord(*decode(z_start), *decode(z_opt),
+                                      objective=-f_opt, seed_objective=start_obj,
+                                      iterations=iterations,
+                                      converged=converged and bool(np.isfinite(f_opt))))
+    return tuple(starts)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import piezoshunt as ps
-from piezoshunt import coupled, timesim
+from piezoshunt import cli, coupled, timesim
 from piezoshunt.cli import _COMMANDS, _parser, run_command
 from piezoshunt.config import _SCHEMA, TOPOLOGIES, load_config
 from piezoshunt.errors import ConfigError, NumericalError
@@ -525,6 +525,23 @@ def test_per_branch_optimize_prints_the_tuned_branch_values(tmp_path, capsys):
     assert out[at + 1:at + 3] == [f"branch R (ohm)   = {r_line}", f"branch L (H)     = {l_line}"]
 
 
+def test_default_per_branch_optimize_beats_the_uniform_tune_at_every_start(tmp_path):
+    # nine rows, each a finite positive damping no worse than at its start, and a
+    # winner above the uniform complete-model tune of the same system
+    text = "[network]\ntopology = multi_shunt\n[optimize]\nper_branch = true\n"
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "optimize_trace.csv").read_text().splitlines()
+    col = {name: j for j, name in enumerate(header.split(","))}
+    table = np.array([row.split(",") for row in rows], dtype=float)
+    objective, seed_objective = table[:, col["objective"]], table[:, col["seed_objective"]]
+    assert len(rows) == 9
+    assert np.all((0.0 < objective) & (objective < np.inf) & (objective >= seed_objective))
+    uniform = ps.tune(cli._build_system(load_config(text)), "min-damping-ratio")
+    assert objective.max() > uniform.objective
+
+
 def test_numerical_error_exits_2_with_its_message(tmp_path, capsys, monkeypatch):
     from piezoshunt import coupled
 
@@ -546,11 +563,13 @@ def test_numerical_error_exits_2_with_its_message(tmp_path, capsys, monkeypatch)
 ])
 def test_unconverged_tuning_warns_and_still_writes_its_csv(tmp_path, capsys, monkeypatch,
                                                            command, table, warnings):
-    from piezoshunt import reduction
+    from piezoshunt import bfgs, reduction
 
     # cases without a Newton polish, which would certify the returned point: optimize
-    # tunes per branch, and compare's reduced tunes meet a failed polish
+    # tunes per branch, by BFGS, and compare's reduced tunes meet a failed polish
     monkeypatch.setattr(reduction, "NM_MAX_ITER", 1)  # no simplex can shrink in one step
+    # nor gather, in one BFGS iteration, gradients whose hull reaches the origin
+    monkeypatch.setattr(bfgs, "BFGS_MAX_ITER", 1)
     monkeypatch.setattr(reduction, "_polish", lambda *args: None)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[beam]\nM = 2\n[patches]\nN = 2\n[network]\ntopology = multi_shunt\n"

@@ -15,7 +15,8 @@ from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import _a_stack, _min_damping, _objective, hinf_grid
 
 from _oracles import (char_poly_roots, conserved_charges, frf_mpmath, frf_pointwise, loop_currents,
-                      match_spectra, tags_pointwise, tip_compliance, zero_mode_count)
+                      match_spectra, objective_pointwise, tags_pointwise, tip_compliance,
+                      zero_mode_count)
 
 
 def _mechanical_poles(basis):
@@ -577,6 +578,32 @@ def test_hinf_objective_row_is_the_frf_peak_bit_for_bit(unit_beam, name):
             table = frf(sys_.with_branch_values(np.multiply(r[j], sys_.nm.s_shape),
                                                 np.multiply(l[j], sys_.nm.s_shape)), grid)
             assert peaks[j] == -np.max(np.abs(table.g))
+
+
+@pytest.mark.parametrize("objective, rtol", [("min-damping-ratio", 1e-6), ("hinf", 1e-8)])
+@pytest.mark.parametrize("name", ["multi_shunt", "parsed_unequal"])
+def test_per_branch_gradients_match_central_differences(unit_beam, name, objective, rtol):
+    # d value / d log10 scale against central differences of the public objective,
+    # evaluated from a fresh build at each point (h = 1e-6 in log10 units)
+    sys_ = _branch_systems(unit_beam)[name]
+    w1 = float(sys_.basis.omega[0])
+    band, grid = reduction._band(w1), hinf_grid(w1)
+    b = sys_.nm.n_branches
+    rng = np.random.default_rng(7)
+    r0, l0 = ps.closed_form_seed(ps.reduce(sys_))
+    z = np.log10(np.concatenate((r0 * 10.0 ** rng.uniform(-0.3, 0.3, b),
+                                 l0 * 10.0 ** rng.uniform(-0.05, 0.05, b))))
+
+    def value(z):
+        return objective_pointwise(objective, sys_, 10.0 ** z[:b], 10.0 ** z[b:], band, grid)
+
+    (row,) = reduction._gradients(sys_, objective, band, grid)(
+        [(10.0 ** z[:b]).tolist()], [(10.0 ** z[b:]).tolist()])
+    h, steps = 1e-6, np.eye(2 * b) * 1e-6
+    central = np.array([(value(z + e) - value(z - e)) / (2.0 * h) for e in steps])
+    assert row[0] == pytest.approx(value(z), rel=1e-12)
+    assert np.max(np.abs(row[1:] - central)) <= rtol * np.max(np.abs(central))
+    assert np.all(row[1:] != 0.0)
 
 
 def test_rewritten_branch_rows_equal_a_fresh_build(unit_beam):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import piezoshunt as ps
-from piezoshunt import cli, coupled, optima, reduction
+from piezoshunt import bfgs, cli, coupled, optima, reduction
 from piezoshunt.circuits import branch_fault
 from piezoshunt.config import load_config
 from piezoshunt.coupled import state_matrix
@@ -32,7 +32,7 @@ from piezoshunt.reduction import (
 )
 
 from _oracles import (frf_pointwise, generalized_eigh, match_spectra, min_damping_pointwise,
-                      nelder_mead_array, nelder_mead_lists, tune_sequential)
+                      min_norm_enumerated, nelder_mead_array, nelder_mead_lists, tune_sequential)
 
 
 def test_multi_shunt_uniform_electrical_modes():
@@ -569,7 +569,12 @@ def test_infeasible_starts_are_not_converged(bench_m1, per_branch):
     tr = tune(bench_m1, per_branch=per_branch, bounds=bounds)
     infeasible = [s for s in tr.starts if not np.isfinite(s.objective)]
     assert infeasible and not any(s.converged for s in infeasible)
-    assert all(s.converged for s in tr.starts if np.isfinite(s.objective))
+    for s in tr.starts:
+        if np.isfinite(s.objective) and not s.converged:
+            # a BFGS start whose line search ran into the box's wall: every trial past it
+            # costs inf, and no weak Wolfe step remains (the one branch's scales are r, l)
+            assert per_branch and any(np.isclose(v, end, rtol=1e-6) for v, side in
+                                      zip((s.r_opt, s.l_opt), bounds) for end in side)
     assert tr.converged and np.isfinite(tr.objective)
 
     # a box that holds none of the nine starts leaves every start infeasible
@@ -711,12 +716,12 @@ def _winner(starts):
 def test_polished_optima_beat_the_full_tolerance_simplex(build, basis5, patches5, zeta_m):
     rm = dataclasses.replace(_undamped_reduction(build, basis5, patches5), zeta_m=zeta_m)
     mdr = tune(rm)
-    reference, *_ = tune_sequential(rm)  # nine starts at NM_REL_TOL, no polish
+    reference = tune_sequential(rm)  # nine starts at NM_REL_TOL, no polish
     assert mdr.polished and mdr.objective >= _winner(reference).objective
     assert mdr.objective == _min_damping(np.linalg.eigvals(rm.a_matrix(mdr.r, mdr.l)), None)
 
     hinf = tune(rm, "hinf")
-    reference, *_ = tune_sequential(rm, "hinf")
+    reference = tune_sequential(rm, "hinf")
     peak, maxima = _dense_peaks(rm, hinf.r, hinf.l)
     assert hinf.polished and len(maxima) == 2
     assert maxima[0] == pytest.approx(maxima[1], rel=1e-8)  # the equal-peak point
@@ -738,7 +743,7 @@ def test_polish_outside_the_box_falls_back_to_the_full_tolerance_simplex(bench_m
     assert bounds[0][0] <= tr.r <= bounds[0][1] and bounds[1][0] <= tr.l <= bounds[1][1]
     # the winner's start alone at NM_REL_TOL, as the sequential reference runs it
     winner = tr.starts.index(_winner(tr.starts))
-    full = tune_sequential(rm, objective, bounds=bounds)[0][winner]
+    full = tune_sequential(rm, objective, bounds=bounds)[winner]
     assert (tr.r, tr.l) == (full.r_opt, full.l_opt)
     grid = hinf_grid(rm.omega_m)
     assert tr.objective == _objective_value(objective, rm, tr.r, tr.l, grid=grid)
@@ -849,6 +854,19 @@ def test_newton_path_is_no_worse_than_the_simplex_fallback_on_random_models(monk
                 if len(tr.starts) == 1:  # a refused first try is the fallback path already
                     want = tune(rm, objective).objective
                     assert tr.objective >= want - 1e-9 * abs(want), (rm, objective)
+
+
+def test_continued_coalescence_is_quick_where_zeta_m_is_many_times_kappa():
+    # 2 zm = 20 kappa: twenty continuation solves, each from the last root stepped
+    # along its tangent; from the last root alone they took 263 Newton steps
+    rm = ReducedModel(target_mode=1, omega_m=3.0, zeta_m=0.118, mu_star=1e6,
+                      alpha=0.0118 * 3.0, tip_gain=1.0)
+    (r, l), steps = optima._coalescence(rm, *optima._undamped_coalescence(rm), continued=True)
+    assert steps <= 60
+    # the two pole pairs coincide, up to the split of COALESCENCE_OFFSET (about 1e-4)
+    poles = np.linalg.eigvals(rm.a_matrix(r, l))
+    upper = poles[poles.imag > 0]
+    assert len(upper) == 2 and abs(upper[0] - upper[1]) <= 1e-3 * abs(upper[0])
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.6])
@@ -1007,6 +1025,22 @@ def _plateaued_quadratic(d):
     return f
 
 
+@settings(max_examples=200, deadline=None)
+@given(points=st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), min_size=1, max_size=6)))
+def test_min_norm_is_the_hull_point_nearest_the_origin(points):
+    assert bfgs._min_norm(points) == pytest.approx(min_norm_enumerated(points), abs=1e-9)
+
+
+def test_min_norm_finds_the_origin_and_the_nearest_face():
+    # the origin inside the hull of a cross, and the middle of a segment
+    assert bfgs._min_norm([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) <= 1e-15
+    assert bfgs._min_norm([[1.0, 1.0], [1.0, -1.0], [3.0, 0.0]]) == pytest.approx(1.0)
+    # the stationarity test settles the far case on its bound alone
+    assert not bfgs._stationary([[5.0, 0.0], [4.0, 1.0]], 1.0)
+    assert bfgs._stationary([[1.0, 0.0], [-1.0, 1e-9]], 1e-6)
+
+
 @pytest.mark.parametrize("d", [4, 10, 16])
 def test_tied_vertices_keep_their_order(d):
     f = _plateaued_quadratic(d)
@@ -1131,7 +1165,7 @@ def test_complete_model_tune_admits_its_branch_values_where_they_enter(unit_beam
 TUNE_FIELDS = ("r0", "l0", "r_opt", "l_opt", "objective", "seed_objective")
 
 
-def _bits(starts, r_branches, l_branches):
+def _bits(starts, r_branches=None, l_branches=None):
     """Every StartRecord field and branch value, floats as float.hex."""
     records = [tuple(float(getattr(s, k)).hex() for k in TUNE_FIELDS) + (s.iterations, s.converged)
                for s in starts]
@@ -1145,15 +1179,14 @@ def _small_system(beam, build, m=3, n=3):
     return ps.assemble(basis, patches, build(n, 100.0, 1.0))
 
 
-@pytest.mark.parametrize("case", ["reduced-mdr", "reduced-hinf", "full-mdr", "full-hinf",
-                                  "per_branch-mdr"])
+@pytest.mark.parametrize("case", ["reduced-mdr", "reduced-hinf", "full-mdr", "full-hinf"])
 @pytest.mark.parametrize("build", TOPOLOGIES, ids=TOPOLOGY_IDS)
 def test_tune_equals_the_sequential_multi_start_bit_for_bit(unit_beam, build, case):
     kind, objective = case.split("-")
     objective = "hinf" if objective == "hinf" else "min-damping-ratio"
     sys_ = _small_system(unit_beam, build)
     model = reduce(sys_) if kind == "reduced" else sys_
-    per_branch, bounds = kind == "per_branch", None
+    bounds = None
     if case == "full-hinf":
         # a 400-point FRF per evaluation: a box that holds one start of the nine
         # keeps it short, and the other eight search outside it, unevaluated
@@ -1166,12 +1199,12 @@ def test_tune_equals_the_sequential_multi_start_bit_for_bit(unit_beam, build, ca
         r0, l0 = closed_form_seed(model)
         r_box = (0.05 * r0, 1.2 * r0) if objective == "min-damping-ratio" else (0.9 * r0, 20 * r0)
         bounds = (r_box, (0.05 * l0, 20.0 * l0))
-    tr = tune(model, objective, bounds=bounds, per_branch=per_branch)
+    tr = tune(model, objective, bounds=bounds)
     assert kind != "reduced" or not tr.polished
     # a ReducedModel's simplex is the global stage, at its own looser tolerance
     rel_tol = reduction._GLOBAL_REL_TOL if kind == "reduced" else reduction.NM_REL_TOL
-    want = tune_sequential(model, objective, bounds=bounds, per_branch=per_branch, rel_tol=rel_tol)
-    assert _bits(tr.starts, tr.r_branches, tr.l_branches) == _bits(*want)
+    want = tune_sequential(model, objective, bounds=bounds, rel_tol=rel_tol)
+    assert _bits(tr.starts) == _bits(want)
 
 
 def _multi_shunt_m3(beam):
@@ -1180,36 +1213,45 @@ def _multi_shunt_m3(beam):
 
 def test_per_branch_tune_builds_the_state_matrix_once(unit_beam, monkeypatch):
     sys_ = _multi_shunt_m3(unit_beam)
-    counts = {"state_matrix": 0, "eigvals": 0, "rows": 0}
+    counts = {"state_matrix": 0, "eig": 0, "eigvals": 0, "rows": 0}
 
     def build(*args):
         counts["state_matrix"] += 1
         return state_matrix(*args)
 
-    def eigvals(a, solve=np.linalg.eigvals):
-        counts["eigvals"] += 1
-        counts["rows"] += len(a)
-        return solve(a)
+    def counted(name, solve):
+        def decompose(a):
+            counts[name] += 1
+            counts["rows"] += len(a)
+            return solve(a)
+        return decompose
 
     monkeypatch.setattr(coupled, "state_matrix", build)
     monkeypatch.setattr(reduction, "state_matrix", build)
-    monkeypatch.setattr(reduction.np.linalg, "eigvals", eigvals)
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(reduction.np.linalg, name, counted(name, getattr(np.linalg, name)))
     tr = tune(sys_, per_branch=True)
     assert counts["state_matrix"] <= 2  # not once per evaluation
-    # every round's points are one stack: one eigvals call per round, not per point
-    assert counts["rows"] > 1000 and counts["eigvals"] <= counts["rows"] / 3
-    # the seed and starts, then up to three rounds per iteration of the longest search
-    assert counts["eigvals"] <= 2 + 3 * max(s.iterations for s in tr.starts)
+    # every round's points are one stack: one eig call per round, not per point
+    assert counts["rows"] > 500 and counts["eig"] <= counts["rows"] / 3
+    # the BFGS rounds, at most the line search's trials per iteration of the longest
+    # search, and one eigvals stack that scores the starts and the optima
+    assert counts["eig"] <= 1 + bfgs._WOLFE_TRIALS * max(s.iterations for s in tr.starts)
+    assert counts["eigvals"] == 1
 
 
-def test_per_branch_tune_follows_the_rebuilding_list_simplex_bit_for_bit(unit_beam):
-    sys_ = _multi_shunt_m3(unit_beam)
-    got = _bits(*(lambda tr: (tr.starts, tr.r_branches, tr.l_branches))(tune(sys_, per_branch=True)))
-    # the reference on the same build: a state matrix built anew from a rescaled
-    # copy on every evaluation, one start after another, and the list-based simplex
-    want = _bits(*tune_sequential(sys_, per_branch=True, nelder_mead=nelder_mead_lists))
-    assert got == want
-    assert sum(converged for *_, converged in got[0]) not in (0, len(got[0]))  # both kinds
+@pytest.mark.parametrize("build", TOPOLOGIES, ids=TOPOLOGY_IDS)
+def test_bfgs_lockstep_equals_each_start_alone_bit_for_bit(unit_beam, monkeypatch, build):
+    sys_ = _small_system(unit_beam, build)
+    together = tune(sys_, per_branch=True)
+    lockstep = reduction._lockstep
+    monkeypatch.setattr(reduction, "_lockstep", lambda batch, starts, search: [
+        lockstep(batch, [z0], search)[0] for z0 in starts])
+    alone = tune(sys_, per_branch=True)
+    assert (_bits(together.starts, together.r_branches, together.l_branches)
+            == _bits(alone.starts, alone.r_branches, alone.l_branches))
+    # the searches end in different rounds, so the stacks shrink as they go
+    assert len({s.iterations for s in together.starts}) > 1
 
 
 def _seed_and_box(rm):
