@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from operator import add, gt, lt
@@ -313,7 +312,7 @@ def _nelder_mead(z0, rel_tol=NM_REL_TOL):
     values, Python floats and never nan: the d+1 vertices at the start, one
     point per reflect, expand or contract step and d points per shrink.
     `_lockstep` drives it.  The simplex is d+1 vertex lists and their values
-    a list, kept sorted best first as a stable sort orders them, so vertices
+    a list, sorted best first by a stable sort each iteration, so vertices
     of equal value keep their order.  The arithmetic is that of one
     (d+1, d) array: the centroid is summed vertex by vertex from vertex 0,
     as `np.add.reduce` sums rows.  Converges when the simplex diameter drops
@@ -325,22 +324,13 @@ def _nelder_mead(z0, rel_tol=NM_REL_TOL):
     d = len(z0)
     simplex = [z0] + [z0[:j] + [z0[j] + NM_STEP] + z0[j + 1:] for j in range(d)]
     values = (yield simplex)
-    # at least every |coordinate| so far: the cheap half of the convergence test
-    bound = max(0.0, *map(abs, chain.from_iterable(simplex)))
 
     iterations = 0
     converged = False
-    resort = True  # more than the last vertex is new: at the start and after a shrink
     while iterations < NM_MAX_ITER:
-        if resort:
-            order = sorted(range(d + 1), key=values.__getitem__)
-            simplex, values = [simplex[i] for i in order], [values[i] for i in order]
-        else:  # the rest is in order: the last vertex goes where a stable sort puts it
-            at = bisect_right(values, values[-1], 0, d)
-            simplex.insert(at, simplex.pop())
-            values.insert(at, values.pop())
-
-        if _simplex_converged(simplex, bound, rel_tol):
+        order = sorted(range(d + 1), key=values.__getitem__)
+        simplex, values = [simplex[i] for i in order], [values[i] for i in order]
+        if _simplex_converged(simplex, rel_tol):
             converged = True
             break
 
@@ -353,7 +343,6 @@ def _nelder_mead(z0, rel_tol=NM_REL_TOL):
 
         reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         (f_r,) = yield [reflected]
-        resort = False
         if f_r < values[0]:
             expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             (f_e,) = yield [expanded]
@@ -373,35 +362,20 @@ def _nelder_mead(z0, rel_tol=NM_REL_TOL):
                 simplex[1:] = [[a + 0.5 * (b - a) for a, b in zip(first, vertex)]
                                for vertex in simplex[1:]]
                 values[1:] = yield simplex[1:]
-                resort = True
-        new = simplex[1:] if resort else simplex[-1:]
-        bound = max(bound, *map(abs, chain.from_iterable(new)))
 
     best = min(range(d + 1), key=values.__getitem__)
     return np.array(simplex[best]), float(values[best]), iterations, converged
 
 
-def _simplex_converged(simplex, bound, rel_tol):
+def _simplex_converged(simplex, rel_tol):
     """Whether every vertex of the sorted simplex lies within rel_tol * (1 + its largest
-    |coordinate|) of the best one, coordinate by coordinate; False when a coordinate is nan.
-
-    `bound` is at least every |coordinate|, so an offset of rel_tol * (1 + bound) or
-    more decides the test without scanning the whole simplex.
-    """
-    best = simplex[0]
-    loose = rel_tol * (1.0 + bound)
-    for vertex in simplex[1:]:
-        for a, b in zip(vertex, best):
-            if abs(a - b) >= loose:
-                return False
-    offsets = [abs(a - b) for vertex in simplex[1:] for a, b in zip(vertex, best)]
-    if any(v != v for v in offsets):  # a nan coordinate makes an offset nan
-        return False
-    scale = 1.0 + max(abs(v) for v in chain.from_iterable(simplex))
-    return max(offsets) < rel_tol * scale
+    |coordinate|) of the best one, coordinate by coordinate; False when a coordinate is nan,
+    whose offsets are nan."""
+    tol = rel_tol * (1.0 + max(abs(v) for v in chain.from_iterable(simplex)))
+    return all(abs(a - b) < tol for vertex in simplex[1:] for a, b in zip(vertex, simplex[0]))
 
 
-def _lockstep(batch, starts, search=_nelder_mead):
+def _lockstep(batch, starts, search):
     """Run one `search` per start, all of them advancing together.
 
     `search(z0)` is a generator such as `_nelder_mead` or `_bfgs`.  Each round
@@ -498,7 +472,9 @@ def _objective(model, objective, band=None, grid=None):
     `_objective_value` and `validate_reduction`, which read the public
     definitions.  A ReducedModel's kernels are its `_a_matrix` and `_gain_sq`;
     a CoupledSystem's state matrix and charge form are prepared here, once.
-    The rows are lists of k floats or, for a CoupledSystem, (k, B) per-branch scales.
+    The rows are lists of k floats or k rows of n scales, n = B per branch
+    of a CoupledSystem and 1 otherwise; a ReducedModel's values then come in
+    (k, 1).
     "min-damping-ratio" is the smallest damping ratio inside `band` (None
     for all poles); "hinf" is the negated largest |G| on `grid`, the
     `hinf_grid` of the target frequency, and -inf when a sample is a pole.
@@ -722,7 +698,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     R_b = rbar_b * s_shape_b and L_b = lbar_b * s_shape_b, searched in the same
     box from the same nine starts, in lockstep, by BFGS on exact gradients
     (`bfgs._bfgs`, `_gradients`) of at most `bfgs.BFGS_MAX_ITER` iterations
-    each; see `_tune_per_branch`.  Each start reports 10 to the mean log10
+    each; see `_multi_start`.  Each start reports 10 to the mean log10
     scale of each kind and objectives by `_objective`; the result holds the
     winner's, and also its branch values.  `improving` compares with the
     centre start, the seed on the log10 lattice.
@@ -768,91 +744,49 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     if fault := _box_fault(bounds):
         raise ParameterError(fault)
 
-    def decode(rows):  # k points (log10 rbar, log10 lbar) -> k rbar and k lbar
-        # scalar powers: numpy's vectorized power may differ from them in the last
-        # ulp, by CPU, which moves the simplex path
-        return [10.0 ** row[0] for row in rows], [10.0 ** row[1] for row in rows]
-
     lo, hi = (np.log10(side).tolist() for side in zip(*bounds))  # [R, L] ends
-
-    def scales(z):  # the (rbar, lbar) of one point
-        return 10.0 ** float(z[0]), 10.0 ** float(z[1])
-
-    def costs(z):  # what the searches minimize: inf outside the box and where not finite
-        rows = z.tolist()
-        inside = [j for j, row in enumerate(rows) if _in_box(row, lo, hi)]
-        out = [np.inf] * len(rows)
-        if inside:
-            values = evaluate(*decode([rows[j] for j in inside])).tolist()
-            for j, value in zip(inside, values):
-                if -np.inf < value < np.inf:
-                    out[j] = -value
-        return np.array(out)
-
     z_starts = np.array([np.log10([r0 * fr, l0 * fl])
                          for fr in START_FACTORS for fl in START_FACTORS])
-    # the seed and the starts in one stack; like the seed, a start is evaluated
-    # also outside the box
-    r_starts, l_starts = ([v0, *v] for v0, v in zip((r0, l0), decode(z_starts.tolist())))
-    if not reduced:  # this stack, and the box's corners widened for the log round trip:
-        # every in-box row lies between them
-        admit(r_starts, l_starts)
+    if not reduced:  # the seed and the starts as the search decodes them, and the box's
+        # corners widened for the log round trip: every in-box row lies between them
+        admit(*([v0] + [10.0 ** z[k] for z in z_starts.tolist()] for k, v0 in enumerate((r0, l0))))
         admit(*([end[0] / _ROUND_TRIP, end[1] * _ROUND_TRIP] for end in bounds))
     grid = hinf_grid(omega_t) if objective == "hinf" else None
     evaluate = _objective(model, objective, band, grid)
-    finish, branches = None, (None, None)
-    if reduced and model.alpha > 0 and model.omega_m > 0:  # uncoupled, it has no exact start
-        start = (r0, l0) if objective == "hinf" else _undamped_coalescence(model)
-        scored = evaluate(*(([r0], [l0]) if objective == "hinf"
-                            else ([r0, start[0]], [l0, start[1]]))).tolist()
-        # scored against the seed: at zm = 0 the mdr start is the double pole itself
-        finish = _polish(model, objective, *start, scored[0], grid, bounds, True)
-    if per_branch:
-        records, winner, branches = _tune_per_branch(
-            model, evaluate, _gradients(model, objective, band, grid),
-            np.repeat(z_starts, model.nm.n_branches, axis=1), (lo, hi))
-        r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
-        converged = winner.converged
-        # the centre start is the seed on the log10 lattice
-        seed_objective = records[len(records) // 2].seed_objective
-    elif finish:
-        (r, l, value, steps), polished, converged = finish, True, True
-        seed_objective = scored[0]
-        records = (StartRecord(r0=start[0], l0=start[1], r_opt=r, l_opt=l, objective=value,
-                               seed_objective=scored[-1], iterations=steps, converged=True),)
+    exact = reduced and model.alpha > 0 and model.omega_m > 0  # uncoupled, it has no exact start
+    start = _undamped_coalescence(model) if exact and objective != "hinf" else (r0, l0)
+    if not per_branch:  # scored against the seed: at zm = 0 the mdr start is the double pole
+        seed_objective, start_objective = evaluate([r0, start[0]], [l0, start[1]]).tolist()
+    finish = exact and _polish(model, objective, *start, seed_objective, grid, bounds, True)
+    branches = (None, None)
+    if finish:
+        records = (StartRecord(*start, *finish[:3], seed_objective=start_objective,
+                               iterations=finish[3], converged=True),)
     else:
-        seed_objective, *start_objectives = evaluate(r_starts, l_starts).tolist()
-        runs = []
-        search = partial(_nelder_mead, rel_tol=_GLOBAL_REL_TOL if reduced else NM_REL_TOL)
-        for z_start, start_obj, (z_opt, f_opt, iterations, converged) in zip(
-                z_starts, start_objectives, _lockstep(costs, z_starts, search)):
-            rec = StartRecord(
-                *scales(z_start), *scales(z_opt), objective=-f_opt, seed_objective=start_obj,
-                iterations=iterations,
-                # a simplex that shrank outside the box found no feasible point
-                converged=converged and bool(np.isfinite(f_opt)),
-            )
-            runs.append((rec, z_start))
-
-        winner, z_start = min(runs, key=lambda run: (-run[0].objective, run[0].r_opt,
-                                                     run[0].l_opt))
-        records = tuple(rec for rec, _ in runs)
-        r, l, value, polished = winner.r_opt, winner.l_opt, winner.objective, False
-        converged = winner.converged
-        if reduced:
-            finish = _polish(model, objective, r, l, value, grid, bounds)
-            if finish is None:  # the winner's start alone, at the full tolerance
-                ((z_opt, f_opt, _, converged),) = _lockstep(costs, [z_start])
-                converged = converged and f_opt < np.inf  # as a StartRecord's
-                r, l = scales(z_opt)
-                value = (_objective_value(objective, model, r, l, grid=grid) if f_opt < np.inf
-                         else -np.inf)
-            else:
-                (r, l, value, _), polished, converged = finish, True, True
+        n = model.nm.n_branches if per_branch else 1
+        kernel, search = ((_gradients(model, objective, band, grid), _bfgs) if per_branch else
+                          (evaluate, partial(_nelder_mead,
+                                             rel_tol=_GLOBAL_REL_TOL if reduced else NM_REL_TOL)))
+        records, j, scales = _multi_start(evaluate, kernel, search,
+                                          np.repeat(z_starts, n, axis=1), (lo, hi))
+        winner = records[j]
+        if per_branch:
+            branches = [v[0] for v in _branch_values(model.nm.s_shape, *scales)]
+            seed_objective = records[len(records) // 2].seed_objective  # the seed on the lattice
+        elif reduced and not (finish := _polish(model, objective, winner.r_opt, winner.l_opt,
+                                                winner.objective, grid, bounds)):
+            # the winner's start alone, at the full tolerance
+            (winner,), _, _ = _multi_start(evaluate, evaluate, _nelder_mead,
+                                           z_starts[j:j + 1], (lo, hi))
+            if winner.objective > -np.inf:
+                winner = replace(winner, objective=_objective_value(
+                    objective, model, winner.r_opt, winner.l_opt, grid=grid))
+    r, l, value = (finish or (winner.r_opt, winner.l_opt, winner.objective))[:3]
+    converged = bool(finish) or winner.converged
     improving = value > seed_objective + 1e-9 * max(abs(seed_objective), 1e-300)
     return TuningResult(r=r, l=l, objective=value, kind=objective, converged=converged,
                         improving=improving, seed=(r0, l0), starts=records,
-                        r_branches=branches[0], l_branches=branches[1], polished=polished)
+                        r_branches=branches[0], l_branches=branches[1], polished=bool(finish))
 
 
 def _in_box(row, lo, hi):
@@ -860,53 +794,58 @@ def _in_box(row, lo, hi):
     return not (any(map(lt, row, lo)) or any(map(gt, row, hi)))
 
 
-def _tune_per_branch(sys, evaluate, gradients, z_starts, box):
-    """(records, winner, [R_b, L_b]) of a per-branch `tune` of the CoupledSystem `sys`: the
-    StartRecords of one `_bfgs` per start, the winning record and its branch values.
+def _multi_start(evaluate, kernel, search, z_starts, box):
+    """(records, j, scales) of one `search` per start in `_lockstep`: their StartRecords, the
+    index j of the winner and its scales, ([rbar_1..rbar_n], [lbar_1..lbar_n]) in lists of one.
 
-    `evaluate` and `gradients` are `tune`'s kernels `_objective` and
-    `_gradients`, `z_starts` the nine starts in log10 (rbar_1..rbar_B,
-    lbar_1..lbar_B) and `box` the log10 (R, L) corners.  The searches advance
-    in `_lockstep` on the cost -objective, inf outside the box, and each start
-    reports 10 to the mean log10 scale of each kind, its BFGS iterations and
-    its stationarity test as `converged`.  The objectives reported at the
-    starts and at the optima come from `evaluate`, the public definitions
-    (`eigvals`, or the FRF peak), in one stack of both: a start that never
-    moves reports objective = seed_objective, and one outside the box -inf.
-    The winner is the best objective, ties broken by lexicographic (rbar, lbar).
+    Every search of `tune` runs here.  `z_starts` are the starts in log10
+    (rbar_1..rbar_n, lbar_1..lbar_n), n = 1 unless per branch, and `box` the
+    log10 (R, L) corners.  Points decode by scalar powers 10.0 ** v: numpy's
+    vectorized power may differ from them in the last ulp, by CPU, which
+    moves the search.  The searches minimize the negated `kernel`, `evaluate`
+    itself for `_nelder_mead` or rows [value, *gradient] of `_gradients` for
+    `_bfgs`; the cost is inf outside the box and where not finite.  Each
+    start reports 10 to the mean log10 scale of each kind, its iterations and
+    its `converged`, which needs a finite cost.  The objectives reported at
+    the starts and at the optima come from `evaluate`, the kernel
+    `_objective`, in one stack of both: a start that never moves reports
+    objective = seed_objective, and one outside the box -inf.  The winner is
+    the best objective, ties broken by lexicographic (rbar, lbar).
     """
-    n = sys.nm.n_branches
+    n = len(z_starts[0]) // 2
     lo, hi = (np.repeat(end, n).tolist() for end in box)
+    tail = () if kernel is evaluate else (1 + 2 * n,)  # a value or a row per point
 
     def decode(rows):  # k points of 2n floats -> k rows of n rbar and of n lbar
-        powers = [[10.0 ** v for v in row] for row in rows]  # scalar powers, as in `tune`
+        powers = [[10.0 ** v for v in row] for row in rows]
         return [p[:n] for p in powers], [p[n:] for p in powers]
 
-    def replies(z):  # [cost, *its gradient] rows, the cost inf outside the box
+    def batch(z):
         rows = z.tolist()
-        out = np.zeros((len(rows), 1 + 2 * n))
-        out[:, 0] = np.inf
         inside = [j for j, row in enumerate(rows) if _in_box(row, lo, hi)]
+        out = np.full((len(rows), *tail), np.inf)
         if inside:
-            out[inside] = -gradients(*decode([rows[j] for j in inside]))
+            replies = kernel(*decode([rows[j] for j in inside]))
+            out[inside] = -np.reshape(replies, (len(inside), *tail))
+        cost = out[:, 0] if tail else out
+        cost[~np.isfinite(cost)] = np.inf
         return out
 
     def summary(z):
         return tuple(10.0 ** float(np.mean(z[k:k + n])) for k in (0, n))
 
-    runs = _lockstep(replies, z_starts, _bfgs)
+    runs = _lockstep(batch, z_starts, search)
     z_opts = [z_opt for z_opt, *_ in runs]
-    scores = evaluate(*decode(np.concatenate((z_starts, z_opts)).tolist())).tolist()
+    scores = np.ravel(evaluate(*decode(np.concatenate((z_starts, z_opts)).tolist()))).tolist()
     records = tuple(
         StartRecord(*summary(z_start), *summary(z_opt),
                     objective=score if f_opt < np.inf else -np.inf, seed_objective=start_score,
-                    iterations=iterations, converged=converged)
+                    iterations=iterations, converged=converged and f_opt < np.inf)
         for z_start, (z_opt, f_opt, iterations, converged), start_score, score
         in zip(z_starts, runs, scores, scores[len(runs):]))
-    winner, z_opt = min(zip(records, z_opts), key=lambda run: (-run[0].objective, run[0].r_opt,
-                                                               run[0].l_opt))
-    return records, winner, [v[0] for v in _branch_values(sys.nm.s_shape,
-                                                          *decode([z_opt.tolist()]))]
+    j = min(range(len(records)),
+            key=lambda j: (-records[j].objective, records[j].r_opt, records[j].l_opt))
+    return records, j, decode([z_opts[j].tolist()])
 
 
 @dataclass(frozen=True)

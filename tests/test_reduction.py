@@ -856,6 +856,22 @@ def test_newton_path_is_no_worse_than_the_simplex_fallback_on_random_models(monk
                     assert tr.objective >= want - 1e-9 * abs(want), (rm, objective)
 
 
+def test_hinf_optimum_whose_second_peak_is_the_band_end_is_polished():
+    # zm = 2.1 kappa: the equal peaks are one interior maximum and |G| at the band's
+    # lower end, which `_equal_peaks` pins there; the simplex alone stopped 2.7e-7 short
+    rm = list(_random_reduced_models(59))[58]
+    tr = tune(rm, "hinf")
+    assert tr.polished and tr.converged
+    grid = hinf_grid(rm.omega_m)
+    dense = np.linspace(grid[0], grid[-1], 100001)
+    gain = np.sqrt(rm.gain_sq(tr.r, tr.l, dense))
+    inner = gain[1:-1]
+    (peak,) = np.nonzero((inner > gain[:-2]) & (inner >= gain[2:]))[0] + 1
+    assert gain[0] > gain[-1]
+    assert gain[peak] == pytest.approx(gain[0], rel=1e-8)
+    assert -tr.objective == pytest.approx(gain[0], rel=1e-12)
+
+
 def test_continued_coalescence_is_quick_where_zeta_m_is_many_times_kappa():
     # 2 zm = 20 kappa: twenty continuation solves, each from the last root stepped
     # along its tangent; from the last root alone they took 263 Newton steps
@@ -936,7 +952,8 @@ def _walled_quadratic(z):
 
 def _run_alone(f, z0):
     """One `_nelder_mead` search driven by `_lockstep`, one `f` call per point."""
-    (result,) = reduction._lockstep(lambda points: np.array([f(z) for z in points]), [z0])
+    (result,) = reduction._lockstep(lambda points: np.array([f(z) for z in points]), [z0],
+                                    reduction._nelder_mead)
     return result
 
 
@@ -988,7 +1005,7 @@ def test_lockstep_searches_equal_separate_runs(problem):
         batches.append(len(points))
         return np.array([f(z) for z in points])
 
-    got = reduction._lockstep(batch, starts)
+    got = reduction._lockstep(batch, starts, reduction._nelder_mead)
     steps, calls = [], []
 
     def counted(z):
@@ -1005,7 +1022,7 @@ def test_lockstep_searches_equal_separate_runs(problem):
     rounds = [len(batches)]
     for z0 in starts:
         batches.clear()
-        reduction._lockstep(batch, [z0])
+        reduction._lockstep(batch, [z0], reduction._nelder_mead)
         rounds.append(len(batches))
     assert rounds[0] == max(rounds[1:])
 
@@ -1047,7 +1064,8 @@ def test_tied_vertices_keep_their_order(d):
     rng = np.random.default_rng(d)
     starts = [np.zeros(d), np.full(d, 0.02), *np.round(rng.uniform(-0.3, 0.3, (4, d)), 2),
               np.full(d, 2.0)]
-    got = reduction._lockstep(lambda points: np.array([f(z) for z in points]), starts)
+    got = reduction._lockstep(lambda points: np.array([f(z) for z in points]), starts,
+                              reduction._nelder_mead)
     tied = []
     for z0, (z, f_best, iterations, converged) in zip(starts, got):
         sorted_values = []
@@ -1211,9 +1229,10 @@ def _multi_shunt_m3(beam):
     return _small_system(beam, ps.build_multi_shunt)
 
 
-def test_per_branch_tune_builds_the_state_matrix_once(unit_beam, monkeypatch):
-    sys_ = _multi_shunt_m3(unit_beam)
-    counts = {"state_matrix": 0, "eig": 0, "eigvals": 0, "rows": 0}
+def _counted_tune(monkeypatch, sys_, per_branch):
+    """(result, counts) of `tune(sys_)`: state matrices built, eig and eigvals calls and
+    their rows, and the lockstep rounds."""
+    counts = {"state_matrix": 0, "eig": 0, "eigvals": 0, "rows": 0, "rounds": 0}
 
     def build(*args):
         counts["state_matrix"] += 1
@@ -1226,18 +1245,42 @@ def test_per_branch_tune_builds_the_state_matrix_once(unit_beam, monkeypatch):
             return solve(a)
         return decompose
 
+    lockstep = reduction._lockstep
+
+    def rounds(batch, starts, search):
+        def one_round(z):
+            counts["rounds"] += 1
+            return batch(z)
+        return lockstep(one_round, starts, search)
+
     monkeypatch.setattr(coupled, "state_matrix", build)
     monkeypatch.setattr(reduction, "state_matrix", build)
+    monkeypatch.setattr(reduction, "_lockstep", rounds)
     for name in ("eig", "eigvals"):
         monkeypatch.setattr(reduction.np.linalg, name, counted(name, getattr(np.linalg, name)))
-    tr = tune(sys_, per_branch=True)
+    return tune(sys_, per_branch=per_branch), counts
+
+
+def test_per_branch_tune_builds_the_state_matrix_once(unit_beam, monkeypatch):
+    tr, counts = _counted_tune(monkeypatch, _multi_shunt_m3(unit_beam), True)
     assert counts["state_matrix"] <= 2  # not once per evaluation
     # every round's points are one stack: one eig call per round, not per point
     assert counts["rows"] > 500 and counts["eig"] <= counts["rows"] / 3
     # the BFGS rounds, at most the line search's trials per iteration of the longest
     # search, and one eigvals stack that scores the starts and the optima
+    assert counts["eig"] == counts["rounds"]
     assert counts["eig"] <= 1 + bfgs._WOLFE_TRIALS * max(s.iterations for s in tr.starts)
     assert counts["eigvals"] == 1
+
+
+def test_uniform_tune_builds_the_state_matrix_once(unit_beam, monkeypatch):
+    # the simplex runs in the per-branch BFGS's `_multi_start`: one eigvals stack per round,
+    # the seed's score and one stack that scores the starts and the optima
+    tr, counts = _counted_tune(monkeypatch, _multi_shunt_m3(unit_beam), False)
+    assert counts["state_matrix"] <= 2
+    assert counts["rows"] > 500 and counts["eigvals"] <= counts["rows"] / 3
+    assert counts["eig"] == 0 and sum(s.iterations for s in tr.starts) > 50
+    assert counts["rounds"] <= counts["eigvals"] <= counts["rounds"] + 2
 
 
 @pytest.mark.parametrize("build", TOPOLOGIES, ids=TOPOLOGY_IDS)
