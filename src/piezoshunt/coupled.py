@@ -246,58 +246,54 @@ def _frf_values(form, r_b, l_b, omega):
     time (order M + B) or q (order M + P) forms products with C^-1 or Z^-1
     whose rounding cancels digits where a branch impedance is small against
     the capacitive one: next to a resonance for v, and for a floating network
-    at low frequency for q.  The grid is solved in chunks of `_FRF_CHUNK`
-    frequencies, one stacked LAPACK solve each; LAPACK factors every matrix of
-    a stack as it would a single one.  A chunk holding an exactly singular
-    point is solved point by point with the same bits, and that point is a
-    pole, stored as inf.
+    at low frequency for q.  The grid is solved by `_charge_solve` in chunks
+    of `_FRF_CHUNK` frequencies; a point whose matrix is exactly singular is
+    a pole, stored as inf.
     """
-    rhs = form[3]
-    n, phi_col = len(rhs), rhs[:len(form[1])]
     g = np.empty(len(omega), dtype=complex)
-    stack = np.empty((min(len(omega), _FRF_CHUNK), n, n), dtype=complex)
     for start in range(0, len(omega), _FRF_CHUNK):
         chunk = slice(start, start + _FRF_CHUNK)
-        w = omega[chunk]
-        mats = _fill_charge_form(stack[:len(w)], form, r_b, l_b, w)  # one reused buffer
-        try:
-            x = np.linalg.solve(mats, np.broadcast_to(rhs, (len(w), n, 1)))
-        except np.linalg.LinAlgError:
-            g[chunk] = [_frf_point(mat, rhs, phi_col) for mat in mats]
-        else:
-            g[chunk] = _tip(x, phi_col)
+        g[chunk] = _charge_solve(form, r_b, l_b, omega[chunk])[0]
     pole = ~np.isfinite(g)
     g[pole] = complex(np.inf, 0.0)
     return g, pole
 
 
-def _fill_charge_form(mats, form, r_b, l_b, w):
-    """Write the charge-form matrices of `_frf_values` at branch values (r_b, l_b) and the
-    frequencies `w` into `mats`, and return it."""
-    template, omega_k, damp, _ = form
+def _charge_solve(form, r_b, l_b, w):
+    """(G, q) of the `_frf_values` system of a `_charge_form` at branch values (r_b, l_b) and
+    the frequencies `w`: the tip displacement and the B branch charges at each frequency.
+
+    One stacked LAPACK solve, which factors every matrix of the stack as it
+    would a single one; the rows of an exactly singular matrix are nan (see
+    `_solve_rows`).
+    """
+    template, omega_k, damp, rhs = form
     n, m, mp = len(template), len(omega_k), len(damp)
-    damp = np.concatenate((damp, r_b))
+    mats = np.empty((len(w), n, n), dtype=complex)
     mats[...] = template
     diag = mats.reshape(len(w), n * n)[:, ::n + 1]
     # w_k^2 - w^2 as (w_k - w)(w_k + w): no cancellation next to a resonance
     diag.real[:, :m] = (omega_k - w[:, None]) * (omega_k + w[:, None])
     diag.real[:, mp:] = -(w * w)[:, None] * l_b
-    diag.imag = w[:, None] * damp
-    return mats
+    diag.imag = w[:, None] * np.concatenate((damp, r_b))
+    x = _solve_rows(mats, np.broadcast_to(rhs, (len(w), n, 1)))
+    # phi_tip^T eta as (1 x M) @ (M x 1) products: the same bits for a stack as for each row
+    return (np.swapaxes(x[:, :m], -1, -2) @ rhs[:m])[:, 0, 0], x[:, mp:, 0]
 
 
-def _tip(x, phi_col):
-    """phi_tip^T eta of solutions x (..., n, 1) as (1 x M) @ (M x 1) products: the same
-    bits for a stack as for each of its solutions alone."""
-    return (np.swapaxes(x[..., :len(phi_col), :], -1, -2) @ phi_col)[..., 0, 0]
-
-
-def _frf_point(mat, rhs, phi_col):
-    """G for one frequency; inf where mat is exactly singular."""
+def _solve_rows(a, b):
+    """`np.linalg.solve` of a stack: nan where a matrix of it is exactly singular, and every
+    other row the bits of its own solve."""
     try:
-        return _tip(np.linalg.solve(mat, rhs), phi_col)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return complex(np.inf, 0.0)
+        out = np.full(b.shape, np.nan, dtype=b.dtype)
+        for j, (a_j, b_j) in enumerate(zip(a, b)):
+            try:
+                out[j] = np.linalg.solve(a_j, b_j)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def frf(sys, omega):

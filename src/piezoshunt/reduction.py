@@ -43,8 +43,8 @@ import numpy as np
 
 from .beam import modal_force_vector
 from .bfgs import _bfgs
-from .coupled import (CoupledSystem, _admitted, _charge_form, _fill_charge_form, _frf_values,
-                      _tip, _write_branch_rows, eigen, frf)
+from .coupled import (CoupledSystem, _admitted, _charge_form, _charge_solve, _frf_values,
+                      _solve_rows, _write_branch_rows, eigen, frf)
 from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
 from .errors import NumericalError, ParameterError, integer_fault
 from .optima import NEWTON_TOL, _band_peak, _coalescence, _equal_peaks, _undamped_coalescence
@@ -538,7 +538,6 @@ def _gradients(sys, objective, band, grid):
         return rows
 
     form = _charge_form(sys)
-    rhs, n, mp = form[3], len(form[0]), len(form[2])
 
     def rows(r, l):
         peaks, grads = [], []
@@ -546,31 +545,13 @@ def _gradients(sys, objective, band, grid):
             magnitude = np.abs(_frf_values(form, r_b, l_b, grid)[0])
             at = int(magnitude.argmax())
             peaks.append(-magnitude[at])
-            if magnitude[at] == np.inf:  # a pole
-                grads.append(np.zeros(2 * len(r_b)))
-                continue
             w = grid[at:at + 1]
-            mat = _fill_charge_form(np.empty((1, n, n), dtype=complex), form, r_b, l_b, w)
-            x = np.linalg.solve(mat, rhs[None])
-            g, q2 = _tip(x, rhs[:len(form[1])])[0], x[0, mp:, 0] ** 2
+            (g,), (q,) = _charge_solve(form, r_b, l_b, w)  # nan at a pole
+            q2 = q ** 2
             d_g = ln10 * np.concatenate((-1j * w * q2 * r_b, w * w * q2 * l_b))
             grads.append(-(g.conjugate() * d_g).real / abs(g))
         return _rows(np.array(peaks), np.array(grads))
     return rows
-
-
-def _solve_rows(a, b):
-    """`np.linalg.solve` of a stack, nan where a matrix of it is singular."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan, dtype=b.dtype)
-        for j, (a_j, b_j) in enumerate(zip(a, b)):
-            try:
-                out[j] = np.linalg.solve(a_j, b_j)
-            except np.linalg.LinAlgError:
-                pass
-        return out
 
 
 def _rows(values, grads):

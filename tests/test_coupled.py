@@ -467,16 +467,22 @@ def test_frf_kernel_matches_pointwise_oracle(sys_, points, span):
     assert abs(table.g[j] - ref) <= 1e-12 * max(1.0, slope) * abs(ref)
 
 
-def test_frf_kernel_flags_only_the_exact_pole_of_a_chunk(unit_beam):
-    # no coupling and no damping: at w = w_1 the kernel's row and column of mode 1
-    # are exactly zero, so that point's matrix is exactly singular and its whole
-    # chunk takes the per-point path
+def _uncoupled_undamped_pole_case(unit_beam):
+    """No coupling and no damping, and a grid holding w_1: there the kernel's row and column
+    of mode 1 are exactly zero, so that point's matrix is exactly singular."""
     basis = ps.modal_basis(unit_beam, 3)
     patches = ps.uniform_layout(unit_beam, 2, coverage=0.9, cp=100e-9, gamma=0.0)
     sys_ = ps.assemble(basis, patches, ps.build_multi_shunt(2, 10.0, 1e5))
     w1 = float(basis.omega[0])
     omega = np.linspace(0.5 * w1, 3.5 * w1, 150)
     omega[70] = w1
+    return sys_, omega
+
+
+def test_frf_kernel_flags_only_the_exact_pole_of_a_chunk(unit_beam):
+    # the singular point's whole chunk takes the per-point path
+    sys_, omega = _uncoupled_undamped_pole_case(unit_beam)
+    basis, w1 = sys_.basis, omega[70]
     table = frf(sys_, omega)
     assert np.flatnonzero(table.pole).tolist() == [70]
     assert table.g[70] == np.inf and np.all(np.isfinite(table.g[~table.pole]))
@@ -490,6 +496,14 @@ def test_frf_kernel_flags_only_the_exact_pole_of_a_chunk(unit_beam):
     stacked = frf(sys_, near)
     assert not stacked.pole.any()
     np.testing.assert_array_equal(stacked.g[~table.pole], table.g[~table.pole])
+
+
+def test_hinf_gradient_row_at_an_exact_pole_is_minus_inf(unit_beam):
+    # the grid's peak is the pole, where the charge-form solve is nan: the row is
+    # [-inf, 0, ...], with no floating-point warning on the way
+    sys_, grid = _uncoupled_undamped_pole_case(unit_beam)
+    (row,) = reduction._gradients(sys_, "hinf", None, grid)([[10.0, 10.0]], [[1e5, 1e5]])
+    assert row[0] == -np.inf and row[1:].tolist() == [0.0] * 4
 
 
 #: G of the default scenario at the five samples of the default `frf` grid where
