@@ -25,14 +25,21 @@ from .errors import NetlistError, ParameterError, integer_fault
 
 GROUND = "gnd"
 
-_SI_SUFFIXES = {"k": 1e3, "m": 1e-3, "u": 1e-6, "n": 1e-9}
+#: The ends of a transmission line: left floating, or each grounded by one more branch.
+TERMINATIONS = ("none", "both_ends")
+
+_SI_EXPONENTS = {"k": 3, "m": -3, "u": -6, "n": -9}
 
 
 def parse_si(token):
-    """Parse a finite number with optional SI suffix: '100n' -> 1e-7, '10k' -> 1e4."""
-    suffix = token[-1:] in _SI_SUFFIXES  # of float literals only "nan" ends in one
+    """Parse a finite number with optional SI suffix as the decimal number it spells, correctly
+    rounded: '100n' -> float('100e-9') == 1e-7, '10k' -> 1e4, '1e3k' -> 1e6."""
+    shift = _SI_EXPONENTS.get(token[-1:])  # of float literals only "nan" ends in one
     try:
-        value = float(token[:-1]) * _SI_SUFFIXES[token[-1]] if suffix else float(token)
+        value = float(token if shift is None else token[:-1])
+        if shift is not None and np.isfinite(value):  # mantissa and exponent as one literal
+            mantissa, _, exponent = token[:-1].lower().partition("e")
+            value = float(f"{mantissa.strip()}e{int(exponent or 0) + shift}")
     except ValueError:
         value = np.nan
     if not np.isfinite(value):
@@ -158,7 +165,7 @@ def build_transmission_line(n, r, lind, termination="none"):
     """
     if fault := integer_fault(n, 2):
         raise ParameterError(f"transmission line patch count {fault}")
-    if termination not in ("none", "both_ends"):
+    if termination not in TERMINATIONS:
         raise ParameterError(f"unknown termination {termination!r}")
     branches = [
         Branch(f"b{i}", f"n{i}", f"n{i + 1}", float(r), float(lind))

@@ -42,14 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .beam import BeamSpec, modal_basis
-from .circuits import branch_fault, parse_si
+from .circuits import TERMINATIONS, branch_fault, parse_si
 from .errors import ConfigError, ParameterError, integer_fault
 from .patches import uniform_layout
-from .reduction import _box_fault
+from .reduction import OBJECTIVES, _box_fault
 from .timesim import _time_fault
 
 TOPOLOGIES = ("single_shunt", "multi_shunt", "transmission_line")
-OBJECTIVES = ("min-damping-ratio", "hinf")
 INITIAL_KINDS = ("tip_displacement", "tip_impulse")
 
 
@@ -138,7 +137,7 @@ _SCHEMA = {
         "netlist": ("netlist_path", str),
         "R": ("r", parse_si),
         "L": ("l", parse_si),
-        "termination": ("termination", _choice(("none", "both_ends"))),
+        "termination": ("termination", _choice(TERMINATIONS)),
     },
     "optimize": {
         "objective": ("objective", _choice(OBJECTIVES)),

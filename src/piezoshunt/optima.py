@@ -3,11 +3,11 @@
 The two tuning objectives have optimality conditions in closed form.
 Pole placement takes the point where the two pole pairs coalesce (Krenk
 2005, J. Struct. Eng. 131:1209): four polynomial coefficient equations.
-That is the optimum at zm = 0; with mechanical damping it lies close to
-the optimum but not at it (see `_coalescence`).  The H-infinity optimum
-is the equal-peak point (Soltani, Kerschen, Tondreau & Deraemaeker 2014,
-Smart Mater. Struct. 23:125014): both peaks of |G| in the band are
-stationary, equal, and no change of the scales lowers both.
+That is the optimum, with mechanical damping too (see `_coalescence`).
+The H-infinity optimum is the equal-peak point (Soltani, Kerschen,
+Tondreau & Deraemaeker 2014, Smart Mater. Struct. 23:125014): both peaks
+of |G| in the band are stationary, equal, and no change of the scales
+lowers both.
 `reduction.tune` solves them first from an exact start, the undamped
 coalescence or the closed-form seed, and from the winner of its simplex
 only when that point is refused; the derivatives are written out by hand.
@@ -24,8 +24,8 @@ import numpy as np
 #: Newton polish: step cap and step tolerance relative to the point.
 NEWTON_MAX_STEPS, NEWTON_TOL = 20, 1e-10
 
-#: The pole-placement optimum lowers the double pole's R by this fraction, where
-#: `eigvals` resolves the two pairs (see `_coalescence`).
+#: The relative size of the change of (R, E) that splits the pole-placement optimum's
+#: double pair, so that `eigvals` resolves the two pairs (see `_coalescence`).
 COALESCENCE_OFFSET = 1e-8
 
 
@@ -80,13 +80,13 @@ def _coalescence(rm, rbar, lbar, continued=False):
     In s = wm sigma, rho = wm R and eps = wm^2 E, the characteristic polynomial
     (sigma^2 + 2 zm sigma + 1)(sigma^2 + R sigma + E) + kappa^2 sigma (sigma + R)
     equals (sigma^2 + a sigma + b)^2: four coefficient equations in
-    (R, E, a, b), solved by Newton.  At zm = 0 that double pair maximizes the
-    smallest damping ratio, a / (2 sqrt b) (Krenk 2005, J. Struct. Eng.
-    131:1209).  With zm > 0 it lies close to the optimum but not at it: on
-    193 random models a local simplex from the returned point found a
-    larger smallest damping ratio in 172 by more than 1e-7 relative, by up
-    to 1.35e-5 (zm / kappa = 4.06: 0.7576986265 here, 0.7577076330 there,
-    both by 50-digit eigenvalues).
+    (R, E, a, b), solved by Newton.  That double pair maximizes the smallest
+    damping ratio, a / (2 sqrt b) (Krenk 2005, J. Struct. Eng. 131:1209),
+    with zm > 0 too: on the 193 Newton-path models of the tests' 200 random
+    models a local simplex from the returned point gains at most 1e-7
+    relative.  On one (zm / kappa = 1.59) a / (2 sqrt b) is 0.7541017328, the
+    returned point reads 0.7541017253, and fine simplexes from it reach
+    0.7541017288 at most.
 
     With `continued`, (rbar, lbar) is the root at zm = 0
     (`_undamped_coalescence`), continued to zm: solved at z = 2 zm j / n,
@@ -109,9 +109,16 @@ def _coalescence(rm, rbar, lbar, continued=False):
 
     At the double pole `eigvals` errs by about sqrt(machine epsilon), 1.6e-7
     in the damping ratio, and a complete model at the same scales errs
-    otherwise.  With R lowered by COALESCENCE_OFFSET the two pairs split in
-    frequency, `eigvals` resolves them, and the smallest damping ratio drops
-    by about that fraction; those are the scales returned.
+    otherwise.  So the returned scales split the double root s0: (R, E)
+    move by the real (dR, dE) with dp(s0) = eps a R (1 - a^2 / 4b) s0^2,
+    eps = COALESCENCE_OFFSET, where dp/dR = s (s^2 + z s + 1 + k) and
+    dp/dE = s^2 + z s + 1.  To first order the roots move to
+    s0 (1 +- sqrt(eps a R / 4b)), along their ray, so both pairs keep the
+    damping ratio a / (2 sqrt b) and `eigvals` resolves them.  At zm = 0,
+    or where that 2x2 system is singular, R is lowered by the fraction eps
+    instead.  At zm = 0 that split is along the ray as well; with zm > 0 it
+    moves the two damping ratios apart, which lost up to 1.35e-5 relative on
+    the random models, against at most 1e-7 with the split along the ray.
     """
     big_r, big_e, z_m, k = _dimensionless(rm, rbar, lbar)
     n, kappa, t = 1, math.sqrt(k), math.sqrt(2.0 * math.sqrt(k))
@@ -149,7 +156,18 @@ def _coalescence(rm, rbar, lbar, continued=False):
         if (found := _newton(lambda u: system(u, z), u)) is None:
             return None
         u, steps = found[0], steps + found[1]
-    return _scales(rm, u[0] * (1.0 - COALESCENCE_OFFSET), u[1]), steps
+    big_r, big_e, a, b = u.tolist()
+    scales = (big_r * (1.0 - COALESCENCE_OFFSET), big_e)
+    if z_m > 0.0:  # split the double root s along its ray (see above)
+        s = complex(-0.5 * a, math.sqrt(max(b - 0.25 * a * a, 0.0)))
+        dp_de = s * s + z_m * s + 1.0
+        dp_dr = s * (dp_de + k)
+        dp = COALESCENCE_OFFSET * a * big_r * (1.0 - a * a / (4.0 * b)) * s * s
+        # the real dR, dE of dR dp_dr + dE dp_de = dp, by Cramer's rule
+        if det := (dp_dr * dp_de.conjugate()).imag:
+            scales = (big_r + (dp * dp_de.conjugate()).imag / det,
+                      big_e + (dp_dr * dp.conjugate()).imag / det)
+    return _scales(rm, *scales), steps
 
 
 def _log_gain_derivatives(big_r, big_e, z, k, y):

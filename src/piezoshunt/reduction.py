@@ -49,6 +49,9 @@ from .coupled import state_matrix  # bench/tests/test_bench.py patches this bind
 from .errors import NumericalError, ParameterError, integer_fault
 from .optima import NEWTON_TOL, _band_peak, _coalescence, _equal_peaks, _undamped_coalescence
 
+#: The tuning objectives: pole placement and the FRF peak.
+OBJECTIVES = ("min-damping-ratio", "hinf")
+
 #: Default tuning band around the target mode for the pole-placement objective.
 BAND_FACTORS = (0.5, 2.0)
 
@@ -684,7 +687,7 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     winner's, and also its branch values.  `improving` compares with the
     centre start, the seed on the log10 lattice.
     """
-    if objective not in ("min-damping-ratio", "hinf"):
+    if objective not in OBJECTIVES:
         raise ParameterError(f"unknown objective {objective!r}")
     if isinstance(model, CoupledSystem):
         target_mode = 1 if target_mode is None else target_mode

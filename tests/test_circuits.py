@@ -18,6 +18,13 @@ def test_si_suffixes():
         parse_si("10q")
 
 
+def test_si_suffix_reads_the_decimal_literal():
+    # mantissa and exponent as one literal, not the product 100 * 1e-9
+    assert parse_si("100n") == float("100e-9") == 1e-7
+    assert parse_si("1e3k") == float("1e6")
+    assert parse_si(" 2.5E-3u") == float("2.5e-9")
+
+
 def test_single_shunt_structure():
     net = ps.build_single_shunt(5, 100.0, 0.5)
     nm = ps.network_matrices(net, 5)

@@ -182,6 +182,19 @@ def test_package_imports_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_suffixed_capacitance_gives_the_default_per_branch_csv(tmp_path):
+    # README's `Cp = 100n` is the built-in 1e-7 bit for bit, so per-branch tuning, whose
+    # winner moves with the last bit of Cp, writes the default config's bytes
+    base = "[network]\ntopology = multi_shunt\n[optimize]\nper_branch = true\n"
+    csvs = []
+    for name, text in (("default", base), ("suffixed", "[patches]\nCp = 100n\n" + base)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert run_command(["optimize", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        csvs.append((tmp_path / name / "optimize_trace.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_modes_command_writes_csv(tmp_path):
     rc = run_command(["modes", "--out", str(tmp_path)])
     assert rc == 0

@@ -856,6 +856,31 @@ def test_newton_path_is_no_worse_than_the_simplex_fallback_on_random_models(monk
                     assert tr.objective >= want - 1e-9 * abs(want), (rm, objective)
 
 
+def test_no_local_simplex_improves_a_newton_path_pole_placement():
+    # the coalescence is the optimum also with mechanical damping: split along the
+    # double pair's ray, both pairs keep its damping ratio, and a local simplex from the
+    # returned point gains at most 2e-7 relative (a split by R alone lost up to 1.35e-5)
+    from scipy.optimize import minimize
+
+    checked = 0
+    for rm in _random_reduced_models(200):
+        tr = tune(rm)
+        if len(tr.starts) != 1:
+            continue
+        checked += 1
+
+        def cost(z):
+            a = rm.a_matrix(10.0 ** z[0], 10.0 ** z[1])
+            return -float(reduction._min_damping(np.linalg.eigvals(a), None))
+
+        z0 = np.log10([tr.r, tr.l])
+        found = minimize(cost, z0, method="Nelder-Mead",
+                         options={"initial_simplex": [z0, z0 + (1e-3, 0.0), z0 + (0.0, 1e-3)],
+                                  "xatol": 1e-12, "fatol": 1e-16, "maxiter": 60})
+        assert -found.fun <= tr.objective + 2e-7 * tr.objective, rm
+    assert checked == 193
+
+
 def test_hinf_optimum_whose_second_peak_is_the_band_end_is_polished():
     # zm = 2.1 kappa: the equal peaks are one interior maximum and |G| at the band's
     # lower end, which `_equal_peaks` pins there; the simplex alone stopped 2.7e-7 short
