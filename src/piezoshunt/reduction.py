@@ -43,9 +43,10 @@ import numpy as np
 
 from .beam import modal_force_vector
 from .bfgs import _bfgs
-from .coupled import (CoupledSystem, _admitted, _charge_form, _charge_solve, _frf_values,
-                      _solve_rows, _write_branch_rows, eigen, frf)
-from .coupled import state_matrix  # bench/tests/test_bench.py patches this binding
+from .coupled import (CoupledSystem, _admitted, _charge_form, _residue_frf, _solve_rows,
+                      _write_branch_rows)
+# bench/tests/test_bench.py patches these bindings; `_residue_frf` falls back to `_frf_values`
+from .coupled import _frf_values, state_matrix  # noqa: F401
 from .errors import NumericalError, ParameterError, integer_fault
 from .optima import NEWTON_TOL, _band_peak, _coalescence, _equal_peaks, _undamped_coalescence
 
@@ -472,9 +473,11 @@ def _objective(model, objective, band=None, grid=None):
     """(r, l) -> `objective` of a ReducedModel or CoupledSystem at k rows of scales; larger is better.
 
     The kernel of `tune`'s rounds; values reported at one point come from
-    `_objective_value` and `validate_reduction`, which read the public
-    definitions.  A ReducedModel's kernels are its `_a_matrix` and `_gain_sq`;
-    a CoupledSystem's state matrix and charge form are prepared here, once.
+    `_objective_value` and `validate_reduction`.  A ReducedModel's kernels
+    are its `_a_matrix` and `_gain_sq`; a CoupledSystem's state matrix and
+    charge form are prepared here, once, and its hinf reads |G| from the
+    modal residues of one batched eigensolve (`coupled._residue_frf`, which
+    falls back to the charge form where its checks fail).
     The rows are lists of k floats or k rows of n scales, n = B per branch
     of a CoupledSystem and 1 otherwise; a ReducedModel's values then come in
     (k, 1).
@@ -494,10 +497,10 @@ def _objective(model, objective, band=None, grid=None):
             peak = model._gain_sq(np.array(r)[:, None], np.array(l)[:, None], grid).max(axis=-1)
             return np.where(np.isfinite(peak), -np.sqrt(peak), -np.inf)
         return values
-    form = _charge_form(model)
-    # one kernel call per row; poles are stored as inf
-    return lambda r, l: np.array([-np.max(np.abs(_frf_values(form, r_b, l_b, grid)[0]))
-                                  for r_b, l_b in zip(*_branch_values(model.nm.s_shape, r, l))])
+    form, a_matrix, s_shape = _charge_form(model), _a_stack(model), model.nm.s_shape
+    # a pole is stored as inf
+    return lambda r, l: -_residue_frf(form, a_matrix(r, l), *_branch_values(s_shape, r, l),
+                                      grid)[1].max(axis=-1)
 
 
 def _gradients(sys, objective, band, grid):
@@ -510,9 +513,10 @@ def _gradients(sys, objective, band, grid):
     in `band`, and its right vector v, and one batched solve the left vector
     y, row k of V^-1, so y^T v = 1.  At branch row b of the state matrix,
     d lambda / d log10 R_b = -ln 10 (R_b / L_b) y_b v_b and
-    d lambda / d log10 L_b = -ln 10 lambda y_b v_b.  "hinf": one charge-form
-    solve at the grid's peak gives the branch charges q, and with the FRF
-    collocated and the matrix complex symmetric,
+    d lambda / d log10 L_b = -ln 10 lambda y_b v_b.  "hinf": the peak is
+    `_objective`'s, read from residues by `coupled._residue_frf`, and its one
+    stacked charge-form solve at each row's grid peak gives the branch
+    charges q there; with the FRF collocated and the matrix complex symmetric,
     d G / d log10 R_b = -ln 10 j w q_b^2 R_b and d G / d log10 L_b = ln 10 w^2 q_b^2 L_b.
     A row whose value or gradient is not finite is [-inf, 0, ...].  Each row
     gets the reply it gets alone: LAPACK factors every matrix of a stack alone.
@@ -540,20 +544,16 @@ def _gradients(sys, objective, band, grid):
             return _rows(np.where(kept, ratio[k, at], -np.inf), grad)
         return rows
 
-    form = _charge_form(sys)
+    form, a_matrix = _charge_form(sys), _a_stack(sys)
 
     def rows(r, l):
-        peaks, grads = [], []
-        for r_b, l_b in zip(*_branch_values(s_shape, r, l)):
-            magnitude = np.abs(_frf_values(form, r_b, l_b, grid)[0])
-            at = int(magnitude.argmax())
-            peaks.append(-magnitude[at])
-            w = grid[at:at + 1]
-            (g,), (q,) = _charge_solve(form, r_b, l_b, w)  # nan at a pole
-            q2 = q ** 2
-            d_g = ln10 * np.concatenate((-1j * w * q2 * r_b, w * w * q2 * l_b))
-            grads.append(-(g.conjugate() * d_g).real / abs(g))
-        return _rows(np.array(peaks), np.array(grads))
+        r_b, l_b = _branch_values(s_shape, r, l)
+        _, magnitude, g, q = _residue_frf(form, a_matrix(r, l), r_b, l_b, grid)  # nan at a pole
+        at = magnitude.argmax(axis=-1)
+        w, q2 = grid[at][:, None], q ** 2
+        d_g = ln10 * np.concatenate((-1j * w * q2 * r_b, w * w * q2 * l_b), axis=1)
+        grad = -(g.conjugate()[:, None] * d_g).real / np.abs(g)[:, None]
+        return _rows(-magnitude[np.arange(len(at)), at], grad)
     return rows
 
 
@@ -847,12 +847,16 @@ def validate_reduction(sys, rm, tr):
     """Evaluate the reduced-model tuning on the complete model; runs no optimizer.  A re-tune
     gap needs `tune(sys, tr.kind, target_mode=rm.target_mode, seed=(tr.r, tr.l))`.
 
-    Every number is read from the public definitions at (tr.r, tr.l): the
-    complete model's `eigen` spectrum (minimum damping inside `_band`) or its
-    `frf` on the `hinf_grid` (minus the largest magnitude), and the reduced
-    model's `a_matrix` spectrum.  The complete model's band and grid sit on
-    the beam mode (`_target_omega`), as in `tune`, while the reduced model's
-    `tr.objective` sits on `rm.omega_m`, which a floating network stiffens.
+    Every number is read at (tr.r, tr.l) from one eigensolve of the complete
+    model's `state_matrix`, as `tune`'s kernels read it; no tuner kernel is
+    built.  Its spectrum gives the pole error and the minimum damping inside
+    `_band` (`eigvals`), or, for hinf, the one `eig` of
+    `coupled._residue_frf` gives the spectrum and minus the largest |G| on
+    the `hinf_grid`, within 1e-10 of the charge-form `frf`'s.  The reduced
+    model's spectrum is that of its `a_matrix`.  The complete model's band
+    and grid sit on the beam mode (`_target_omega`), as in `tune`, while the
+    reduced model's `tr.objective` sits on `rm.omega_m`, which a floating
+    network stiffens.
     So the complete model's band and grid miss target poles that a
     strongly coupled floating network moves off the beam mode: at M = 1,
     N = 2, gamma = 1e-3 the tuned line's poles sit at 2.156 w_k and its
@@ -864,16 +868,18 @@ def validate_reduction(sys, rm, tr):
         raise ParameterError("cannot validate a per-branch tuning result")
     r, l = tr.r, tr.l
     tuned = sys.rescaled(r, l)
-    sol = eigen(tuned)
+    a = state_matrix(tuned)
+    omega_t = _target_omega(sys, rm.target_mode)
+    if tr.kind == "hinf":
+        (values,), magnitude, _, _ = _residue_frf(_charge_form(tuned), a[None], tuned.nm.r_b[None],
+                                                  tuned.nm.l_b[None], hinf_grid(omega_t))
+        full_objective = -float(np.max(magnitude))
+    else:
+        values = np.linalg.eigvals(a)
+        full_objective = float(_min_damping(values, _band(omega_t)))
 
     red_vals = np.linalg.eigvals(rm.a_matrix(r, l))
     red_pairs = red_vals[red_vals.imag > 0]
-    pole_error = max((float(np.min(np.abs(sol.values - lam)) / abs(lam)) for lam in red_pairs),
+    pole_error = max((float(np.min(np.abs(values - lam)) / abs(lam)) for lam in red_pairs),
                      default=0.0)
-
-    omega_t = _target_omega(sys, rm.target_mode)
-    if tr.kind == "hinf":
-        full_objective = -float(np.max(frf(tuned, hinf_grid(omega_t)).magnitude))
-    else:
-        full_objective = float(_min_damping(sol.values, _band(omega_t)))
     return ValidationReport(pole_error=pole_error, full_objective=full_objective)

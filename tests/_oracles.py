@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from piezoshunt.beam import _raw_shape, eval_mode, modal_force_vector, solve_wavenumbers
-from piezoshunt.coupled import CoupledSystem, frf, state_matrix
+from piezoshunt.coupled import CoupledSystem, _charge_form, _residue_frf, state_matrix
 from piezoshunt.errors import ParameterError
 from piezoshunt.reduction import (BOUNDS_FACTORS_L, BOUNDS_FACTORS_R, NM_MAX_ITER, NM_REL_TOL,
                                   NM_STEP, ReducedModel, StartRecord, _band, closed_form_seed,
@@ -467,15 +467,19 @@ def objective_pointwise(objective, model, r, l, band, grid):
     """One objective evaluation from freshly built matrices; larger is better.
 
     A CoupledSystem is rescaled to (r, l), scalar or per-branch scales, and
-    its state matrix and FRF are built anew; a ReducedModel's state matrix is
-    written out from the two-DOF equations, its |G|^2 is its closed-form
+    its state matrix and charge form are built anew; its |G| is read from the
+    residues of that one state matrix, a stack of one row (the public `frf`
+    is the charge form, to 1e-10 of the peak).  A ReducedModel's state matrix
+    is written out from the two-DOF equations, its |G|^2 is its closed-form
     `gain_sq` at the one point.
     """
     if isinstance(model, CoupledSystem):
         sys_ = model.rescaled(r, l)
         if objective == "min-damping-ratio":
             return min_damping_pointwise(np.linalg.eigvals(state_matrix(sys_)), band)
-        return -float(np.max(np.abs(frf(sys_, grid).g)))  # poles are stored as inf
+        _, magnitude, _, _ = _residue_frf(_charge_form(sys_), state_matrix(sys_)[None],
+                                          sys_.nm.r_b[None], sys_.nm.l_b[None], grid)
+        return -float(np.max(magnitude))  # poles are stored as inf
     if objective == "min-damping-ratio":
         w, z, al = model.omega_m, model.zeta_m, model.alpha
         a = np.array([[0.0, 1.0, 0.0, 0.0],

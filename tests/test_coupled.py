@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -578,20 +579,90 @@ def _assert_bitwise_equal(got, want):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 too
 
 
-@pytest.mark.parametrize("name", ["multi_shunt", "parsed_unequal"])
-def test_hinf_objective_row_is_the_frf_peak_bit_for_bit(unit_beam, name):
-    sys_ = _branch_systems(unit_beam)[name]
-    grid = hinf_grid(float(sys_.basis.omega[0]))
+def _hinf_rows(sys_):
+    """Per-branch and scalar rows of scales, as the per-branch tune and the reduced tuning's
+    validation pass them to `_objective`."""
     b = sys_.nm.n_branches
     per_branch = (np.array([np.full(b, 80.0), np.linspace(50.0, 150.0, b)]),
                   np.array([np.full(b, 1.5e5), np.linspace(1e5, 2e5, b)]))
-    scalar = ([80.0, 120.0], [1.5e5, 1e5])  # rows as the reduced tuning's validation passes them
-    for r, l in (per_branch, scalar):
+    return per_branch, ([80.0, 120.0], [1.5e5, 1e5])
+
+
+@pytest.mark.parametrize("name", ["multi_shunt", "parsed_unequal"])
+def test_hinf_objective_row_matches_the_frf_peak(unit_beam, name):
+    sys_ = _branch_systems(unit_beam)[name]
+    grid = hinf_grid(float(sys_.basis.omega[0]))
+    for r, l in _hinf_rows(sys_):
         peaks = _objective(sys_, "hinf", grid=grid)(r, l)
         for j in range(2):
             table = frf(sys_.with_branch_values(np.multiply(r[j], sys_.nm.s_shape),
                                                 np.multiply(l[j], sys_.nm.s_shape)), grid)
-            assert peaks[j] == -np.max(np.abs(table.g))
+            peak = np.max(np.abs(table.g))
+            assert abs(peaks[j] + peak) <= 1e-9 * peak
+
+
+@pytest.mark.parametrize("name", ["multi_shunt", "parsed_unequal"])
+def test_hinf_objective_row_in_a_stack_is_the_row_alone_bit_for_bit(unit_beam, name):
+    sys_ = _branch_systems(unit_beam)[name]
+    grid = hinf_grid(float(sys_.basis.omega[0]))
+    evaluate = _objective(sys_, "hinf", grid=grid)
+    for r, l in _hinf_rows(sys_):
+        alone = [evaluate(r[j:j + 1], l[j:j + 1])[0] for j in range(2)]
+        _assert_bitwise_equal(evaluate(r, l), alone)
+
+
+def _residue_and_charge_peaks(sys_, r_b, l_b, grid):
+    """(residue |G|, charge-form |G|, whether `_residue_frf` fell back to the charge form)."""
+    form = coupled._charge_form(sys_)
+    with mock.patch.object(coupled, "_frf_values", wraps=coupled._frf_values) as charge:
+        _, (magnitude,), _, _ = coupled._residue_frf(
+            form, state_matrix(sys_.with_branch_values(r_b, l_b))[None], r_b[None], l_b[None], grid)
+    return magnitude, np.abs(coupled._frf_values(form, r_b, l_b, grid)[0]), charge.called
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_networks())
+def test_residue_peak_is_the_charge_form_peak_or_falls_back(case):
+    _, sys_ = case
+    grid = hinf_grid(float(sys_.basis.omega[0]))
+    magnitude, charge, fell_back = _residue_and_charge_peaks(sys_, sys_.nm.r_b, sys_.nm.l_b, grid)
+    if fell_back:
+        _assert_bitwise_equal(magnitude, charge)
+    else:
+        assert abs(magnitude.max() - charge.max()) <= 1e-9 * charge.max()
+
+
+@pytest.mark.parametrize("topology", ["single_shunt", "multi_shunt", "transmission_line"])
+def test_residue_peak_holds_at_the_tuned_coalescence(topology):
+    # the mdr optimum, where two pole pairs nearly coalesce and V is worst conditioned
+    cfg = load_config("")
+    sys_ = ps.assemble(*cli._basis_and_patches(cfg), cli._builtin_netlist(cfg, topology))
+    tr = ps.tune(ps.reduce(sys_, 1), "min-damping-ratio")
+    tuned = sys_.rescaled(tr.r, tr.l)
+    grid = hinf_grid(float(sys_.basis.omega[0]))
+    nm = tuned.nm
+    magnitude, charge, fell_back = _residue_and_charge_peaks(tuned, nm.r_b, nm.l_b, grid)
+    assert not fell_back
+    assert abs(magnitude.max() - charge.max()) <= 1e-9 * charge.max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_defective_state_matrix_falls_back_to_the_charge_form_bits(unit_beam, m):
+    # a critically damped, uncoupled beam mode: a double eigenvalue -w_1 with one
+    # eigenvector, so V is singular to rounding and its Markov parameters fail
+    beam = dataclasses.replace(unit_beam, zeta=np.nextafter(1.0, 0.0))
+    patches = ps.uniform_layout(beam, 1, coverage=0.9, cp=100e-9, gamma=0.0)
+    sys_ = ps.assemble(ps.modal_basis(beam, m), patches, ps.build_single_shunt(1, 100.0, 1e5))
+    form, a = coupled._charge_form(sys_), state_matrix(sys_)
+    values, vectors = np.linalg.eig(a)
+    phi = modal_force_vector(sys_.basis)
+    w = coupled._solve_rows(vectors[None], sys_.force_map.astype(complex)[None, :, None])
+    residues = (phi @ vectors[:m]) * w[0, :, 0]  # nan if V is exactly singular
+    assert not abs((residues * values).sum() - phi @ phi) <= 1e-3 * (phi @ phi)
+    grid = hinf_grid(float(sys_.basis.omega[0]))
+    magnitude, charge, fell_back = _residue_and_charge_peaks(sys_, sys_.nm.r_b, sys_.nm.l_b, grid)
+    assert fell_back
+    _assert_bitwise_equal(magnitude, charge)
 
 
 @pytest.mark.parametrize("objective, rtol", [("min-damping-ratio", 1e-6), ("hinf", 1e-8)])
