@@ -1,16 +1,15 @@
-"""Exact optima of the two-DOF absorber model (`reduction.ReducedModel`) by Newton.
+"""Exact optima of the two-DOF absorber model (`reduction.ReducedModel`).
 
 The two tuning objectives have optimality conditions in closed form.
 Pole placement takes the point where the two pole pairs coalesce (Krenk
-2005, J. Struct. Eng. 131:1209): four polynomial coefficient equations.
-That is the optimum, with mechanical damping too (see `_coalescence`).
-The H-infinity optimum is the equal-peak point (Soltani, Kerschen,
-Tondreau & Deraemaeker 2014, Smart Mater. Struct. 23:125014): both peaks
-of |G| in the band are stationary, equal, and no change of the scales
-lowers both.
-`reduction.tune` solves them first from an exact start, the undamped
-coalescence or the closed-form seed, and from the winner of its simplex
-only when that point is refused; the derivatives are written out by hand.
+2005, J. Struct. Eng. 131:1209): four polynomial coefficient equations,
+whose root has a closed form (`_double_pole`).  That is the optimum, with
+mechanical damping too.  The H-infinity optimum is the equal-peak point
+(Soltani, Kerschen, Tondreau & Deraemaeker 2014, Smart Mater. Struct.
+23:125014): both peaks of |G| in the band are stationary, equal, and no
+change of the scales lowers both.  `reduction.tune` solves it by Newton,
+first from the closed-form seed and from the winner of its simplex only
+when that point is refused; the derivatives are written out by hand.
 Everything is dimensionless: s = wm sigma, rho = wm R, eps = wm^2 E and
 omega^2 = wm^2 y.
 """
@@ -65,47 +64,43 @@ def _dimensionless(rm, rbar, lbar):
     return rbar / lbar / w, rm.mu_star / lbar / (w * w), 2.0 * rm.zeta_m, rm.kappa**2
 
 
-def _undamped_coalescence(rm):
-    """The scales of the coalescence at zm = 0, in closed form: R = 2 kappa sqrt(1 + kappa^2)
-    and E = (1 + kappa^2)^2, where the double pair sigma^2 + R/2 sigma + 1 + kappa^2 has
-    the damping ratio kappa / 2."""
-    q = 1.0 + rm.kappa**2
-    return _scales(rm, 2.0 * rm.kappa * math.sqrt(q), q * q)
-
-
-def _coalescence(rm, rbar, lbar, continued=False):
-    """The scales near (rbar, lbar) at which the two pole pairs coincide, and the Newton
-    steps taken, or None.
+def _double_pole(rm):
+    """(R, E, a, b) at which the two pole pairs coincide, in closed form, or None from
+    critical damping on.
 
     In s = wm sigma, rho = wm R and eps = wm^2 E, the characteristic polynomial
-    (sigma^2 + 2 zm sigma + 1)(sigma^2 + R sigma + E) + kappa^2 sigma (sigma + R)
-    equals (sigma^2 + a sigma + b)^2: four coefficient equations in
-    (R, E, a, b), solved by Newton.  That double pair maximizes the smallest
-    damping ratio, a / (2 sqrt b) (Krenk 2005, J. Struct. Eng. 131:1209),
-    with zm > 0 too: on the 193 Newton-path models of the tests' 200 random
-    models a local simplex from the returned point gains at most 1e-7
-    relative.  On one (zm / kappa = 1.59) a / (2 sqrt b) is 0.7541017328, the
-    returned point reads 0.7541017253, and fine simplexes from it reach
-    0.7541017288 at most.
+    (sigma^2 + z sigma + 1)(sigma^2 + R sigma + E) + k sigma (sigma + R), with
+    z = 2 zm and k = kappa^2, equals (sigma^2 + a sigma + b)^2 when its four
+    coefficients match: R = 2 a - z, E = b^2 and, with K = 1 + k,
+    (a - z)^2 = (b - 1)^2 + k and 2 a (K - b) = z (K - b^2).  Their root
+    a = z + s, b = K + z s / 2, s = 2 (z k + kappa sqrt(4 K - z^2)) / (4 - z^2),
+    has every term positive for z < 2; at zm = 0 it is R = 2 kappa sqrt(K) and
+    E = K^2, a double pair of damping ratio kappa / 2.  That double pair
+    maximizes the smallest damping ratio, a / (2 sqrt b) (Krenk 2005, J.
+    Struct. Eng. 131:1209), with zm > 0 too: on the 193 models of the tests'
+    200 random models that take it, a local simplex from `_coalescence`'s
+    point gains at most 1e-7 relative.  On one (zm / kappa = 1.59) a / (2 sqrt b)
+    is 0.7541017328, that point reads 0.7541017253, and fine simplexes from it
+    reach 0.7541017288 at most.
 
-    With `continued`, (rbar, lbar) is the root at zm = 0
-    (`_undamped_coalescence`), continued to zm: solved at z = 2 zm j / n,
-    j = 1..n, with n = ceil(2 zm / kappa) so that z moves by at most kappa
-    per solve.  On 400 random models with zm up to 10 kappa (and 0.5) one
-    solve picked a worse root in 236, eight equal steps in 117, this rule in
-    none.  Each solve starts from the last root stepped along its tangent,
-    du = -J^-1 (dF/dz) dz with dF/dz = (1, R, E, 0), which starts it near
-    its root where zm >> kappa (on 400 models with zm up to just below
-    critical: 8 167 Newton steps in all and 67 at most, against 23 726 and
-    212 from the last root alone).  A continuation of more than
-    NEWTON_MAX_STEPS solves is not tried.
+    None from critical damping on: at 2 zm = (2 - t) c, with t = sqrt(2 kappa)
+    and c^2 = 1 + kappa + t, the coalescence is the quadruple pole sigma = -c
+    (R = (2 + t) c, E = c^4), and z < 2 below it.  From there on the four
+    poles can all be real, and that plateau of smallest damping ratio 1
+    beats every coalescence of complex pairs.
+    """
+    z, kappa, t = 2.0 * rm.zeta_m, rm.kappa, math.sqrt(2.0 * rm.kappa)
+    if z >= (2.0 - t) * math.sqrt(1.0 + kappa + t):
+        return None
+    k = kappa**2
+    s = 2.0 * (z * k + kappa * math.sqrt(4.0 * (1.0 + k) - z * z)) / (4.0 - z * z)
+    b = 1.0 + k + 0.5 * z * s
+    return z + 2.0 * s, b * b, z + s, b
 
-    None also from critical damping on: at 2 zm = (2 - t) c, with
-    t = sqrt(2 kappa) and c^2 = 1 + kappa + t, the coalescence is the
-    quadruple pole sigma = -c (R = (2 + t) c, E = c^4).  From there on the
-    four poles can all be real, and that plateau of smallest damping ratio 1
-    beats every coalescence of complex pairs; past it Newton also reaches
-    other, worse roots.
+
+def _coalescence(rm):
+    """The scales next to the double pole of `_double_pole`, and the Newton steps taken
+    (none), or None from critical damping on.
 
     At the double pole `eigvals` errs by about sqrt(machine epsilon), 1.6e-7
     in the damping ratio, and a complete model at the same scales errs
@@ -120,54 +115,21 @@ def _coalescence(rm, rbar, lbar, continued=False):
     moves the two damping ratios apart, which lost up to 1.35e-5 relative on
     the random models, against at most 1e-7 with the split along the ray.
     """
-    big_r, big_e, z_m, k = _dimensionless(rm, rbar, lbar)
-    n, kappa, t = 1, math.sqrt(k), math.sqrt(2.0 * math.sqrt(k))
-    if z_m >= (2.0 - t) * math.sqrt(1.0 + kappa + t):
+    if (pole := _double_pole(rm)) is None:
         return None
-    if continued and z_m > kappa:
-        if z_m > NEWTON_MAX_STEPS * kappa:
-            return None
-        n = math.ceil(z_m / kappa)
-
-    def system(u, z):
-        big_r, big_e, a, b = u.tolist()
-        residual = (big_r + z - 2.0 * a,
-                    big_e + z * big_r + 1.0 + k - a * a - 2.0 * b,
-                    z * big_e + (1.0 + k) * big_r - 2.0 * a * b,
-                    big_e - b * b)
-        jacobian = ((1.0, 0.0, -2.0, 0.0),
-                    (z, 1.0, -2.0 * a, -2.0),
-                    (1.0 + k, z, -2.0 * b, -2.0 * a),
-                    (0.0, 1.0, 0.0, -2.0 * b))
-        return np.array(residual), np.array(jacobian)
-
-    if continued:  # the root at z = 0, stepped along its tangent before each solve
-        u, z = np.array((big_r, big_e, 0.5 * big_r, math.sqrt(big_e))), 0.0
-    else:
-        u = (big_r, big_e, 0.5 * (big_r + z_m), math.sqrt(big_e))
-    steps = 0
-    for j in range(1, n + 1):
-        if continued:  # dF/dz = (1, R, E, 0), so du/dz = -J^-1 dF/dz
-            try:
-                u = u - np.linalg.solve(system(u, z)[1], (1.0, u[0], u[1], 0.0)) * (z_m / n)
-            except np.linalg.LinAlgError:
-                return None
-        z = z_m * j / n
-        if (found := _newton(lambda u: system(u, z), u)) is None:
-            return None
-        u, steps = found[0], steps + found[1]
-    big_r, big_e, a, b = u.tolist()
+    big_r, big_e, a, b = pole
+    z, k = 2.0 * rm.zeta_m, rm.kappa**2
     scales = (big_r * (1.0 - COALESCENCE_OFFSET), big_e)
-    if z_m > 0.0:  # split the double root s along its ray (see above)
+    if z > 0.0:  # split the double root s along its ray (see above)
         s = complex(-0.5 * a, math.sqrt(max(b - 0.25 * a * a, 0.0)))
-        dp_de = s * s + z_m * s + 1.0
+        dp_de = s * s + z * s + 1.0
         dp_dr = s * (dp_de + k)
         dp = COALESCENCE_OFFSET * a * big_r * (1.0 - a * a / (4.0 * b)) * s * s
         # the real dR, dE of dR dp_dr + dE dp_de = dp, by Cramer's rule
         if det := (dp_dr * dp_de.conjugate()).imag:
             scales = (big_r + (dp * dp_de.conjugate()).imag / det,
                       big_e + (dp_dr * dp.conjugate()).imag / det)
-    return _scales(rm, *scales), steps
+    return _scales(rm, *scales), 0
 
 
 def _log_gain_derivatives(big_r, big_e, z, k, y):

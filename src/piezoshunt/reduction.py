@@ -21,13 +21,13 @@ placement) or the negated FRF peak (hinf).  On the complete model the
 search is a multi-start Nelder-Mead in (log rbar, log lbar), and with
 per-branch scales nonsmooth BFGS on exact gradients from the same starts
 (Lewis & Overton 2013).  On a
-ReducedModel Newton (`optima`) solves the optimality conditions exactly
-from an exact start: the coalescence of the two pole pairs (Krenk 2005),
-continued from its closed form at zm = 0, for pole placement and the
-equal-peak point (Soltani et al. 2014) from the closed-form seed for
-hinf.  Only when that point is refused does the multi-start simplex run,
-to a loose tolerance; Newton finishes its winner, and a refused finish
-falls back to the winning start run alone at the full simplex tolerance.
+ReducedModel `optima` gives the exact optimum: the coalescence of the two
+pole pairs (Krenk 2005) in closed form for pole placement, and the
+equal-peak point (Soltani et al. 2014) by Newton from the closed-form seed
+for hinf.  Only when that point is refused does the multi-start simplex
+run, to a loose tolerance; the same polish finishes its winner, and a
+refused finish falls back to the winning start run alone at the full
+simplex tolerance.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .coupled import (CoupledSystem, _admitted, _charge_form, _residue_frf, _sol
 # bench/tests/test_bench.py patches these bindings; `_residue_frf` falls back to `_frf_values`
 from .coupled import _frf_values, state_matrix  # noqa: F401
 from .errors import NumericalError, ParameterError, integer_fault
-from .optima import NEWTON_TOL, _band_peak, _coalescence, _equal_peaks, _undamped_coalescence
+from .optima import NEWTON_TOL, _band_peak, _coalescence, _double_pole, _equal_peaks, _scales
 
 #: The tuning objectives: pole placement and the FRF peak.
 OBJECTIVES = ("min-damping-ratio", "hinf")
@@ -285,14 +285,15 @@ class StartRecord:
 class TuningResult:
     """Optimized branch scales with achieved objective and run provenance.
 
-    `converged` describes the returned (r, l): True when Newton gave it,
-    or when the search that produced it converged, that is the fallback
-    run of a refused polish or, on a CoupledSystem, the winner's own
-    simplex, or per branch its BFGS, by `_bfgs`'s stationarity test.
-    `starts` holds one StartRecord when a ReducedModel's first Newton try
+    `converged` describes the returned (r, l): True when the exact polish
+    gave it, or when the search that produced it converged, that is the
+    fallback run of a refused polish or, on a CoupledSystem, the winner's
+    own simplex, or per branch its BFGS, by `_bfgs`'s stationarity test.
+    `starts` holds one StartRecord when a ReducedModel's first exact try
     was accepted (its exact start, the optimum and the Newton steps as
-    `iterations`), else one per simplex or BFGS start, whose `iterations`
-    and `converged` describe that search only.
+    `iterations`, none for the closed-form coalescence), else one per
+    simplex or BFGS start, whose `iterations` and `converged` describe that
+    search only.
     """
 
     r: float
@@ -305,7 +306,7 @@ class TuningResult:
     starts: tuple[StartRecord, ...]
     r_branches: np.ndarray | None = None
     l_branches: np.ndarray | None = None
-    polished: bool = False  # (r, l) came from Newton, not from a simplex
+    polished: bool = False  # (r, l) is the exact optimum, not a simplex's point
 
 
 def _nelder_mead(z0, rel_tol=NM_REL_TOL):
@@ -576,24 +577,26 @@ def _objective_value(objective, rm, r, l, grid=None):
     return float(_min_damping(np.linalg.eigvals(rm.a_matrix(r, l)), None))
 
 
-def _polish(rm, objective, rbar, lbar, value, grid, bounds, continued=False):
-    """(rbar, lbar, objective, Newton steps) of the exact optimum that Newton finds from the
-    start (rbar, lbar), or None when that point is refused.
+def _polish(rm, objective, rbar, lbar, value, grid, bounds):
+    """(rbar, lbar, objective, Newton steps) of the exact optimum, or None when that point
+    is refused.
 
-    The start is `tune`'s exact start, the undamped coalescence (`continued`,
-    see `_coalescence`) or the seed, and `value` the seed's objective by
-    `tune`'s kernel; or else the start is the global stage's winner and
-    `value` its objective on the simplex.  For hinf the start, which is then
-    the seed or the winner, is scored again by its `_band_peak`.  The point
-    is refused when Newton fails, when it lies outside `bounds`, when it
-    scores worse than `value`, or, for hinf, when |G| at its two equal peaks
-    is not the band peak by `_band_peak` to NEWTON_TOL.
+    For pole placement the optimum is the closed-form coalescence
+    (`_coalescence`), reached in no Newton step, and (rbar, lbar) is unused.
+    For hinf Newton finds the equal-peak point from the start (rbar, lbar),
+    `tune`'s seed or the global stage's winner, which is scored again by its
+    `_band_peak`.  `value` is the seed's objective by `tune`'s kernel, or the
+    winner's on the simplex.  The point is refused when there is none
+    (Newton fails, or pole placement is past critical damping), when it
+    lies outside `bounds`, when it scores worse than `value`, or, for hinf,
+    when |G| at its two equal peaks is not the band peak by `_band_peak` to
+    NEWTON_TOL.
     """
     if objective == "hinf":
         value = _objective_value(objective, rm, rbar, lbar, grid=grid)
         found = _equal_peaks(rm, rbar, lbar, grid)
     else:
-        found = _coalescence(rm, rbar, lbar, continued)
+        found = _coalescence(rm)
     if found is None:
         return None
     point, steps, *peaks = found
@@ -643,9 +646,9 @@ def _box_fault(bounds):
 
 def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
          bounds=None, per_branch=False):
-    """Optimize branch scales (rbar, lbar): on a ReducedModel by Newton from an exact
-    start, else, or when that point is refused, by a multi-start simplex in log space;
-    per branch by a multi-start BFGS.
+    """Optimize branch scales (rbar, lbar): on a ReducedModel at the exact optimum, in
+    closed form or by Newton, else, or when that point is refused, by a multi-start
+    simplex in log space; per branch by a multi-start BFGS.
 
     `model` is a ReducedModel or a CoupledSystem (for the latter the target
     mode, 1 by default, fixes the evaluation band and the seed comes from its
@@ -666,14 +669,14 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     may leave the floats, so `rescaled`'s rule admits its seed (before the
     seed rule), the stack of seed and starts, and the box's corners.
 
-    On a coupled ReducedModel (alpha > 0) `_polish` first tries Newton from
-    an exact start: the undamped coalescence (`_undamped_coalescence`),
-    continued to zm (`_coalescence`), or the equal-peak point
-    (`_equal_peaks`) from the seed.  An accepted point is the result, with
-    one StartRecord.  Otherwise the simplex is a global stage at the looser
-    _GLOBAL_REL_TOL, and `_polish` finishes its winner; when that is
-    refused too, the winner's start runs again alone at NM_REL_TOL, and
-    `polished` is False.  `objective` is `_objective_value` at the returned
+    On a coupled ReducedModel (alpha > 0) `_polish` first tries the exact
+    optimum: the coalescence in closed form (`_coalescence`), or the
+    equal-peak point (`_equal_peaks`) by Newton from the seed.  An accepted
+    point is the result, with one StartRecord: its start is the double pole
+    unsplit (`_double_pole`) or the seed.  Otherwise the simplex is a global
+    stage at the looser _GLOBAL_REL_TOL, and `_polish` finishes its winner;
+    when that is refused too, the winner's start runs again alone at
+    NM_REL_TOL, and `polished` is False.  `objective` is `_objective_value` at the returned
     (r, l): the smallest damping ratio of `eigvals`, or minus the exact band
     peak (`_band_peak`); the StartRecords keep the kernel's values.
     `converged` is that of the search that gave (r, l); see TuningResult.
@@ -738,10 +741,11 @@ def tune(model, objective="min-damping-ratio", *, target_mode=None, seed=None,
     grid = hinf_grid(omega_t) if objective == "hinf" else None
     evaluate = _objective(model, objective, band, grid)
     exact = reduced and model.alpha > 0 and model.omega_m > 0  # uncoupled, it has no exact start
-    start = _undamped_coalescence(model) if exact and objective != "hinf" else (r0, l0)
-    if not per_branch:  # scored against the seed: at zm = 0 the mdr start is the double pole
+    pole = exact and objective != "hinf" and _double_pole(model)
+    start = _scales(model, *pole[:2]) if pole else (r0, l0)
+    if not per_branch:  # scored against the seed: the mdr start is the double pole
         seed_objective, start_objective = evaluate([r0, start[0]], [l0, start[1]]).tolist()
-    finish = exact and _polish(model, objective, *start, seed_objective, grid, bounds, True)
+    finish = exact and _polish(model, objective, *start, seed_objective, grid, bounds)
     branches = (None, None)
     if finish:
         records = (StartRecord(*start, *finish[:3], seed_objective=start_objective,

@@ -535,3 +535,41 @@ def tune_sequential(model, objective="min-damping-ratio", *, target_mode=None, b
                                       iterations=iterations,
                                       converged=converged and bool(np.isfinite(f_opt))))
     return tuple(starts)
+
+
+def coalescence_continued(zeta_m, kappa):
+    """(R, E, a, b) of the double pair, by Newton on the four coefficient equations.
+
+    (s^2 + z s + 1)(s^2 + R s + E) + k s (s + R) = (s^2 + a s + b)^2, with
+    z = 2 zeta_m and k = kappa^2, matched coefficient by coefficient.  The
+    root at z = 0, R = 2 kappa sqrt(1 + k) and E = (1 + k)^2, is continued to
+    z in n = ceil(z / kappa) equal steps, each solve started from the last
+    root stepped along its tangent du/dz = -J^-1 dF/dz, dF/dz = (1, R, E, 0):
+    with fewer steps Newton picks a worse root where zeta_m >> kappa.
+    """
+    k = kappa * kappa
+    q = 1.0 + k
+
+    def residual(u, z):
+        big_r, big_e, a, b = u
+        return np.array([big_r + z - 2.0 * a, big_e + z * big_r + q - a * a - 2.0 * b,
+                         z * big_e + q * big_r - 2.0 * a * b, big_e - b * b])
+
+    def jacobian(u, z):
+        _, _, a, b = u
+        return np.array([[1.0, 0.0, -2.0, 0.0], [z, 1.0, -2.0 * a, -2.0],
+                         [q, z, -2.0 * b, -2.0 * a], [0.0, 1.0, 0.0, -2.0 * b]])
+
+    u = np.array([2.0 * kappa * math.sqrt(q), q * q, kappa * math.sqrt(q), q])
+    n = max(1, math.ceil(2.0 * zeta_m / kappa))
+    for j in range(n):
+        z, dz = 2.0 * zeta_m * j / n, 2.0 * zeta_m / n
+        u = u - np.linalg.solve(jacobian(u, z), [1.0, u[0], u[1], 0.0]) * dz
+        for _ in range(50):
+            step = np.linalg.solve(jacobian(u, z + dz), residual(u, z + dz))
+            u = u - step
+            if np.all(np.abs(step) <= 1e-12 * (1.0 + np.abs(u))):
+                break
+        else:
+            raise AssertionError(f"no root at z = {z + dz}")
+    return u

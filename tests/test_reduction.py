@@ -31,8 +31,9 @@ from piezoshunt.reduction import (
     validate_reduction,
 )
 
-from _oracles import (frf_pointwise, generalized_eigh, match_spectra, min_damping_pointwise,
-                      min_norm_enumerated, nelder_mead_array, nelder_mead_lists, tune_sequential)
+from _oracles import (coalescence_continued, frf_pointwise, generalized_eigh, match_spectra,
+                      min_damping_pointwise, min_norm_enumerated, nelder_mead_array,
+                      nelder_mead_lists, tune_sequential)
 
 
 def test_multi_shunt_uniform_electrical_modes():
@@ -796,7 +797,8 @@ GOLDEN_COMPARE_CONFIGS = {
 @pytest.mark.parametrize("text", GOLDEN_COMPARE_CONFIGS.values(), ids=list(GOLDEN_COMPARE_CONFIGS))
 def test_reduced_tunes_of_the_golden_compares_take_the_newton_path(monkeypatch, text):
     # the six reduced tunes of each golden `compare` run no simplex: one record of
-    # the exact start, its optimum and at most ten Newton steps
+    # the exact start, its optimum and the Newton steps, none for the closed-form
+    # coalescence and at most ten for the equal peaks
     def no_simplex(*args):
         raise AssertionError("the simplex ran")
     monkeypatch.setattr(reduction, "_lockstep", no_simplex)
@@ -809,7 +811,7 @@ def test_reduced_tunes_of_the_golden_compares_take_the_newton_path(monkeypatch, 
             tr = tune(rm, objective, bounds=cfg.bounds)
             (record,) = tr.starts
             assert tr.polished and tr.converged and record.converged
-            assert 1 <= record.iterations <= 10
+            assert record.iterations == 0 if objective != "hinf" else 1 <= record.iterations <= 10
             assert (record.r_opt, record.l_opt, record.objective) == (tr.r, tr.l, tr.objective)
 
 
@@ -827,13 +829,9 @@ def _random_reduced_models(count, seed=20):
 
 
 def test_newton_path_is_no_worse_than_the_simplex_fallback_on_random_models(monkeypatch):
-    # the fallback is the nine starts, the polish of their winner and the rerun:
-    # forced by refusing the first try, the one `_polish` from the exact start
-    polish = reduction._polish
-
-    def fallback(rm, objective, rbar, lbar, value, grid, bounds, continued=False):
-        return None if continued else polish(rm, objective, rbar, lbar, value, grid, bounds)
-
+    # the reference is the nine starts and the rerun of their winner's start, forced
+    # by refusing every polish: the exact first try and the finish of the winner,
+    # which for pole placement would give the closed form again
     models = list(_random_reduced_models(200))
     assert sum(rm.zeta_m > rm.kappa for rm in models) > 50
     assert max(rm.zeta_m / rm.kappa for rm in models) > 9.0
@@ -841,17 +839,19 @@ def test_newton_path_is_no_worse_than_the_simplex_fallback_on_random_models(monk
         results = [tune(rm, objective) for rm in models]
         first = [len(tr.starts) == 1 for tr in results]
         if objective == "min-damping-ratio":
-            # the continued coalescence is refused only where the plateau of four real
-            # poles wins, which the fallback reaches
+            # the coalescence is refused only from critical damping on, where the
+            # plateau of four real poles wins, which the fallback reaches
             assert all(f or tr.objective == 1.0 for f, tr in zip(first, results))
             assert sum(tr.objective == 1.0 for tr in results) >= 5
         else:  # equal peaks on many models
             assert sum(first) >= 70
         with monkeypatch.context() as patch:
-            patch.setattr(reduction, "_polish", fallback)
+            patch.setattr(reduction, "_polish", lambda *args: None)
             for rm, tr in zip(models, results):
                 if len(tr.starts) == 1:  # a refused first try is the fallback path already
-                    want = tune(rm, objective).objective
+                    fallback = tune(rm, objective)
+                    assert len(fallback.starts) == 9 and not fallback.polished
+                    want = fallback.objective
                     assert tr.objective >= want - 1e-9 * abs(want), (rm, objective)
 
 
@@ -896,15 +896,40 @@ def test_hinf_optimum_whose_second_peak_is_the_band_end_is_polished():
     assert -tr.objective == pytest.approx(gain[0], rel=1e-12)
 
 
-def test_continued_coalescence_is_quick_where_zeta_m_is_many_times_kappa():
-    # 2 zm = 20 kappa: twenty continuation solves, each from the last root stepped
-    # along its tangent; from the last root alone they took 263 Newton steps
-    rm = ReducedModel(target_mode=1, omega_m=3.0, zeta_m=0.118, mu_star=1e6,
+def _strongly_damped_reduced_models():
+    """ReducedModels with zm from 10 kappa to just below critical damping, for several kappa."""
+    for kappa in (0.005, 0.01, 0.03, 0.06):
+        t = np.sqrt(2.0 * kappa)
+        critical = 0.5 * (2.0 - t) * np.sqrt(1.0 + kappa + t)
+        for zeta_m in np.linspace(10.0 * kappa, critical * (1.0 - 1e-9), 6):
+            yield ReducedModel(target_mode=1, omega_m=3.0, zeta_m=zeta_m, mu_star=1e6,
+                               alpha=kappa * 3.0, tip_gain=1.0)
+
+
+def test_closed_form_coalescence_is_the_continued_newton_root():
+    # (s^2 + z s + 1)(s^2 + R s + E) + k s (s + R) = (s^2 + a s + b)^2 coefficient by
+    # coefficient, and the root is the one the Newton continuation from zm = 0 reaches
+    models = [*_random_reduced_models(200), *_strongly_damped_reduced_models()]
+    checked = 0
+    for rm in models:
+        pole = optima._double_pole(rm)
+        if pole is None:  # from critical damping on
+            continue
+        checked += 1
+        big_r, big_e, a, b = pole
+        z, k = 2.0 * rm.zeta_m, rm.kappa**2
+        lhs = np.polyadd(np.polymul([1.0, z, 1.0], [1.0, big_r, big_e]), [k, k * big_r, 0.0])
+        np.testing.assert_allclose(lhs, np.polymul([1.0, a, b], [1.0, a, b]), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(pole, coalescence_continued(rm.zeta_m, rm.kappa), rtol=1e-10)
+    assert checked == 193 + 24  # every strongly damped model lies below critical damping
+    # zm = 20 kappa: the closed form, no Newton step and no simplex
+    rm = ReducedModel(target_mode=1, omega_m=3.0, zeta_m=0.236, mu_star=1e6,
                       alpha=0.0118 * 3.0, tip_gain=1.0)
-    (r, l), steps = optima._coalescence(rm, *optima._undamped_coalescence(rm), continued=True)
-    assert steps <= 60
+    tr = tune(rm)
+    (record,) = tr.starts
+    assert tr.polished and tr.converged and record.iterations == 0
     # the two pole pairs coincide, up to the split of COALESCENCE_OFFSET (about 1e-4)
-    poles = np.linalg.eigvals(rm.a_matrix(r, l))
+    poles = np.linalg.eigvals(rm.a_matrix(tr.r, tr.l))
     upper = poles[poles.imag > 0]
     assert len(upper) == 2 and abs(upper[0] - upper[1]) <= 1e-3 * abs(upper[0])
 
@@ -919,8 +944,8 @@ def test_coalescence_is_critically_damped_at_the_closed_form_zeta(kappa):
     poly = np.polyadd(np.polymul([1.0, z, 1.0], [1.0, big_r, big_e]),
                       kappa**2 * np.array([1.0, big_r, 0.0]))
     np.testing.assert_allclose(poly, np.poly([-c] * 4), rtol=1e-12)
-    # just below, Newton reaches it from the undamped coalescence; from there on
-    # the simplex runs, and past it finds the plateau where all four poles are real
+    # just below, the closed form of `_double_pole` gives the coalescence; from there
+    # on the simplex runs, and past it finds the plateau where all four poles are real
     for zeta_m, newton in ((0.5 * z * (1.0 - 1e-6), True), (0.5 * z, False),
                            (0.5 * z + 0.001, False)):
         rm = ReducedModel(target_mode=1, omega_m=3.5, zeta_m=zeta_m, mu_star=1e7,
