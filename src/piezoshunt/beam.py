@@ -128,7 +128,11 @@ def modal_basis(beam, m):
 
 
 def _raw_shape(beam, beta_l, x, order):
-    """Unnormalized clamped-free shape (order 0) or slope (order 1) at `x`."""
+    """Unnormalized clamped-free shape (order 0) or slope (order 1) at `x`.
+
+    `beta_l` and `x` broadcast: ``beta_l[:, None]`` against an array of
+    positions gives one row per mode.
+    """
     beta = beta_l / beam.length
     z = beta * np.asarray(x, dtype=float)
     sigma, delta = _shape_coefficients(beta_l)
@@ -155,4 +159,4 @@ def eval_mode(basis, k, x, order=0):
 
 def modal_force_vector(basis):
     """Modal projection phi_k(L) of a transverse point force at the tip, the one load point."""
-    return np.array([eval_mode(basis, k, basis.beam.length) for k in range(1, basis.m + 1)])
+    return basis.norm * _raw_shape(basis.beam, basis.beta_l, basis.beam.length, 0)

@@ -221,17 +221,14 @@ _COMMANDS = {
 }
 
 
-def _parser():
-    parser = argparse.ArgumentParser(
-        prog="piezoshunt",
-        description="Passive electric damping of a cantilever beam by piezo RL networks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="scenario configuration file")
-        p.add_argument("--out", default="out", help="output directory")
-    return parser
+#: Built once per process: every build repeats argparse's gettext lookups.
+_PARSER = argparse.ArgumentParser(
+    prog="piezoshunt",
+    description="Passive electric damping of a cantilever beam by piezo RL networks",
+)
+for _sub in map(_PARSER.add_subparsers(dest="command", required=True).add_parser, _COMMANDS):
+    _sub.add_argument("--config", help="scenario configuration file")
+    _sub.add_argument("--out", default="out", help="output directory")
 
 
 def run_command(argv):
@@ -240,7 +237,7 @@ def run_command(argv):
     The config file describes the run; the options say only where it is and
     where the CSVs go.
     """
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(_read(args.config) if args.config is not None else "")
         if cfg.netlist_path is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import eval_mode
+from .beam import _raw_shape
 from .errors import ParameterError, integer_fault
 
 
@@ -80,12 +80,9 @@ def uniform_layout(beam, n, coverage=0.9, cp=100e-9, gamma=1e-4):
 
 def coupling_matrix(basis, patches):
     """M x N electromechanical coupling Theta_ki = gamma_i*(phi_k'(b_i) - phi_k'(a_i))."""
-    if patches.b[-1] > basis.beam.length + 1e-12:
+    length = basis.beam.length
+    if patches.b[-1] > length + 1e-12 or patches.a[-1] > length:
         raise ParameterError("patches extend beyond the beam span")
-    theta = np.empty((basis.m, patches.n))
-    for k in range(1, basis.m + 1):
-        slope_b = eval_mode(basis, k, np.minimum(patches.b, basis.beam.length), order=1)
-        slope_a = eval_mode(basis, k, patches.a, order=1)
-        theta[k - 1] = patches.gamma * (slope_b - slope_a)
-    return theta
+    slope = lambda x: basis.norm[:, None] * _raw_shape(basis.beam, basis.beta_l[:, None], x, 1)
+    return patches.gamma * (slope(np.minimum(patches.b, length)) - slope(patches.a))
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import piezoshunt as ps
-from piezoshunt.beam import solve_wavenumbers
+from piezoshunt.beam import MAX_MODES, solve_wavenumbers
 from piezoshunt.errors import ParameterError
 
 from _oracles import (bisect_wavenumber, characteristic_residual, modal_gram, quadrature_norms,
@@ -130,6 +130,13 @@ def test_force_vector_at_tip_nonzero(basis5):
     phi = ps.modal_force_vector(basis5)
     assert np.all(np.isfinite(phi))
     assert np.all(np.abs(phi) > 0.1)
+    # one array evaluation of every mode keeps the bits of each mode's `eval_mode`
+    for length, ei, rho_a in BEAMS:
+        beam = ps.BeamSpec(length, ei, rho_a)
+        for m in range(1, MAX_MODES + 1):
+            basis = ps.modal_basis(beam, m)
+            per_mode = [ps.eval_mode(basis, k, length) for k in range(1, m + 1)]
+            np.testing.assert_array_equal(ps.modal_force_vector(basis), per_mode, strict=True)
 
 
 def test_tip_compliance_monotone_and_convergent(basis5):

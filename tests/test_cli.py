@@ -9,7 +9,7 @@ import pytest
 
 import piezoshunt as ps
 from piezoshunt import cli, coupled, timesim
-from piezoshunt.cli import _COMMANDS, _parser, run_command
+from piezoshunt.cli import _COMMANDS, _PARSER, run_command
 from piezoshunt.config import _SCHEMA, TOPOLOGIES, load_config
 from piezoshunt.errors import ConfigError, NumericalError
 
@@ -378,6 +378,23 @@ def test_the_network_flags_are_refused(tmp_path, capsys, flag, value):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_the_parser_reused_after_a_usage_error_reads_each_call_alone(tmp_path, capsys):
+    # one parser serves the process: neither a refused call nor an earlier
+    # call's options reach the next call
+    cfg = tmp_path / "m3.cfg"
+    cfg.write_text("[beam]\nM = 3\n")
+    with pytest.raises(SystemExit) as info:
+        run_command(["modes", "--config", str(cfg), "--out", str(tmp_path / "a"), "--bad"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    for out, argv, m in (("b", ["--config", str(cfg)], 3), ("c", [], 5)):
+        assert run_command(["modes", *argv, "--out", str(tmp_path / out)]) == 0
+        path = tmp_path / out / "modes.csv"
+        assert capsys.readouterr().out == f"wrote {m} modes to {path}\n"
+        assert len(path.read_text().splitlines()) == m + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "c", "m3.cfg"]
+
+
 def test_readme_names_the_config_keys_and_the_options():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     ini = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
@@ -387,7 +404,7 @@ def test_readme_names_the_config_keys_and_the_options():
     assert keys == {section: set(schema) for section, schema in _SCHEMA.items()}
     synopsis = re.search(r"^piezoshunt <subcommand> (.*)$", text, re.M).group(1)
     for command in _COMMANDS:
-        options = {f"--{dest}" for dest in vars(_parser().parse_args([command]))}
+        options = {f"--{dest}" for dest in vars(_PARSER.parse_args([command]))}
         assert set(re.findall(r"--\w+", synopsis)) == options - {"--command"}
 
 

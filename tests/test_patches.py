@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import piezoshunt as ps
+from piezoshunt.beam import MAX_MODES
 from piezoshunt.errors import ParameterError
 
 from _oracles import node_capacitances
@@ -87,11 +88,35 @@ def test_single_full_patch_coupling_vs_finite_difference(unit_beam):
     gamma = 2.5e-4
     arr = ps.uniform_layout(unit_beam, 1, coverage=1.0, gamma=gamma)
     theta = ps.coupling_matrix(basis, arr)
-    assert theta[0, 0] == pytest.approx(gamma * ps.eval_mode(basis, 1, 1.0, order=1), rel=1e-12)
+    assert theta[0, 0] == gamma * ps.eval_mode(basis, 1, 1.0, order=1)
     # cross-check the slope against a finite difference of the shape near x = L
     h = 1e-6
     fd = (ps.eval_mode(basis, 1, 1.0) - ps.eval_mode(basis, 1, 1.0 - 2 * h)) / (2 * h)
     assert theta[0, 0] == pytest.approx(gamma * fd, rel=1e-6)
+
+
+def test_coupling_is_each_modes_eval_mode_slopes_bit_for_bit():
+    # all modes in one array evaluation keep the bits of one `eval_mode` per mode and
+    # end, at every mode count and array length: a vectorized sin, cos, exp, sinh or
+    # cosh that rounds by array length fails here
+    for length, ei, rho_a in [(1.0, 1.0, 1.0), (0.3, 2.5, 0.7), (2.0, 50.0, 3.1)]:
+        beam = ps.BeamSpec(length, ei, rho_a)
+        layouts = [ps.uniform_layout(beam, n, coverage, gamma=g)
+                   for n in (1, 3, 5, 8, 12) for coverage, g in ((0.5, 1e-4), (1.0, -2.5e-4))]
+        layouts.append(ps.PatchArray(a=[0.0, 0.3 * length], b=[0.1 * length, length + 5e-13],
+                                     cp=1e-7, gamma=[1e-4, -3e-4]))  # the last end clipped to L
+        for m in range(1, MAX_MODES + 1):
+            basis = ps.modal_basis(beam, m)
+            for arr in layouts:
+                b = np.minimum(arr.b, length)
+                per_mode = [arr.gamma * (ps.eval_mode(basis, k, b, order=1)
+                                         - ps.eval_mode(basis, k, arr.a, order=1))
+                            for k in range(1, m + 1)]
+                np.testing.assert_array_equal(ps.coupling_matrix(basis, arr), per_mode,
+                                              strict=True)
+        beyond = ps.PatchArray(a=[length + 2e-13], b=[length + 4e-13], cp=1e-7, gamma=1e-4)
+        with pytest.raises(ParameterError, match="beyond the beam span"):
+            ps.coupling_matrix(basis, beyond)
 
 
 def test_node_capacitances_diagonal_preserves_order(unit_beam):
